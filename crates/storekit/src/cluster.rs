@@ -17,11 +17,11 @@ use crate::block::{BlockCache, BlockConfig};
 use crate::cost::StorageCostConfig;
 use crate::durability::{DurabilityConfig, DurabilityStats, DurableStore};
 use crate::error::{StoreError, StoreResult};
-use crate::kv::{index_prefix, record_key, record_key_into, record_prefix, KvEngine};
+use crate::kv::{index_prefix, record_key_into, record_prefix, InlineBytes, KvEngine};
 use crate::raft::{LogEntry, RaftGroup};
 use crate::row::Row;
 use crate::schema::Catalog;
-use crate::sql::exec::{execute, ExecStats, RowStore, WriteBatch};
+use crate::sql::exec::{execute, ExecStats, Mutation, RowStore, WriteBatch};
 use crate::sql::parser::parse;
 use crate::sql::plan::{plan, PhysicalPlan};
 use crate::value::Datum;
@@ -87,6 +87,50 @@ pub struct StoragePod {
     pub cpu: CpuMeter,
     pub kv: KvEngine,
     pub block_cache: BlockCache,
+}
+
+impl StoragePod {
+    /// Apply one committed raft entry to this replica's KV engine.
+    fn apply(&mut self, entry: &LogEntry) {
+        for m in &entry.batch.mutations {
+            self.kv.put_at(&m.key, m.value.as_deref(), entry.version);
+        }
+    }
+}
+
+/// Which of `regions` regions a raw key belongs to.
+fn region_index(key: &[u8], regions: usize) -> usize {
+    (stable_hash(key) % regions as u64) as usize
+}
+
+/// Mirror one applied raft entry into the pod's durable store: WAL append
+/// (+ group-commit fsync when due, + snapshot when the cadence fires).
+/// Charges the pod's meter and returns the total CPU so write paths can also
+/// bill it to the statement's receipt. No-op (and zero) with durability off.
+fn durable_apply(
+    durable: &mut DurableStore,
+    pod: &mut StoragePod,
+    config: &ClusterConfig,
+    region: usize,
+    entry: &LogEntry,
+) -> SimDuration {
+    if !config.durability.enabled() {
+        return SimDuration::ZERO;
+    }
+    let writes: Vec<(Vec<u8>, Option<Vec<u8>>)> = entry
+        .batch
+        .mutations
+        .iter()
+        .map(|m| (m.key.clone(), m.value.clone()))
+        .collect();
+    let wal_cpu = durable.on_apply(region, entry.version, writes, entry.bytes, &config.cost);
+    pod.cpu.charge(CpuCategory::Replication, wal_cpu);
+    let mut total = wal_cpu;
+    if let Some(snap_cpu) = durable.maybe_snapshot(&pod.kv, &config.cost) {
+        pod.cpu.charge(CpuCategory::KvExec, snap_cpu);
+        total += snap_cpu;
+    }
+    total
 }
 
 /// One SQL front-end pod.
@@ -203,7 +247,7 @@ impl SqlCluster {
 
     /// Which region a raw key belongs to.
     fn region_of(&self, key: &[u8]) -> usize {
-        (stable_hash(key) % self.regions.len() as u64) as usize
+        region_index(key, self.regions.len())
     }
 
     pub fn region_count(&self) -> usize {
@@ -249,47 +293,19 @@ impl SqlCluster {
     pub fn tick(&mut self, now: SimTime) {
         for r in 0..self.regions.len() {
             let ops = self.regions[r].tick(now);
+            // Apply straight from the log: `regions` and `storages` are
+            // disjoint fields, so no entry is cloned.
+            let region = &self.regions[r];
             for op in ops {
-                let entry = self.regions[r].entry(op.index).clone();
-                let pod = self.regions[r].replicas[op.slot];
-                for m in &entry.batch.mutations {
-                    self.storages[pod]
-                        .kv
-                        .put_at(m.key.clone(), m.value.clone(), entry.version);
-                }
+                let entry = region.entry(op.index);
+                let pod = region.replicas[op.slot];
+                let storage = &mut self.storages[pod];
+                storage.apply(entry);
                 let cost = self.config.cost.raft_follower_cost(entry.bytes);
-                self.storages[pod].cpu.charge(CpuCategory::Replication, cost);
-                self.durable_apply(pod, r, &entry);
+                storage.cpu.charge(CpuCategory::Replication, cost);
+                durable_apply(&mut self.durable[pod], storage, &self.config, r, entry);
             }
         }
-    }
-
-    /// Mirror one applied raft entry into the pod's durable store: WAL
-    /// append (+ group-commit fsync when due, + snapshot when the cadence
-    /// fires). Charges the pod's meter and returns the total CPU so write
-    /// paths can also bill it to the statement's receipt. No-op (and zero)
-    /// with durability off.
-    fn durable_apply(&mut self, pod: usize, region: usize, entry: &LogEntry) -> SimDuration {
-        if !self.config.durability.enabled() {
-            return SimDuration::ZERO;
-        }
-        let writes: Vec<(Vec<u8>, Option<Vec<u8>>)> = entry
-            .batch
-            .mutations
-            .iter()
-            .map(|m| (m.key.clone(), m.value.clone()))
-            .collect();
-        let wal_cpu =
-            self.durable[pod].on_apply(region, entry.version, writes, entry.bytes, &self.config.cost);
-        self.storages[pod].cpu.charge(CpuCategory::Replication, wal_cpu);
-        let mut total = wal_cpu;
-        if let Some(snap_cpu) =
-            self.durable[pod].maybe_snapshot(&self.storages[pod].kv, &self.config.cost)
-        {
-            self.storages[pod].cpu.charge(CpuCategory::KvExec, snap_cpu);
-            total += snap_cpu;
-        }
-        total
     }
 
     /// Simulated machine crash of one storage pod (durability on): all
@@ -370,35 +386,46 @@ impl SqlCluster {
         I: IntoIterator<Item = Vec<Datum>>,
     {
         let schema = self.catalog.get(table)?.clone();
+        // Gather each pod's writes, then build each pod's tree from its
+        // sorted run. Rows before an invalid one still load, as they would
+        // one by one.
+        let mut per_pod: Vec<Vec<(InlineBytes, Option<InlineBytes>, u64)>> =
+            vec![Vec::new(); self.storages.len()];
+        let regions = &self.regions;
+        let mut gather = |key: InlineBytes, value: InlineBytes, version: u64| {
+            let region = &regions[region_index(&key, regions.len())];
+            for &pod in &region.replicas {
+                per_pod[pod].push((key.clone(), Some(value.clone()), version));
+            }
+        };
+        let mut record = Vec::new();
+        let mut encoded = Vec::new();
         let mut count = 0usize;
+        let mut outcome = Ok(());
         for values in rows {
-            let row = crate::row::Row(values);
-            schema.validate(&row)?;
-            let pk = schema.pk_of(&row).clone();
+            let row = Row(values);
+            if let Err(e) = schema.validate(&row) {
+                outcome = Err(e);
+                break;
+            }
+            let pk = schema.pk_of(&row);
             self.tso += 1;
             let version = self.tso;
-            let record = record_key(table, &pk);
-            let encoded = row.encode();
-            let mut keys: Vec<(Vec<u8>, Option<Vec<u8>>)> =
-                vec![(record.clone(), Some(encoded))];
+            record_key_into(&mut record, table, pk);
+            encoded.clear();
+            row.encode_into(&mut encoded);
+            let record = InlineBytes::from(record.as_slice());
             for &col in &schema.indexes {
-                let ik = crate::kv::index_key(
-                    table,
-                    col,
-                    row.get(col).unwrap_or(&Datum::Null),
-                    &pk,
-                );
-                keys.push((ik, Some(record.clone())));
+                let ik = crate::kv::index_key(table, col, row.get(col).unwrap_or(&Datum::Null), pk);
+                gather(ik.into(), record.clone(), version);
             }
-            for (key, value) in keys {
-                let region = self.region_of(&key);
-                let members = self.regions[region].replicas.clone();
-                for pod in members {
-                    self.storages[pod].kv.put_at(key.clone(), value.clone(), version);
-                }
-            }
+            gather(record, encoded.as_slice().into(), version);
             count += 1;
         }
+        for (pod, writes) in per_pod.into_iter().enumerate() {
+            self.storages[pod].kv.bulk_load(writes);
+        }
+        outcome?;
         // A restore-from-backup lands durable: snapshot each pod so the
         // loaded dataset survives crashes without replaying a giant WAL.
         // Like the load itself, this charges no CPU.
@@ -560,7 +587,7 @@ impl SqlCluster {
 
         // Writes go through Raft.
         if let Some(batch) = outcome.write {
-            let version = self.commit_batch(&batch, now, receipt)?;
+            let version = self.commit_batch(batch, now, receipt)?;
             receipt.write_version = Some(version);
         }
         Ok(())
@@ -569,7 +596,7 @@ impl SqlCluster {
     /// Route a write batch through the raft groups of the touched regions.
     fn commit_batch(
         &mut self,
-        batch: &WriteBatch,
+        batch: WriteBatch,
         now: SimTime,
         receipt: &mut QueryReceipt,
     ) -> StoreResult<u64> {
@@ -579,27 +606,46 @@ impl SqlCluster {
             self.tso += 1;
             return Ok(self.tso);
         }
-        // Group mutations by region.
-        let mut per_region: std::collections::BTreeMap<usize, WriteBatch> =
-            std::collections::BTreeMap::new();
-        for m in &batch.mutations {
-            let r = self.region_of(&m.key);
-            let sub = per_region.entry(r).or_insert_with(|| WriteBatch {
-                table: batch.table.clone(),
-                ..Default::default()
-            });
-            sub.mutations.push(m.clone());
-            sub.logical_bytes += m.value.as_ref().map(|v| v.len() as u64).unwrap_or(0);
-        }
+        let WriteBatch {
+            mut table,
+            mutations,
+            logical_bytes,
+            ..
+        } = batch;
+        let bytes_per_mutation = logical_bytes / mutations.len() as u64;
+        // Group mutations by region, regions in ascending order and each
+        // region's mutations in statement order; they move, uncopied, into
+        // the per-region log entries.
+        let mut routed: Vec<(usize, Mutation)> =
+            mutations.into_iter().map(|m| (self.region_of(&m.key), m)).collect();
+        routed.sort_by_key(|&(r, _)| r);
+        let mut routed = routed.into_iter().peekable();
         // One commit version for the statement (TSO-style).
         self.tso += 1;
         let version = self.tso;
         // The record mutation's logical bytes dominate; spread the logical
         // write size across regions proportionally to physical size.
-        for (region_idx, sub) in per_region {
+        while let Some((region_idx, first)) = routed.next() {
+            let mut sub = WriteBatch::default();
+            sub.mutations.push(first);
+            while let Some((_, m)) = routed.next_if(|&(r, _)| r == region_idx) {
+                sub.mutations.push(m);
+            }
+            sub.logical_bytes = sub
+                .mutations
+                .iter()
+                .map(|m| m.value.as_ref().map_or(0, |v| v.len() as u64))
+                .sum();
+            // The last region takes the table name; earlier ones copy it.
+            sub.table = if routed.peek().is_none() {
+                std::mem::take(&mut table)
+            } else {
+                table.clone()
+            };
+
             let leader = self.regions[region_idx].leader()?;
             // RPC front-end → leader carrying the batch.
-            let bytes = 64 + sub.logical_bytes.max(batch.logical_bytes / batch.mutations.len().max(1) as u64);
+            let bytes = 64 + sub.logical_bytes.max(bytes_per_mutation);
             self.charge_rpc(leader, bytes, 16, receipt, now);
 
             let leader_cost = self.config.cost.raft_leader_cost(bytes);
@@ -607,24 +653,23 @@ impl SqlCluster {
             receipt.storage_cpu += leader_cost;
 
             let ops = self.regions[region_idx].propose(sub, version, now)?;
+            // Apply straight from the log, as in `tick`.
+            let region = &self.regions[region_idx];
             let mut max_follower = SimDuration::ZERO;
             for op in ops {
-                let entry_bytes = self.regions[region_idx].entry(op.index).bytes;
-                let entry = self.regions[region_idx].entry(op.index).clone();
-                let pod = self.regions[region_idx].replicas[op.slot];
-                for m in &entry.batch.mutations {
-                    self.storages[pod]
-                        .kv
-                        .put_at(m.key.clone(), m.value.clone(), entry.version);
-                }
+                let entry = region.entry(op.index);
+                let pod = region.replicas[op.slot];
+                let storage = &mut self.storages[pod];
+                storage.apply(entry);
                 let kv_cost = SimDuration::from_micros_f64(
                     self.config.cost.kv_write_us * entry.batch.mutations.len() as f64,
                 );
-                let repl_cost = self.config.cost.raft_follower_cost(entry_bytes);
-                self.storages[pod].cpu.charge(CpuCategory::KvExec, kv_cost);
-                self.storages[pod].cpu.charge(CpuCategory::Replication, repl_cost);
+                let repl_cost = self.config.cost.raft_follower_cost(entry.bytes);
+                storage.cpu.charge(CpuCategory::KvExec, kv_cost);
+                storage.cpu.charge(CpuCategory::Replication, repl_cost);
                 receipt.storage_cpu += kv_cost + repl_cost;
-                receipt.storage_cpu += self.durable_apply(pod, region_idx, &entry);
+                receipt.storage_cpu +=
+                    durable_apply(&mut self.durable[pod], storage, &self.config, region_idx, entry);
                 max_follower = max_follower.max(repl_cost);
             }
             // Quorum round trip: leader → follower → ack.
@@ -720,7 +765,7 @@ impl SqlCluster {
     ) -> StoreResult<QueryReceipt> {
         let version = {
             let DelayedWrite { batch, receipt } = &mut delayed;
-            self.commit_batch(batch, now, receipt)?
+            self.commit_batch(std::mem::take(batch), now, receipt)?
         };
         delayed.receipt.write_version = Some(version);
         Ok(delayed.receipt)
@@ -784,7 +829,7 @@ struct ClusterRowStore<'a> {
 
 impl ClusterRowStore<'_> {
     fn region_of(&self, key: &[u8]) -> usize {
-        (stable_hash(key) % self.region_count as u64) as usize
+        region_index(key, self.region_count)
     }
 
     /// Charge a storage-side row read (block cache + KV) on `pod`.
@@ -914,9 +959,9 @@ impl RowStore for ClusterRowStore<'_> {
                 .kv
                 .scan_between(&start, end.as_deref(), u64::MAX)
                 .filter(|(k, _)| {
-                    (stable_hash(k) % self.region_count as u64) as usize == region_idx
+                    region_index(k, self.region_count) == region_idx
                 })
-                .map(|(k, v)| (k.clone(), v.value.to_vec()))
+                .map(|(k, v)| (k.to_vec(), v.value.to_vec()))
                 .collect();
             self.charge_row_read(pod, &start, 32 * hits.len() as u64, hits.len().max(1) as u64);
             self.charge_fetch_rpc(pod, 40 * hits.len() as u64);
@@ -941,9 +986,9 @@ impl RowStore for ClusterRowStore<'_> {
                 .kv
                 .scan_between(&start, end.as_deref(), u64::MAX)
                 .filter(|(k, _)| {
-                    (stable_hash(k) % self.region_count as u64) as usize == region_idx
+                    region_index(k, self.region_count) == region_idx
                 })
-                .map(|(k, v)| (k.clone(), v.value.to_vec(), v.version))
+                .map(|(k, v)| (k.to_vec(), v.value.to_vec(), v.version))
                 .collect();
             let mut region_bytes = 0u64;
             for (key, bytes, version) in hits {
@@ -967,9 +1012,9 @@ impl RowStore for ClusterRowStore<'_> {
                 .kv
                 .scan_prefix(&prefix, u64::MAX)
                 .filter(|(k, _)| {
-                    (stable_hash(k) % self.region_count as u64) as usize == region_idx
+                    region_index(k, self.region_count) == region_idx
                 })
-                .map(|(k, v)| (k.clone(), v.value.to_vec(), v.version))
+                .map(|(k, v)| (k.to_vec(), v.value.to_vec(), v.version))
                 .collect();
             let mut region_bytes = 0u64;
             for (key, bytes, version) in hits {
@@ -988,6 +1033,7 @@ impl RowStore for ClusterRowStore<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::record_key;
     use crate::schema::{ColumnDef, ColumnType, TableSchema};
 
     fn catalog() -> Catalog {
@@ -1193,10 +1239,30 @@ mod tests {
     }
 
     #[test]
+    fn bulk_load_reload_extends_version_chains() {
+        let mut c = cluster();
+        let row = |i: i64, b: u8| vec![Datum::Int(i), Datum::Bytes(vec![b])];
+        c.bulk_load("kv", (0..10i64).map(|i| row(i, 1))).unwrap();
+        let key = record_key("kv", &Datum::Int(3));
+        let first = c.storages[0].kv.latest_version(&key).unwrap();
+        // Re-load key 3 (twice in one load) beside new keys.
+        c.bulk_load("kv", [row(3, 2), row(20, 2), row(3, 3)]).unwrap();
+        for pod in &c.storages {
+            assert_eq!(pod.kv.get_latest(&key).unwrap().value, Row(row(3, 3)).encode());
+            assert_eq!(pod.kv.get_at(&key, first).unwrap().value, Row(row(3, 1)).encode());
+            assert_eq!(pod.kv.version_entries(), 13);
+        }
+    }
+
+    #[test]
     fn bulk_load_validates_rows() {
         let mut c = cluster();
-        let err = c.bulk_load("kv", vec![vec![Datum::Int(1)]]).unwrap_err();
+        let err = c
+            .bulk_load("kv", vec![vec![Datum::Int(0), Datum::Bytes(vec![])], vec![Datum::Int(1)]])
+            .unwrap_err();
         assert!(matches!(err, StoreError::ArityMismatch { .. }));
+        // Rows ahead of the invalid one are loaded, as one by one.
+        assert!(c.storages[0].kv.get_latest(&record_key("kv", &Datum::Int(0))).is_some());
         assert!(c.bulk_load("ghost", vec![]).is_err());
     }
 

@@ -263,7 +263,7 @@ impl DurableStore {
         let mut replayed_bytes = 0u64;
         for rec in &self.wal {
             for (key, value) in &rec.writes {
-                kv.put_at(key.clone(), value.clone(), rec.version);
+                kv.put_at(key, value.as_deref(), rec.version);
             }
             replay_cpu += cost.wal_replay_cost(rec.bytes);
             replayed_bytes += rec.bytes;
@@ -352,7 +352,7 @@ mod tests {
         let mut d = DurableStore::new(cfg(FsyncPolicy::Group(64), 3), 1);
         let mut kv = KvEngine::new();
         for v in 1..=3u64 {
-            kv.put_at(vec![v as u8], Some(vec![v as u8; 4]), v);
+            kv.put_at(&[v as u8], Some(&[v as u8; 4]), v);
             d.on_apply(0, v, write(v as u8), 64, &cost);
         }
         // Third append crosses the cadence; the caller snapshots.
@@ -392,7 +392,7 @@ mod tests {
         d.on_apply(0, 1, write(1), 128, &cost);
         assert_eq!(d.ssd_resident_bytes(), 128);
         let mut kv = KvEngine::new();
-        kv.put_at(vec![1], Some(vec![1; 4]), 1);
+        kv.put_at(&[1], Some(&[1; 4]), 1);
         d.snapshot_now(&kv, &cost);
         assert_eq!(d.ssd_resident_bytes(), kv.live_bytes());
     }

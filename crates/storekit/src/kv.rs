@@ -5,6 +5,21 @@
 //! tombstones. This versioning is exactly what the paper's §5.5 version
 //! check reads: "returning the row's 8-byte version column".
 //!
+//! # Layout: a flat memtable
+//!
+//! The engine is one `BTreeMap` from key to version chain, laid out so a
+//! typical row owns no heap allocation of its own:
+//!
+//! - keys and values are [`InlineBytes`]: up to [`INLINE_BYTES`] bytes sit
+//!   inside the B-tree node, longer strings in a boxed slice. The `kv`
+//!   table's 14-byte record keys and 28-byte encoded rows stay inline, so a
+//!   lookup compares keys without following a pointer;
+//! - a key's newest version sits inline in its chain. Older versions spill
+//!   to a `Vec` on the key's second write;
+//! - [`KvEngine::bulk_load`] sorts a batch of writes, folds repeated keys
+//!   into chains and builds the tree from the sorted run, so a loaded
+//!   dataset lives in full B-tree nodes and nothing else.
+//!
 //! Keys are raw byte strings produced by the order-preserving encoders in
 //! this module, so prefix and range scans work for both primary-key and
 //! secondary-index layouts:
@@ -15,18 +30,169 @@
 //! ```
 
 use crate::value::Datum;
-use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, Deref};
 
 /// A raw storage key.
 pub type Key = Vec<u8>;
 
+/// Longest byte string [`InlineBytes`] stores without a heap allocation.
+/// Chosen so the whole type is 32 bytes.
+pub const INLINE_BYTES: usize = 30;
+
+/// A byte string stored inline up to [`INLINE_BYTES`] bytes and in a boxed
+/// slice above that. Compares and orders exactly like its `[u8]`
+/// contents, so a `BTreeMap` keyed by it orders keys byte-wise and can be
+/// searched with a `&[u8]`.
+#[derive(Clone)]
+pub struct InlineBytes(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, buf: [u8; INLINE_BYTES] },
+    Heap(Box<[u8]>),
+}
+
+impl InlineBytes {
+    pub fn as_slice(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..*len as usize],
+            Repr::Heap(bytes) => bytes,
+        }
+    }
+
+    fn inline(bytes: &[u8]) -> Self {
+        let mut buf = [0u8; INLINE_BYTES];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        InlineBytes(Repr::Inline {
+            len: bytes.len() as u8,
+            buf,
+        })
+    }
+}
+
+impl From<&[u8]> for InlineBytes {
+    fn from(bytes: &[u8]) -> Self {
+        if bytes.len() <= INLINE_BYTES {
+            Self::inline(bytes)
+        } else {
+            InlineBytes(Repr::Heap(bytes.into()))
+        }
+    }
+}
+
+impl From<Vec<u8>> for InlineBytes {
+    fn from(bytes: Vec<u8>) -> Self {
+        if bytes.len() <= INLINE_BYTES {
+            Self::inline(&bytes)
+        } else {
+            InlineBytes(Repr::Heap(bytes.into_boxed_slice()))
+        }
+    }
+}
+
+impl Deref for InlineBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl Borrow<[u8]> for InlineBytes {
+    fn borrow(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for InlineBytes {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for InlineBytes {}
+
+impl PartialOrd for InlineBytes {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for InlineBytes {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl std::fmt::Debug for InlineBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
 /// One MVCC version: the commit version and the value (`None` = tombstone).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct VersionEntry {
+#[derive(Debug, Clone)]
+struct Version {
     version: u64,
-    value: Option<Vec<u8>>,
+    value: Option<InlineBytes>,
+}
+
+impl Version {
+    /// The version as a read sees it: `None` for a tombstone.
+    fn visible(&self) -> Option<VersionedValue<'_>> {
+        self.value.as_deref().map(|value| VersionedValue {
+            value,
+            version: self.version,
+        })
+    }
+}
+
+/// Every retained version of one key: the newest inline, older ones in
+/// ascending version order.
+#[derive(Debug, Clone)]
+struct Chain {
+    newest: Version,
+    older: Vec<Version>,
+}
+
+impl Chain {
+    fn new(newest: Version) -> Self {
+        Chain {
+            newest,
+            older: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.older.len() + 1
+    }
+
+    /// Make `v` the newest version. Versions must arrive in increasing order.
+    fn push(&mut self, v: Version) {
+        debug_assert!(self.newest.version < v.version, "out-of-order MVCC apply");
+        self.older.push(std::mem::replace(&mut self.newest, v));
+    }
+
+    /// Append every version of `later`, which must all follow this chain's.
+    fn extend(&mut self, later: Chain) {
+        for v in later.older {
+            self.push(v);
+        }
+        self.push(later.newest);
+    }
+
+    /// The newest version ≤ `snapshot`, tombstones included.
+    fn at(&self, snapshot: u64) -> Option<&Version> {
+        if self.newest.version <= snapshot {
+            return Some(&self.newest);
+        }
+        let idx = self.older.partition_point(|v| v.version <= snapshot);
+        idx.checked_sub(1).map(|i| &self.older[i])
+    }
 }
 
 /// Result of a successful versioned read.
@@ -38,10 +204,9 @@ pub struct VersionedValue<'a> {
 
 /// The MVCC store. Single-threaded by design: concurrency in the simulation
 /// is modeled by the event kernel, not by host threads.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct KvEngine {
-    /// Per key: version entries in ascending version order.
-    data: BTreeMap<Key, Vec<VersionEntry>>,
+    data: BTreeMap<InlineBytes, Chain>,
     next_version: u64,
     /// Logical bytes written over the engine's lifetime (cost accounting).
     bytes_written: u64,
@@ -58,15 +223,12 @@ impl KvEngine {
 
     /// Number of live keys (latest version is not a tombstone).
     pub fn live_keys(&self) -> usize {
-        self.data
-            .values()
-            .filter(|vs| vs.last().map(|v| v.value.is_some()).unwrap_or(false))
-            .count()
+        self.data.values().filter(|c| c.newest.value.is_some()).count()
     }
 
     /// Total version entries retained (for GC tests).
     pub fn version_entries(&self) -> usize {
-        self.data.values().map(|v| v.len()).sum()
+        self.data.values().map(Chain::len).sum()
     }
 
     /// Logical bytes of the live dataset: key plus latest non-tombstone
@@ -74,10 +236,7 @@ impl KvEngine {
     pub fn live_bytes(&self) -> u64 {
         self.data
             .iter()
-            .filter_map(|(k, vs)| {
-                let latest = vs.last()?.value.as_ref()?;
-                Some(k.len() as u64 + latest.len() as u64)
-            })
+            .filter_map(|(k, c)| Some(k.len() as u64 + c.newest.value.as_ref()?.len() as u64))
             .sum()
     }
 
@@ -96,58 +255,103 @@ impl KvEngine {
         v
     }
 
+    /// Account for a write at `version` carrying `value`.
+    fn record_write(&mut self, value: Option<&[u8]>, version: u64) {
+        self.next_version = self.next_version.max(version + 1);
+        self.bytes_written += value.map_or(0, |v| v.len() as u64);
+    }
+
     /// Write `value` under `key`, returning the assigned commit version.
     pub fn put(&mut self, key: Key, value: Vec<u8>) -> u64 {
         let version = self.allocate_version();
-        self.put_at(key, Some(value), version);
+        self.put_at(&key, Some(&value), version);
         version
     }
 
     /// Delete `key` (tombstone), returning the commit version.
     pub fn delete(&mut self, key: Key) -> u64 {
         let version = self.allocate_version();
-        self.put_at(key, None, version);
+        self.put_at(&key, None, version);
         version
     }
 
     /// Apply a write at an explicit version — used by Raft followers
     /// replaying the leader's log so replicas converge on identical state.
     /// Versions must be applied in increasing order per key.
-    pub fn put_at(&mut self, key: Key, value: Option<Vec<u8>>, version: u64) {
-        self.next_version = self.next_version.max(version + 1);
-        self.bytes_written += value.as_ref().map(|v| v.len() as u64).unwrap_or(0);
-        let versions = self.data.entry(key).or_default();
-        debug_assert!(
-            versions.last().map(|l| l.version < version).unwrap_or(true),
-            "out-of-order MVCC apply"
-        );
-        versions.push(VersionEntry { version, value });
+    pub fn put_at(&mut self, key: &[u8], value: Option<&[u8]>, version: u64) {
+        self.record_write(value, version);
+        let v = Version {
+            version,
+            value: value.map(InlineBytes::from),
+        };
+        // One tree walk: inline keys cost nothing to build, and a heap key
+        // already present is dropped again.
+        match self.data.entry(InlineBytes::from(key)) {
+            Entry::Vacant(e) => {
+                e.insert(Chain::new(v));
+            }
+            Entry::Occupied(mut e) => e.get_mut().push(v),
+        }
+    }
+
+    /// Apply a batch of `(key, value, version)` writes in one pass. The end
+    /// state is that of [`KvEngine::put_at`] on each write in version order:
+    /// the writes are sorted by key and version, repeated keys fold into one
+    /// chain, and the tree is built from the sorted run. Keys already in the
+    /// engine extend their chain, so every loaded version must follow that
+    /// key's versions already stored.
+    pub fn bulk_load(&mut self, mut writes: Vec<(InlineBytes, Option<InlineBytes>, u64)>) {
+        writes.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.2.cmp(&b.2)));
+        for (_, value, version) in &writes {
+            self.record_write(value.as_deref(), *version);
+        }
+        let mut writes = writes.into_iter().peekable();
+        let run = std::iter::from_fn(move || {
+            let (key, value, version) = writes.next()?;
+            let mut chain = Chain::new(Version { version, value });
+            while let Some((_, value, version)) = writes.next_if(|w| w.0 == key) {
+                chain.push(Version { version, value });
+            }
+            Some((key, chain))
+        });
+        if self.data.is_empty() {
+            self.data = run.collect();
+            return;
+        }
+        // Merge the two sorted runs and rebuild: linear in both sizes.
+        let mut old = std::mem::take(&mut self.data).into_iter().peekable();
+        let mut run = run.peekable();
+        let merged = std::iter::from_fn(|| match (old.peek(), run.peek()) {
+            (Some((a, _)), Some((b, _))) => match a.cmp(b) {
+                Ordering::Less => old.next(),
+                Ordering::Greater => run.next(),
+                Ordering::Equal => {
+                    let (key, mut chain) = old.next()?;
+                    chain.extend(run.next()?.1);
+                    Some((key, chain))
+                }
+            },
+            (Some(_), None) => old.next(),
+            (None, _) => run.next(),
+        });
+        self.data = merged.collect();
     }
 
     /// Read the latest committed version of `key`.
     pub fn get_latest(&self, key: &[u8]) -> Option<VersionedValue<'_>> {
-        self.get_at(key, u64::MAX)
+        self.data.get(key)?.newest.visible()
     }
 
     /// Read `key` at `snapshot`: the newest version ≤ snapshot. Tombstones
     /// return `None`.
     pub fn get_at(&self, key: &[u8], snapshot: u64) -> Option<VersionedValue<'_>> {
-        let versions = self.data.get(key)?;
-        let idx = versions.partition_point(|v| v.version <= snapshot);
-        if idx == 0 {
-            return None;
-        }
-        let entry = &versions[idx - 1];
-        entry.value.as_deref().map(|value| VersionedValue {
-            value,
-            version: entry.version,
-        })
+        self.data.get(key)?.at(snapshot)?.visible()
     }
 
     /// The latest version number recorded for `key`, even if a tombstone —
     /// this is what a version check compares against.
     pub fn latest_version(&self, key: &[u8]) -> Option<u64> {
-        self.data.get(key).and_then(|v| v.last()).map(|v| v.version)
+        self.data.get(key).map(|c| c.newest.version)
     }
 
     /// Scan live entries whose key starts with `prefix`, at `snapshot`, in
@@ -156,22 +360,11 @@ impl KvEngine {
         &'a self,
         prefix: &'a [u8],
         snapshot: u64,
-    ) -> impl Iterator<Item = (&'a Key, VersionedValue<'a>)> + 'a {
-        let start: Key = prefix.to_vec();
+    ) -> impl Iterator<Item = (&'a [u8], VersionedValue<'a>)> + 'a {
         self.data
-            .range((Bound::Included(start), Bound::Unbounded))
+            .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(move |(k, _)| k.starts_with(prefix))
-            .filter_map(move |(k, versions)| {
-                let idx = versions.partition_point(|v| v.version <= snapshot);
-                if idx == 0 {
-                    return None;
-                }
-                let entry = &versions[idx - 1];
-                entry
-                    .value
-                    .as_deref()
-                    .map(|value| (k, VersionedValue { value, version: entry.version }))
-            })
+            .filter_map(move |(k, c)| Some((k.as_slice(), c.at(snapshot)?.visible()?)))
     }
 
     /// Scan live entries with keys in `[start, end_exclusive)` (unbounded
@@ -181,25 +374,11 @@ impl KvEngine {
         start: &[u8],
         end_exclusive: Option<&'a [u8]>,
         snapshot: u64,
-    ) -> impl Iterator<Item = (&'a Key, VersionedValue<'a>)> + 'a {
-        let lower = Bound::Included(start.to_vec());
+    ) -> impl Iterator<Item = (&'a [u8], VersionedValue<'a>)> + 'a {
         self.data
-            .range((lower, Bound::Unbounded))
-            .take_while(move |(k, _)| match end_exclusive {
-                Some(end) => k.as_slice() < end,
-                None => true,
-            })
-            .filter_map(move |(k, versions)| {
-                let idx = versions.partition_point(|v| v.version <= snapshot);
-                if idx == 0 {
-                    return None;
-                }
-                let entry = &versions[idx - 1];
-                entry
-                    .value
-                    .as_deref()
-                    .map(|value| (k, VersionedValue { value, version: entry.version }))
-            })
+            .range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
+            .take_while(move |(k, _)| end_exclusive.is_none_or(|end| k.as_slice() < end))
+            .filter_map(move |(k, c)| Some((k.as_slice(), c.at(snapshot)?.visible()?)))
     }
 
     /// Garbage-collect versions strictly older than `keep_after`, always
@@ -207,16 +386,16 @@ impl KvEngine {
     /// older than the horizon) are dropped. Returns entries reclaimed.
     pub fn gc(&mut self, keep_after: u64) -> usize {
         let mut reclaimed = 0;
-        self.data.retain(|_, versions| {
-            let keep_from = versions
-                .partition_point(|v| v.version < keep_after)
-                .min(versions.len() - 1);
-            reclaimed += keep_from;
-            versions.drain(..keep_from);
+        self.data.retain(|_, chain| {
+            let old = chain.older.partition_point(|v| v.version < keep_after);
+            chain.older.drain(..old);
+            if chain.older.is_empty() {
+                chain.older = Vec::new();
+            }
+            reclaimed += old;
             // Drop the key entirely if all that remains is an old tombstone.
-            let last = versions.last().expect("at least one version retained");
-            if last.value.is_none() && last.version < keep_after {
-                reclaimed += versions.len();
+            if chain.newest.value.is_none() && chain.newest.version < keep_after {
+                reclaimed += chain.len();
                 false
             } else {
                 true
@@ -448,8 +627,8 @@ mod tests {
         let mut follower = KvEngine::new();
         let v1 = leader.put(key("a"), b"1".to_vec());
         let v2 = leader.put(key("b"), b"2".to_vec());
-        follower.put_at(key("a"), Some(b"1".to_vec()), v1);
-        follower.put_at(key("b"), Some(b"2".to_vec()), v2);
+        follower.put_at(b"a", Some(b"1"), v1);
+        follower.put_at(b"b", Some(b"2"), v2);
         assert_eq!(leader.get_latest(b"a"), follower.get_latest(b"a"));
         assert_eq!(follower.next_version(), leader.next_version());
     }
@@ -463,9 +642,62 @@ mod tests {
         kv.delete(key("t/users/b"));
         let hits: Vec<_> = kv
             .scan_prefix(b"t/users/", u64::MAX)
-            .map(|(k, v)| (k.clone(), v.value.to_vec()))
+            .map(|(k, v)| (k.to_vec(), v.value.to_vec()))
             .collect();
         assert_eq!(hits, vec![(key("t/users/a"), b"1".to_vec())]);
+    }
+
+    #[test]
+    fn inline_bytes_stay_in_place_up_to_the_inline_size() {
+        assert_eq!(std::mem::size_of::<InlineBytes>(), 32);
+        assert_eq!(std::mem::size_of::<Option<InlineBytes>>(), 32);
+        for len in [0, 14, 28, INLINE_BYTES, INLINE_BYTES + 1, 100] {
+            let raw = vec![0xA5; len];
+            let b = InlineBytes::from(raw.as_slice());
+            let inline = matches!(b.0, Repr::Inline { .. });
+            assert_eq!(inline, len <= INLINE_BYTES, "len {len}");
+            assert_eq!(b.as_slice(), raw.as_slice());
+            assert_eq!(InlineBytes::from(raw.clone()), b);
+        }
+        // Order is byte-wise whichever way each side is stored.
+        let short = InlineBytes::from(&[0xFF; 2][..]);
+        let long = InlineBytes::from(&[0x00; 40][..]);
+        assert!(long < short);
+        assert!(InlineBytes::from(&[1u8; 30][..]) < InlineBytes::from(&[1u8; 31][..]));
+    }
+
+    #[test]
+    fn bulk_load_matches_put_at_in_version_order() {
+        let writes = [
+            (key("b"), Some(b"b1".to_vec()), 3),
+            (key("a"), Some(b"a1".to_vec()), 1),
+            (key("b"), None, 5),
+            (key("a"), Some(b"a2".to_vec()), 4),
+        ];
+        // Both engines already hold a version of "a": the load extends it.
+        let mut by_put = KvEngine::new();
+        by_put.put_at(b"a", Some(b"a0"), 0);
+        let mut loaded = by_put.clone();
+        let mut sorted = writes.clone();
+        sorted.sort_by_key(|w| w.2);
+        for (k, v, ver) in &sorted {
+            by_put.put_at(k, v.as_deref(), *ver);
+        }
+        loaded.bulk_load(
+            writes
+                .iter()
+                .map(|(k, v, ver)| (InlineBytes::from(k.as_slice()), v.clone().map(InlineBytes::from), *ver))
+                .collect(),
+        );
+        assert_eq!(loaded.version_entries(), 5);
+        assert_eq!(loaded.next_version(), by_put.next_version());
+        assert_eq!(loaded.bytes_written(), by_put.bytes_written());
+        for snapshot in 0..6 {
+            for k in [&b"a"[..], b"b"] {
+                assert_eq!(loaded.get_at(k, snapshot), by_put.get_at(k, snapshot));
+            }
+        }
+        assert_eq!(loaded.latest_version(b"b"), Some(5));
     }
 
     #[test]

@@ -41,9 +41,28 @@ impl Row {
         2 + self.0.iter().map(|d| d.encoded_size()).sum::<u64>()
     }
 
+    /// Exact length of the encoding: the logical size, except that a
+    /// payload takes its 17 physical bytes.
+    fn physical_size(&self) -> usize {
+        let datum = |d: &Datum| match d {
+            Datum::Payload { .. } => 17,
+            d => d.encoded_size() as usize,
+        };
+        2 + self.0.iter().map(datum).sum::<usize>()
+    }
+
     /// Encode to the binary wire/storage format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_size() as usize);
+        // Sized to the physical bytes: write batches keep this buffer in
+        // the raft log, so reserving a payload's logical size would pin
+        // kilobytes per write.
+        let mut out = Vec::with_capacity(self.physical_size());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the encoding to `out`, so bulk paths can reuse one buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.0.len() as u16).to_le_bytes());
         for d in &self.0 {
             match d {
@@ -77,7 +96,6 @@ impl Row {
                 }
             }
         }
-        out
     }
 
     /// Decode from the binary format.
@@ -213,6 +231,8 @@ mod tests {
         let bytes = row.encode();
         // Physical: 2 + (1+8) + (1+16) = 28 bytes, despite a 1 MiB logical size.
         assert_eq!(bytes.len(), 28);
+        assert_eq!(bytes.capacity(), 28);
+        assert_eq!(sample().encode().capacity(), sample().encoded_size() as usize);
         assert!(row.encoded_size() > 1 << 20);
         assert_eq!(Row::decode(&bytes).unwrap(), row);
     }

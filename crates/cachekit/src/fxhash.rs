@@ -11,7 +11,7 @@
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+pub(crate) const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 const ROTATE: u32 = 5;
 
 /// FxHash: one multiply + rotate per word of input.

@@ -300,7 +300,9 @@ pub struct Deployment {
     /// Per-table KV statements parsed + planned once (first use) and reused
     /// on every serve — a wall-clock-only optimization: cached executions
     /// charge exactly what `SqlCluster::execute` would for the same text.
-    sql_stmts: HashMap<String, TableSql>,
+    /// A deployment serves a handful of tables, so a scan by name beats
+    /// hashing the name on every statement.
+    sql_stmts: Vec<(String, TableSql)>,
     /// Byte key ↔ interned id table shared by every cache/routing layer.
     /// An interned key carries the same hashes the byte key produced, so
     /// interning changes wall-clock only — never simulated behaviour.
@@ -408,7 +410,7 @@ impl Deployment {
             tracer: Tracer::disabled(),
             elastic: elastic::ElasticController::new(config.elastic),
             ttl: vec![elastic::TtlController::new(config.ttl)],
-            sql_stmts: HashMap::new(),
+            sql_stmts: Vec::new(),
             interner: KeyInterner::new(),
             key_scratch: Vec::new(),
             cluster,
@@ -447,15 +449,19 @@ impl Deployment {
     /// associated function over disjoint fields so callers can keep
     /// borrowing `self.cluster` mutably while holding the result.
     fn table_sql<'a>(
-        stmts: &'a mut HashMap<String, TableSql>,
+        stmts: &'a mut Vec<(String, TableSql)>,
         cluster: &SqlCluster,
         table: &str,
         which: KvStmt,
     ) -> StoreResult<&'a CachedStatement> {
-        if !stmts.contains_key(table) {
-            stmts.insert(table.to_string(), TableSql::default());
-        }
-        let entry = stmts.get_mut(table).unwrap();
+        let idx = match stmts.iter().position(|(name, _)| name == table) {
+            Some(idx) => idx,
+            None => {
+                stmts.push((table.to_string(), TableSql::default()));
+                stmts.len() - 1
+            }
+        };
+        let entry = &mut stmts[idx].1;
         let slot = match which {
             KvStmt::Select => &mut entry.select,
             KvStmt::Replace => &mut entry.replace,

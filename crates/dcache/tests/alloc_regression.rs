@@ -9,6 +9,11 @@
 //! `format!`, or boxed closure back into the hit path fails here with the
 //! allocation count, not as a silent throughput regression.
 //!
+//! LinkedVersion's hit also runs the §5.5 version check, a prepared
+//! `SELECT _version ... WHERE k = ?` through the SQL executor and the MVCC
+//! store. Its budget is three allocations per hit: the decoded row (which
+//! the projection reuses) and the result's row and version vectors.
+//!
 //! The gate counts *allocations* (not frees), is enabled only around the
 //! measured window, and the test binary contains this test alone so no
 //! sibling thread can pollute the counter.
@@ -96,8 +101,11 @@ fn count_hit_path_allocs(d: &mut Deployment, rounds: usize) -> u64 {
     ALLOCS.load(Ordering::SeqCst)
 }
 
+/// Version-checked hits may allocate this many times each.
+const VERSION_CHECK_ALLOCS: u64 = 3;
+
 #[test]
-fn steady_state_cache_hit_reads_allocate_nothing() {
+fn steady_state_cache_hit_reads_stay_within_allocation_budget() {
     // Linked: the paper's cheapest path (in-process cache hit) and the one
     // fig_scale hammers hardest. Remote: hit served by a cache-tier node.
     for arch in [ArchKind::Linked, ArchKind::Remote] {
@@ -110,4 +118,17 @@ fn steady_state_cache_hit_reads_allocate_nothing() {
              (expected 0 steady-state allocations per request)"
         );
     }
+    // LinkedVersion: every hit pays a version-check statement.
+    let mut d = warmed_deployment(ArchKind::LinkedVersion);
+    let requests = 50 * KEYS as u64;
+    let allocs = count_hit_path_allocs(&mut d, 50);
+    println!(
+        "alloc_regression: LinkedVersion made {allocs} allocations over {requests} \
+         version-checked hits"
+    );
+    assert!(
+        allocs <= VERSION_CHECK_ALLOCS * requests,
+        "LinkedVersion hit path allocated {allocs} times over {requests} requests \
+         (budget {VERSION_CHECK_ALLOCS} per version-checked hit)"
+    );
 }

@@ -84,7 +84,7 @@ impl SimDuration {
         if !s.is_finite() || s <= 0.0 {
             return SimDuration(0);
         }
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_positive(s * 1e9))
     }
 
     /// Construct from a float quantity of microseconds (the natural unit for
@@ -117,6 +117,21 @@ impl SimDuration {
     pub fn saturating_mul(self, n: u64) -> Self {
         SimDuration(self.0.saturating_mul(n))
     }
+}
+
+/// `v.round() as u64` for `v > 0`, without `f64::round`, which compiles to
+/// a software routine on targets without a rounding instruction. Below
+/// 2^52 the fraction `v - trunc(v)` is exact, so comparing it with 0.5
+/// rounds half away from zero exactly as `round` does; from 2^52 up every
+/// `v` is an integer and the fraction is 0. Values from 2^64 up (and +inf)
+/// saturate like the `as u64` cast.
+fn round_positive(v: f64) -> u64 {
+    const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+    if v >= TWO_POW_64 {
+        return u64::MAX;
+    }
+    let t = v as u64;
+    t + (v - t as f64 >= 0.5) as u64
 }
 
 impl Add<SimDuration> for SimTime {

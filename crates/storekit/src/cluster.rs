@@ -192,6 +192,8 @@ pub struct SqlCluster {
     /// the full `parse_plan_cost`, exactly like TiDB bills a plan-cache hit
     /// to its front-end in the paper's deployment.
     plan_cache: std::collections::HashMap<String, PhysicalPlan>,
+    /// Scratch buffer for point reads' record keys, reused across queries.
+    point_key: Vec<u8>,
 }
 
 /// Distinct statement shapes worth remembering per cluster; beyond this the
@@ -241,6 +243,7 @@ impl SqlCluster {
             next_frontend: 0,
             tso: 0,
             plan_cache: std::collections::HashMap::new(),
+            point_key: Vec::new(),
             config,
         }
     }
@@ -567,7 +570,7 @@ impl SqlCluster {
                 cost: &self.config.cost,
                 link: &self.config.link,
                 receipt,
-                now,
+                point_key: &mut self.point_key,
                 region_count: self.config.regions.max(1) as usize,
             };
             execute(&self.catalog, physical, params, &mut store)?
@@ -731,7 +734,7 @@ impl SqlCluster {
         &mut self,
         sql: &str,
         params: &[Datum],
-        now: SimTime,
+        _now: SimTime,
     ) -> StoreResult<DelayedWrite> {
         let stmt = parse(sql)?;
         let physical = plan(&self.catalog, &stmt)?;
@@ -746,7 +749,7 @@ impl SqlCluster {
                 cost: &self.config.cost,
                 link: &self.config.link,
                 receipt: &mut receipt,
-                now,
+                point_key: &mut self.point_key,
                 region_count: self.config.regions.max(1) as usize,
             };
             execute(&self.catalog, &physical, params, &mut store)?
@@ -806,13 +809,6 @@ impl SqlCluster {
     }
 }
 
-thread_local! {
-    // Scratch buffer for `point_get`'s record key — `ClusterRowStore` is
-    // rebuilt per query, so per-instance scratch would still allocate per
-    // request.
-    static POINT_GET_KEY: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// The executor's window into the storage tier: every fetch routes to the
 /// region leader, pays RPC + block-cache + KV costs on the right pods, and
 /// accumulates into the receipt.
@@ -822,8 +818,9 @@ struct ClusterRowStore<'a> {
     cost: &'a StorageCostConfig,
     link: &'a LinkSpec,
     receipt: &'a mut QueryReceipt,
-    #[allow(dead_code)]
-    now: SimTime,
+    /// The cluster's record-key scratch buffer: the store is rebuilt per
+    /// query, so a buffer of its own would allocate per request.
+    point_key: &'a mut Vec<u8>,
     region_count: usize,
 }
 
@@ -866,6 +863,21 @@ impl ClusterRowStore<'_> {
         self.regions[self.region_of(key)].leader()
     }
 
+    /// Fetch one row by record key from its home region, with charges.
+    fn point_get_key(&mut self, key: &[u8]) -> StoreResult<Option<(Row, u64)>> {
+        let pod = self.leader_for_key(key)?;
+        let found = self.storages[pod]
+            .kv
+            .get_latest(key)
+            .map(|v| Row::decode(v.value).map(|row| (row, v.version)))
+            .transpose()?;
+        // Negative lookups still pay lookup + RPC.
+        let logical = found.as_ref().map_or(0, |(row, _)| row.encoded_size());
+        self.charge_row_read(pod, key, logical, 1);
+        self.charge_fetch_rpc(pod, logical);
+        Ok(found)
+    }
+
     /// Point-fetch each record key from its home region, with charges.
     fn fetch_rows_by_record_keys(
         &mut self,
@@ -893,33 +905,14 @@ impl ClusterRowStore<'_> {
 impl RowStore for ClusterRowStore<'_> {
     fn point_get(&mut self, table: &str, pk: &Datum) -> StoreResult<Option<(Row, u64)>> {
         let _span = simnet::prof_span!("point_get");
-        // Reuse one thread-local key buffer and decode straight out of the
-        // MVCC store's borrowed bytes: the hottest read in the simulator
-        // allocates nothing beyond the decoded datums themselves.
-        POINT_GET_KEY.with(|buf| {
-            let mut key = buf.borrow_mut();
-            record_key_into(&mut key, table, pk);
-            let pod = self.leader_for_key(&key)?;
-            let found = self.storages[pod]
-                .kv
-                .get_latest(&key)
-                .map(|v| Row::decode(v.value).map(|row| (row, v.version)))
-                .transpose()?;
-            match found {
-                None => {
-                    // Negative lookups still pay lookup + RPC.
-                    self.charge_row_read(pod, &key, 0, 1);
-                    self.charge_fetch_rpc(pod, 0);
-                    Ok(None)
-                }
-                Some((row, version)) => {
-                    let logical = row.encoded_size();
-                    self.charge_row_read(pod, &key, logical, 1);
-                    self.charge_fetch_rpc(pod, logical);
-                    Ok(Some((row, version)))
-                }
-            }
-        })
+        // Build the key in the cluster's scratch buffer and decode straight
+        // out of the MVCC store's borrowed bytes: the hottest read in the
+        // simulator allocates nothing beyond the decoded datums themselves.
+        let mut key = std::mem::take(self.point_key);
+        record_key_into(&mut key, table, pk);
+        let out = self.point_get_key(&key);
+        *self.point_key = key;
+        out
     }
 
     fn index_lookup(

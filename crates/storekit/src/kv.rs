@@ -108,9 +108,34 @@ impl Borrow<[u8]> for InlineBytes {
     }
 }
 
+/// Offsets of the four big-endian words that cover an inline buffer. The
+/// last overlaps the third by two bytes, which are already equal whenever
+/// it is compared.
+const WORD_AT: [usize; 4] = [0, 8, 16, INLINE_BYTES - 8];
+const _: () = assert!(INLINE_BYTES > 24 && INLINE_BYTES <= 32);
+
+/// Byte-wise order of two zero-padded inline buffers, a word at a time.
+fn cmp_padded(x: &[u8; INLINE_BYTES], y: &[u8; INLINE_BYTES]) -> Ordering {
+    let word = |buf: &[u8; INLINE_BYTES], at: usize| {
+        u64::from_be_bytes(buf[at..at + 8].try_into().expect("8-byte window"))
+    };
+    for at in WORD_AT {
+        let (a, b) = (word(x, at), word(y, at));
+        if a != b {
+            return a.cmp(&b);
+        }
+    }
+    Ordering::Equal
+}
+
 impl PartialEq for InlineBytes {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        match (&self.0, &other.0) {
+            (Repr::Inline { len: a, buf: x }, Repr::Inline { len: b, buf: y }) => {
+                a == b && cmp_padded(x, y).is_eq()
+            }
+            _ => self.as_slice() == other.as_slice(),
+        }
     }
 }
 
@@ -123,8 +148,18 @@ impl PartialOrd for InlineBytes {
 }
 
 impl Ord for InlineBytes {
+    /// Two inline strings compare as zero-padded big-endian words, then by
+    /// length. That is byte-wise order: the first differing padded byte is
+    /// either a real difference or a padding zero against a real byte of
+    /// the longer string, and equal padded buffers leave the shorter string
+    /// a prefix of the longer.
     fn cmp(&self, other: &Self) -> Ordering {
-        self.as_slice().cmp(other.as_slice())
+        match (&self.0, &other.0) {
+            (Repr::Inline { len: a, buf: x }, Repr::Inline { len: b, buf: y }) => {
+                cmp_padded(x, y).then(a.cmp(b))
+            }
+            _ => self.as_slice().cmp(other.as_slice()),
+        }
     }
 }
 
@@ -337,21 +372,32 @@ impl KvEngine {
         self.data = merged.collect();
     }
 
+    /// The chain of `key`. A key that fits inline is searched for as an
+    /// inline probe, so every comparison with an inline key is a word
+    /// compare rather than a `memcmp`.
+    fn chain(&self, key: &[u8]) -> Option<&Chain> {
+        if key.len() <= INLINE_BYTES {
+            self.data.get(&InlineBytes::inline(key))
+        } else {
+            self.data.get(key)
+        }
+    }
+
     /// Read the latest committed version of `key`.
     pub fn get_latest(&self, key: &[u8]) -> Option<VersionedValue<'_>> {
-        self.data.get(key)?.newest.visible()
+        self.chain(key)?.newest.visible()
     }
 
     /// Read `key` at `snapshot`: the newest version ≤ snapshot. Tombstones
     /// return `None`.
     pub fn get_at(&self, key: &[u8], snapshot: u64) -> Option<VersionedValue<'_>> {
-        self.data.get(key)?.at(snapshot)?.visible()
+        self.chain(key)?.at(snapshot)?.visible()
     }
 
     /// The latest version number recorded for `key`, even if a tombstone —
     /// this is what a version check compares against.
     pub fn latest_version(&self, key: &[u8]) -> Option<u64> {
-        self.data.get(key).map(|c| c.newest.version)
+        self.chain(key).map(|c| c.newest.version)
     }
 
     /// Scan live entries whose key starts with `prefix`, at `snapshot`, in

@@ -8,8 +8,8 @@
 use crate::error::{StoreError, StoreResult};
 use crate::row::Row;
 use crate::value::Datum;
+use cachekit::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Column types in the SQL subset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -159,10 +159,11 @@ impl TableSchema {
     }
 }
 
-/// All table schemas in a database.
+/// All table schemas in a database, looked up by name on every statement
+/// (FxHash: a few table names need no SipHash).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Catalog {
-    tables: HashMap<String, TableSchema>,
+    tables: FxHashMap<String, TableSchema>,
 }
 
 impl Catalog {

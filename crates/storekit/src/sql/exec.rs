@@ -123,6 +123,11 @@ fn matches_all(row: &Row, preds: &[BoundPredicate], params: &[Datum]) -> StoreRe
     Ok(true)
 }
 
+/// The rows an access path produced. A point get yields at most one row
+/// and fills no buffer; the other paths return theirs in a `Vec`.
+type Candidates =
+    std::iter::Chain<std::option::IntoIter<(Row, u64)>, std::vec::IntoIter<(Row, u64)>>;
+
 /// Fetch candidate rows for an access path, updating stats.
 fn fetch(
     store: &mut dyn RowStore,
@@ -130,38 +135,40 @@ fn fetch(
     access: &Access,
     params: &[Datum],
     stats: &mut ExecStats,
-) -> StoreResult<Vec<(Row, u64)>> {
-    let rows = match access {
+) -> StoreResult<Candidates> {
+    let (point, rows) = match access {
         Access::PointGet { value } => {
             stats.used_index = true;
             let pk = resolve(value, params)?;
-            store.point_get(table, pk)?.into_iter().collect()
+            (store.point_get(table, pk)?, Vec::new())
         }
         Access::IndexEq { column, value } => {
             stats.used_index = true;
             let v = resolve(value, params)?;
-            store.index_lookup(table, *column, v)?
+            (None, store.index_lookup(table, *column, v)?)
         }
         Access::IndexRange { column, lo, hi } => {
             stats.used_index = true;
             let lo = lo.as_ref().map(|l| resolve(l, params)).transpose()?;
             let hi = hi.as_ref().map(|h| resolve(h, params)).transpose()?;
-            store.index_range(table, *column, lo, hi)?
+            (None, store.index_range(table, *column, lo, hi)?)
         }
         Access::PkRange { lo, hi } => {
             stats.used_index = true;
             let lo = lo.as_ref().map(|l| resolve(l, params)).transpose()?;
             let hi = hi.as_ref().map(|h| resolve(h, params)).transpose()?;
-            store.pk_range(table, lo, hi)?
+            (None, store.pk_range(table, lo, hi)?)
         }
         Access::FullScan => {
             stats.full_scans += 1;
-            store.full_scan(table)?
+            (None, store.full_scan(table)?)
         }
     };
-    stats.rows_visited += rows.len() as u64;
-    stats.bytes_read += rows.iter().map(|(r, _)| r.encoded_size()).sum::<u64>();
-    Ok(rows)
+    for (row, _) in point.iter().chain(&rows) {
+        stats.rows_visited += 1;
+        stats.bytes_read += row.encoded_size();
+    }
+    Ok(point.into_iter().chain(rows))
 }
 
 /// Execute a plan. See module docs for the read/write split.
@@ -190,6 +197,9 @@ pub fn execute(
     }
 }
 
+/// A left row, its version, and the right row it joined with.
+type Joined = (Row, u64, Option<Row>);
+
 fn execute_select(
     catalog: &Catalog,
     s: &SelectPlan,
@@ -197,14 +207,57 @@ fn execute_select(
     store: &mut dyn RowStore,
 ) -> StoreResult<ExecOutcome> {
     let mut stats = ExecStats::default();
-    let left_rows = fetch(store, &s.table, &s.access, params, &mut stats)?;
+    let candidates = fetch(store, &s.table, &s.access, params, &mut stats)?;
+    let mut out = ExecOutcome::default();
+    let mut returned = 0u64;
+    if s.join.is_none() && s.order_by.is_none() {
+        // Nothing reorders or multiplies rows: project each surviving row
+        // as it arrives.
+        for (row, version) in candidates {
+            if !matches_all(&row, &s.residual, params)? {
+                continue;
+            }
+            if s.limit.is_none_or(|limit| returned < limit) {
+                returned += 1;
+                emit(&mut out, &s.projection, (row, version, None));
+            }
+            if s.limit.is_some_and(|limit| returned >= limit) {
+                break;
+            }
+        }
+    } else {
+        let joined = join_and_sort(s, params, candidates, store, &mut stats)?;
+        returned = joined.len() as u64;
+        for j in joined {
+            emit(&mut out, &s.projection, j);
+        }
+    }
+    if matches!(s.projection, BoundProjection::CountStar) {
+        out.rows.push(Row(vec![Datum::Int(returned as i64)]));
+        out.versions.push(0);
+    }
+    stats.rows_returned = out.rows.len() as u64;
+    // Validate plan-time arity assumptions eagerly (catalog may be stale).
+    catalog.get(&s.table)?;
+    out.stats = stats;
+    Ok(out)
+}
 
+/// Filter, join, sort and limit the candidates into one buffer: the path
+/// for selects with a join or an ORDER BY.
+fn join_and_sort(
+    s: &SelectPlan,
+    params: &[Datum],
+    candidates: Candidates,
+    store: &mut dyn RowStore,
+    stats: &mut ExecStats,
+) -> StoreResult<Vec<Joined>> {
     // LIMIT can only short-circuit when no sort reorders rows afterwards.
     let early_limit = if s.order_by.is_none() { s.limit } else { None };
 
     // (left row, version, optional right row) tuples surviving filters.
-    let mut joined: Vec<(Row, u64, Option<Row>)> = Vec::new();
-    'left: for (lrow, lver) in left_rows {
+    let mut joined: Vec<Joined> = Vec::new();
+    'left: for (lrow, lver) in candidates {
         if !matches_all(&lrow, &s.residual, params)? {
             continue;
         }
@@ -284,46 +337,57 @@ fn execute_select(
     if let Some(limit) = s.limit {
         joined.truncate(limit as usize);
     }
+    Ok(joined)
+}
 
-    let mut out = ExecOutcome::default();
-    match &s.projection {
-        BoundProjection::CountStar => {
-            out.rows.push(Row(vec![Datum::Int(joined.len() as i64)]));
-            out.versions.push(0);
-        }
+/// Append one result row to `out` (`COUNT(*)` only counts).
+fn emit(out: &mut ExecOutcome, projection: &BoundProjection, (lrow, lver, rrow): Joined) {
+    let row = match projection {
+        BoundProjection::CountStar => return,
         BoundProjection::Star => {
-            for (lrow, lver, rrow) in joined {
-                let mut row = lrow;
-                if let Some(r) = rrow {
-                    row.0.extend(r.0);
-                }
-                out.rows.push(row);
-                out.versions.push(lver);
+            let mut row = lrow;
+            if let Some(r) = rrow {
+                row.0.extend(r.0);
             }
+            row
         }
-        BoundProjection::Columns(cols) => {
-            for (lrow, lver, rrow) in joined {
-                let mut row = Row::default();
-                for c in cols {
-                    row.0.push(match c {
-                        OutputCol::Left(i) => lrow.get(*i).cloned().unwrap_or(Datum::Null),
-                        OutputCol::Right(i) => rrow
-                            .as_ref()
-                            .and_then(|r| r.get(*i).cloned())
-                            .unwrap_or(Datum::Null),
-                        OutputCol::Version => Datum::Int(lver as i64),
-                    });
-                }
-                out.rows.push(row);
-                out.versions.push(lver);
-            }
-        }
+        BoundProjection::Columns(cols) => project(lrow, lver, rrow.as_ref(), cols),
+    };
+    out.rows.push(row);
+    out.versions.push(lver);
+}
+
+/// Project `cols` out of a left row (and the right row it joined with).
+/// Output column `j` overwrites slot `j` of the left row, so the left
+/// row's buffer holds the result whenever no output reads a left column
+/// from a slot an earlier output already overwrote.
+fn project(mut lrow: Row, lver: u64, rrow: Option<&Row>, cols: &[OutputCol]) -> Row {
+    let right = |i: usize| rrow.and_then(|r| r.get(i).cloned()).unwrap_or(Datum::Null);
+    let in_place = cols
+        .iter()
+        .enumerate()
+        .all(|(j, c)| !matches!(c, OutputCol::Left(i) if *i < j));
+    if !in_place {
+        let value = |c: &OutputCol| match c {
+            OutputCol::Left(i) => lrow.get(*i).cloned().unwrap_or(Datum::Null),
+            OutputCol::Right(i) => right(*i),
+            OutputCol::Version => Datum::Int(lver as i64),
+        };
+        return Row(cols.iter().map(value).collect());
     }
-    stats.rows_returned = out.rows.len() as u64;
-    // Validate plan-time arity assumptions eagerly (catalog may be stale).
-    catalog.get(&s.table)?;
-    out.stats = stats;
-    Ok(out)
+    if lrow.0.len() < cols.len() {
+        lrow.0.resize(cols.len(), Datum::Null);
+    }
+    for (j, c) in cols.iter().enumerate() {
+        lrow.0[j] = match c {
+            OutputCol::Left(i) if *i == j => continue,
+            OutputCol::Left(i) => lrow.get(*i).cloned().unwrap_or(Datum::Null),
+            OutputCol::Right(i) => right(*i),
+            OutputCol::Version => Datum::Int(lver as i64),
+        };
+    }
+    lrow.0.truncate(cols.len());
+    lrow
 }
 
 /// Index-maintenance mutations for removing `row`'s entries.

@@ -331,3 +331,65 @@ fn reloading_a_key_extends_its_chain() {
     assert_eq!(kv.get_at(&key, 1).unwrap().value, b"first");
     assert_eq!(kv.get_latest(&key).unwrap().value, b"second");
 }
+
+/// `InlineBytes` orders and compares exactly like its `[u8]` contents: its
+/// word compare of zero-padded inline buffers must agree with `[u8]` order
+/// on every pair, across the inline/heap boundary, on `0x00`/`0xFF` bytes
+/// and on strings that differ only by trailing zeros (`ab` vs `ab\0`).
+#[test]
+fn inline_bytes_order_matches_byte_order() {
+    let mut corpus: Vec<Vec<u8>> = Vec::new();
+    for len in 0..=INLINE_BYTES + 1 {
+        let ascending: Vec<u8> = (0..len).map(|i| i as u8 + 1).collect();
+        for base in [vec![0x00; len], vec![0xFF; len], ascending] {
+            let mut zero_tail = base.clone();
+            zero_tail.push(0x00);
+            let mut bumped = base.clone();
+            if let Some(last) = bumped.last_mut() {
+                *last = last.wrapping_add(1);
+            }
+            corpus.extend([base, zero_tail, bumped]);
+        }
+    }
+    corpus.extend([
+        b"ab".to_vec(),
+        b"ab\0".to_vec(),
+        b"ab\0\0".to_vec(),
+        b"ab\x01".to_vec(),
+    ]);
+    let mut rng = Rng(0x0DE2_0B17);
+    let mut prefix = Vec::new();
+    for _ in 0..400 {
+        // Extend, cut or restart a running prefix so many strings share one.
+        match rng.below(3) {
+            0 => prefix.clear(),
+            1 => prefix.truncate(rng.below(prefix.len() as u64 + 1) as usize),
+            _ => {}
+        }
+        let len = rng.below(INLINE_BYTES as u64 + 2) as usize;
+        while prefix.len() < len {
+            prefix.push(*rng.pick(&[0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF]));
+        }
+        prefix.truncate(len);
+        corpus.push(prefix.clone());
+    }
+    let wrapped: Vec<InlineBytes> = corpus
+        .iter()
+        .map(|b| InlineBytes::from(b.as_slice()))
+        .collect();
+    let mut pairs = 0u64;
+    for (a, x) in corpus.iter().zip(&wrapped) {
+        assert_eq!(x.as_slice(), a.as_slice());
+        for (b, y) in corpus.iter().zip(&wrapped) {
+            let want = a.as_slice().cmp(b.as_slice());
+            assert_eq!(x.cmp(y), want, "cmp {a:?} vs {b:?}");
+            assert_eq!(x.partial_cmp(y), Some(want), "partial_cmp {a:?} vs {b:?}");
+            assert_eq!(x == y, a == b, "eq {a:?} vs {b:?}");
+            pairs += 1;
+        }
+    }
+    println!(
+        "inline_bytes order: {} strings, {pairs} ordered pairs compared",
+        corpus.len()
+    );
+}

@@ -13,8 +13,6 @@
 //! Modes:
 //! * default       — 10× scale point (plus 100× unless `--quick`)
 //! * `--quick`     — CI budget: 10× shape at 1/10 requests
-//! * `--profile`   — also write wall-clock phase profiles in collapsed-stack
-//!   format to `results/telemetry/fig_scale.collapsed` (flamegraph input)
 
 use bench::sweep::SweepRunner;
 use bench::{print_table, quick_mode, ratio, usd};
@@ -151,39 +149,6 @@ fn write_bench_json(b: &BenchReport) {
     println!("[bench figures written to {}]", path.display());
 }
 
-struct WallProfile {
-    frames: Vec<(String, u128)>,
-}
-
-impl WallProfile {
-    fn new() -> Self {
-        WallProfile { frames: Vec::new() }
-    }
-
-    fn record(&mut self, stack: &str, nanos: u128) {
-        self.frames.push((stack.to_string(), nanos));
-    }
-
-    /// Write collapsed-stack lines for `flamegraph.pl` / speedscope: coarse
-    /// per-phase wall-clock frames (`fig_scale;<phase> nanos`) followed by
-    /// the sampling profiler's serve-path stacks (sample counts).
-    fn write(&self, name: &str, sampled: &str) {
-        let dir = bench::results_dir().join("telemetry");
-        std::fs::create_dir_all(&dir).expect("create telemetry dir");
-        let mut out = String::new();
-        for (stack, nanos) in &self.frames {
-            out.push_str(&format!("fig_scale;{stack} {nanos}\n"));
-        }
-        if !sampled.is_empty() {
-            out.push_str(sampled);
-            out.push('\n');
-        }
-        let path = dir.join(format!("{name}.collapsed"));
-        std::fs::write(&path, out).expect("write collapsed profile");
-        println!("[wall profile written to {}]", path.display());
-    }
-}
-
 /// `--bench-baseline`: time the *unsharded* sequential runner (all the
 /// pre-PR engine had) on the quick workload and print its req/s — the
 /// number `PRE_PR_REQ_PER_SEC` records.
@@ -215,7 +180,6 @@ fn bench_baseline() {
 
 fn main() {
     let quick = quick_mode();
-    let profile = std::env::args().any(|a| a == "--profile");
     if std::env::args().any(|a| a == "--bench-baseline") {
         bench_baseline();
         return;
@@ -235,14 +199,8 @@ fn main() {
     };
 
     let mut points: Vec<ScalePoint> = Vec::new();
-    let mut wall = WallProfile::new();
     let mut bench_requests = 0u64;
     let mut bench_wall = 0.0f64;
-    // `--profile`: sample every thread's prof_span stack at 250 µs while the
-    // experiments run. Telemetry only — spans stay disabled otherwise, and
-    // profiled runs are NOT the ones quoted for throughput.
-    let sampler =
-        profile.then(|| simnet::prof::start_sampler(std::time::Duration::from_micros(250)));
 
     for &(scale, requests) in &scales {
         let mut base_cost = None;
@@ -262,10 +220,6 @@ fn main() {
             let total_requests = cfg.warmup_requests + cfg.requests;
             bench_requests += total_requests;
             bench_wall += secs;
-            wall.record(
-                &format!("scale_{scale}x;{}", arch.label()),
-                t0.elapsed().as_nanos(),
-            );
 
             let total = report.total_cost.total();
             let saving = match base_cost {
@@ -337,14 +291,6 @@ fn main() {
         bench.sim_req_per_sec, bench.requests, bench.wall_secs, bench.speedup_vs_baseline
     );
     write_bench_json(&bench);
-    if let Some(sampler) = sampler {
-        let samples = sampler.stop();
-        println!(
-            "[profiler: {} samples @ {:?} interval]",
-            samples.samples, samples.interval
-        );
-        wall.write("fig_scale", &samples.collapsed());
-    }
 
     // CI regression floor: the engine must never fall back below the seed
     // baseline. FIG_SCALE_NO_GATE=1 skips the assert (used when measuring

@@ -83,27 +83,30 @@ pub fn che_lru_hit_ratio(popularities: &[f64], cache_items: usize) -> f64 {
 }
 
 /// Fixed-capacity Fenwick (binary indexed) tree over access timestamps.
-/// Growth is handled by the owner ([`StackDistance`]) rebuilding a larger
-/// tree from its live marks — O(n log n) but amortized over doublings.
+/// Growth and renumbering are handled by the owner ([`StackDistance`], or
+/// the SHARDS profiler in `elastic`) rebuilding a fresh tree from its live
+/// marks — O(n log n) but amortized over doublings.
 #[derive(Debug, Clone, Default)]
-struct Fenwick {
+pub struct Fenwick {
     tree: Vec<i64>,
 }
 
 impl Fenwick {
     /// Capacity for indices `1..=n`.
-    fn with_capacity(n: usize) -> Self {
+    pub fn with_capacity(n: usize) -> Self {
         Fenwick {
             tree: vec![0; n + 1],
         }
     }
 
     /// Largest valid index.
-    fn capacity(&self) -> usize {
+    pub fn capacity(&self) -> usize {
         self.tree.len().saturating_sub(1)
     }
 
-    fn add(&mut self, mut i: usize, delta: i64) {
+    /// Add `delta` (+1 marks, -1 unmarks) at index `i` in `1..=capacity`.
+    #[inline]
+    pub fn add(&mut self, mut i: usize, delta: i64) {
         debug_assert!(i >= 1 && i <= self.capacity(), "fenwick index {i}");
         while i < self.tree.len() {
             self.tree[i] += delta;
@@ -112,7 +115,8 @@ impl Fenwick {
     }
 
     /// Sum of marks in `[1, i]`.
-    fn prefix(&self, mut i: usize) -> u64 {
+    #[inline]
+    pub fn prefix(&self, mut i: usize) -> u64 {
         i = i.min(self.capacity());
         let mut s: i64 = 0;
         while i > 0 {

@@ -251,128 +251,6 @@ pub fn delayed_write_scenario(fencing: bool) -> StoreResult<ScenarioOutcome> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Event-driven variant
-// ---------------------------------------------------------------------------
-
-/// World state for the discrete-event variant of the scenario.
-struct ScenarioWorld {
-    cluster: SqlCluster,
-    sharder: AutoSharder,
-    shard: u32,
-    issue_epoch: u64,
-    fencing: bool,
-    delayed: Option<storekit::cluster::DelayedWrite>,
-    cache_b: Option<u64>,
-    history: Vec<HistoryOp>,
-    delayed_write_admitted: bool,
-}
-
-/// The same Figure 8 timeline, driven through the [`simnet::Sim`] event
-/// kernel instead of straight-line code: each step is a scheduled event, so
-/// reordering experiments (e.g. "what if the transfer lands *after* the
-/// write?") are one `schedule_at` away. Asserted equivalent to
-/// [`delayed_write_scenario`] by tests.
-pub fn delayed_write_scenario_des(fencing: bool) -> StoreResult<ScenarioOutcome> {
-    use simnet::Sim;
-    let ms = |m: u64| SimTime::from_nanos(m * 1_000_000);
-
-    let mut cluster = SqlCluster::new(scenario_catalog(), ClusterConfig::default());
-    cluster.execute("INSERT INTO kv VALUES (1, 1)", &[], ms(0))?;
-    let sharder = AutoSharder::new(2, SimDuration::from_secs(10), ms(0));
-    let shard = sharder.owner(b"kv/k1");
-    let issue_epoch = sharder.epoch(shard);
-
-    let mut world = ScenarioWorld {
-        cluster,
-        sharder,
-        shard,
-        issue_epoch,
-        fencing,
-        delayed: None,
-        cache_b: None,
-        history: vec![HistoryOp::write(1, ms(0), ms(0))],
-        delayed_write_admitted: false,
-    };
-    let mut sim: Sim<ScenarioWorld> = Sim::new(1);
-
-    // t=1ms: owner A issues the write; it stalls in flight.
-    sim.schedule_at(ms(1), |w: &mut ScenarioWorld, s| {
-        let dw = w
-            .cluster
-            .begin_delayed_write("UPDATE kv SET v = ? WHERE k = 1", &[Datum::Int(2)], s.now())
-            .expect("prepare delayed write");
-        w.delayed = Some(dw);
-    });
-
-    // t=2ms: ownership transfer; new owner B warms its cache from storage.
-    sim.schedule_at(ms(2), |w: &mut ScenarioWorld, s| {
-        w.sharder.transfer(w.shard, s.now());
-        let read = w
-            .cluster
-            .execute("SELECT v FROM kv WHERE k = 1", &[], s.now())
-            .expect("warm read");
-        w.cache_b = read
-            .rows
-            .first()
-            .and_then(|r| r.get(0))
-            .and_then(|d| d.as_int())
-            .map(|v| v as u64);
-    });
-
-    // t=3ms: the delayed write arrives at storage (fenced or not).
-    sim.schedule_at(ms(3), |w: &mut ScenarioWorld, s| {
-        let dw = w.delayed.take().expect("write was prepared");
-        if w.fencing && !w.sharder.admit_write(w.shard, w.issue_epoch) {
-            w.delayed_write_admitted = false;
-        } else {
-            w.cluster.commit_delayed(dw, s.now()).expect("commit");
-            w.history.push(HistoryOp::write(2, SimTime::from_nanos(1_000_000), s.now()));
-            w.delayed_write_admitted = true;
-        }
-    });
-
-    // t=4ms: a client reads through B's cache (lease-trusting).
-    sim.schedule_at(ms(4), |w: &mut ScenarioWorld, s| {
-        w.history.push(HistoryOp::read(w.cache_b, s.now(), s.now()));
-    });
-
-    // t=6ms: if the write was fenced, the client retries through B.
-    sim.schedule_at(ms(6), |w: &mut ScenarioWorld, s| {
-        if !w.delayed_write_admitted {
-            w.cluster
-                .execute("UPDATE kv SET v = ? WHERE k = 1", &[Datum::Int(2)], s.now())
-                .expect("retry");
-            w.cache_b = Some(2);
-            w.history.push(HistoryOp::write(2, s.now(), s.now()));
-            let at = s.now() + SimDuration::from_millis(1);
-            s.schedule_at(at, |w: &mut ScenarioWorld, s| {
-                w.history.push(HistoryOp::read(w.cache_b, s.now(), s.now()));
-            });
-        }
-    });
-
-    sim.run(&mut world);
-
-    let stored = world
-        .cluster
-        .execute("SELECT v FROM kv WHERE k = 1", &[], ms(10))?;
-    let final_storage_value = stored
-        .rows
-        .first()
-        .and_then(|r| r.get(0))
-        .and_then(|d| d.as_int())
-        .map(|v| v as u64);
-
-    Ok(ScenarioOutcome {
-        linearizable: check_linearizable(&world.history, None),
-        history: world.history,
-        delayed_write_admitted: world.delayed_write_admitted,
-        final_cache_value: world.cache_b,
-        final_storage_value,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,18 +329,6 @@ mod tests {
             "delayed write must break linearizability: {:?}",
             outcome.history
         );
-    }
-
-    #[test]
-    fn des_variant_agrees_with_straight_line_version() {
-        for fencing in [false, true] {
-            let a = delayed_write_scenario(fencing).unwrap();
-            let b = delayed_write_scenario_des(fencing).unwrap();
-            assert_eq!(a.delayed_write_admitted, b.delayed_write_admitted, "fencing={fencing}");
-            assert_eq!(a.final_cache_value, b.final_cache_value, "fencing={fencing}");
-            assert_eq!(a.final_storage_value, b.final_storage_value, "fencing={fencing}");
-            assert_eq!(a.linearizable, b.linearizable, "fencing={fencing}");
-        }
     }
 
     #[test]

@@ -1356,7 +1356,6 @@ impl Deployment {
         key: i64,
         now: SimTime,
     ) -> StoreResult<ServeOutcome> {
-        let _span = simnet::prof_span!("serve_kv_read");
         let ckey = self.intern_kv_key(table, key);
         let app = self.route_app(ckey);
         // Feed the MRC profiler (no-op unless elastic is enabled).
@@ -1654,7 +1653,6 @@ impl Deployment {
         keys: &[i64],
         now: SimTime,
     ) -> StoreResult<Vec<ServeOutcome>> {
-        let _span = simnet::prof_span!("serve_kv_read_batch");
         if self.config.arch != ArchKind::Remote || !self.config.batching.enabled() {
             return keys
                 .iter()
@@ -1821,7 +1819,6 @@ impl Deployment {
         value: Datum,
         now: SimTime,
     ) -> StoreResult<ServeOutcome> {
-        let _span = simnet::prof_span!("serve_kv_write");
         let ckey = self.intern_kv_key(table, key);
         let app = self.route_app(ckey);
         let mut out = ServeOutcome::default();

@@ -36,7 +36,7 @@ pub const VCPUS_PER_NODE: f64 = 8.0;
 pub const TARGET_UTILIZATION: f64 = 0.7;
 
 /// One tier's resources and dollars.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TierReport {
     pub name: String,
     pub nodes: usize,
@@ -100,7 +100,7 @@ impl TierReport {
 }
 
 /// Per-tenant slice of a multi-tenant run's accounting.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TenantReport {
     pub label: String,
     /// Measured requests attributed to this tenant.
@@ -123,7 +123,7 @@ pub struct TenantReport {
 }
 
 /// Everything a run produced.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentReport {
     pub arch: ArchKind,
     pub qps: f64,
@@ -2735,11 +2735,7 @@ mod tests {
         };
         let a = run_kv_experiment(&build()).unwrap();
         let b = run_kv_experiment(&build()).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "same seed + same schedule must be byte-identical"
-        );
+        assert_eq!(a, b, "same seed + same schedule must be byte-identical");
         assert!(a.degraded_reads > 0);
     }
 
@@ -2827,11 +2823,7 @@ mod tests {
         };
         let a = run_kv_experiment(&build()).unwrap();
         let b = run_kv_experiment(&build()).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "crash-replay must be fully deterministic"
-        );
+        assert_eq!(a, b, "crash-replay must be fully deterministic");
         assert_eq!(a.recoveries, b.recoveries);
         assert_eq!(a.replayed_entries, b.replayed_entries);
     }
@@ -2887,11 +2879,7 @@ mod tests {
     fn elastic_run_is_deterministic_and_actually_resizes() {
         let a = run_kv_experiment(&elastic_cfg(ArchKind::Remote)).unwrap();
         let b = run_kv_experiment(&elastic_cfg(ArchKind::Remote)).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "elastic control loop must be fully deterministic"
-        );
+        assert_eq!(a, b, "elastic control loop must be fully deterministic");
         assert!(a.elastic_decisions > 0, "{a:?}");
         assert!(
             a.elastic_resizes > 0,
@@ -2974,8 +2962,7 @@ mod tests {
         cfg.deployment.ttl = elastic::TtlConfig::default();
         let without = run_kv_experiment(&cfg).unwrap();
         assert_eq!(
-            serde_json::to_string(&with_plane).unwrap(),
-            serde_json::to_string(&without).unwrap(),
+            with_plane, without,
             "an unsupported arch must ignore the TTL config entirely"
         );
     }
@@ -2984,11 +2971,7 @@ mod tests {
     fn ttl_run_is_deterministic_and_decides() {
         let a = run_kv_experiment(&ttl_cfg(ArchKind::Remote)).unwrap();
         let b = run_kv_experiment(&ttl_cfg(ArchKind::Remote)).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "TTL control loop must be fully deterministic"
-        );
+        assert_eq!(a, b, "TTL control loop must be fully deterministic");
         assert!(a.ttl_decisions > 0, "{a:?}");
         assert!(a.ttl_changes > 0, "the first adoption counts as a change");
         assert_eq!(a.ttl_current_secs.len(), 1, "one controller, no tenants");
@@ -3064,11 +3047,7 @@ mod tests {
     fn tenant_mix_reports_per_tenant_accounting() {
         let a = run_kv_experiment(&tenant_cfg(ArchKind::Remote)).unwrap();
         let b = run_kv_experiment(&tenant_cfg(ArchKind::Remote)).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "tenant mixes must be fully deterministic"
-        );
+        assert_eq!(a, b, "tenant mixes must be fully deterministic");
         assert_eq!(a.tenants.len(), 2);
         assert_eq!(a.tenants[0].label, "quiet");
         assert_eq!(a.tenants[1].label, "stormy");

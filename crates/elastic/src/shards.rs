@@ -26,6 +26,7 @@
 //! compaction trigger at exact counts, and no RNG is involved — the same
 //! key stream always yields the same curve.
 
+use cachekit::mrc::Fenwick;
 use cachekit::ring::stable_hash;
 use cachekit::MissRatioCurve;
 use serde::{Deserialize, Serialize};
@@ -52,44 +53,6 @@ impl Default for ShardsConfig {
             sampling_rate: 1.0,
             max_tracked_keys: 16_384,
         }
-    }
-}
-
-/// Fenwick tree over sampled-access timestamps (same scheme as
-/// `cachekit::mrc`, private there; this copy additionally supports the
-/// removals that rate adaptation and compaction need).
-#[derive(Debug, Clone, Default)]
-struct Fenwick {
-    tree: Vec<i64>,
-}
-
-impl Fenwick {
-    fn with_capacity(n: usize) -> Self {
-        Fenwick { tree: vec![0; n + 1] }
-    }
-
-    fn capacity(&self) -> usize {
-        self.tree.len().saturating_sub(1)
-    }
-
-    fn add(&mut self, mut i: usize, delta: i64) {
-        debug_assert!(i >= 1 && i <= self.capacity(), "fenwick index {i}");
-        while i < self.tree.len() {
-            self.tree[i] += delta;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Sum of marks in `[1, i]`.
-    fn prefix(&self, mut i: usize) -> u64 {
-        i = i.min(self.capacity());
-        let mut s: i64 = 0;
-        while i > 0 {
-            s += self.tree[i];
-            i -= i & i.wrapping_neg();
-        }
-        debug_assert!(s >= 0);
-        s as u64
     }
 }
 

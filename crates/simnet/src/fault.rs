@@ -5,8 +5,8 @@
 //! delay. A [`FaultSchedule`] is the dynamic counterpart — an ordered script
 //! of crash/restart, partition/heal, latency-spike and loss-window events
 //! that a run replays against the network as virtual time advances. The
-//! schedule itself contains no randomness; combined with the seeded kernel
-//! RNG (which only probabilistic drops consume), the same seed and the same
+//! schedule itself contains no randomness; combined with the seeded RNG
+//! passed to [`Network::send`] (which only probabilistic drops consume), the same seed and the same
 //! schedule reproduce the exact same fault trace.
 //!
 //! Node-id conventions are owned by the embedding layer: the experiment

@@ -49,8 +49,8 @@ impl LinkSpec {
     }
 }
 
-/// Fault-injection plan. All probabilities are evaluated against the kernel
-/// RNG, so a seeded run replays the same faults.
+/// Fault-injection plan. All probabilities are evaluated against the seeded
+/// RNG passed to [`Network::send`], so a seeded run replays the same faults.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Probability in `[0, 1]` that any message is silently dropped.

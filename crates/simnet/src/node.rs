@@ -1,11 +1,7 @@
-//! Simulated machines. A [`Node`] is one provisionable unit (a pod in the
-//! paper's Kubernetes deployment): it has a kind (application server, remote
-//! cache, SQL front-end, storage), a CPU meter, and a provisioned memory
-//! size. The [`NodeRegistry`] owns all nodes in a deployment and can
-//! aggregate per-tier resource usage, which is what the cost model bills.
+//! Node identity. A [`NodeId`] names one simulated machine — a cache shard
+//! or storage replica, by the embedding layer's numbering — in the network
+//! and fault models.
 
-use crate::cpu::{CpuCategory, CpuMeter};
-use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -16,242 +12,5 @@ pub struct NodeId(pub u32);
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
-    }
-}
-
-/// The tier a node belongs to. Mirrors Figure 1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum NodeKind {
-    /// Load generator / end client. Its CPU is not billed (the paper bills
-    /// the service, not its callers), but traffic still traverses its links.
-    Client,
-    /// Application server (possibly embedding a linked cache).
-    AppServer,
-    /// Dedicated remote cache server (Memcached/Redis analogue).
-    RemoteCache,
-    /// SQL front-end pod (TiDB analogue): parsing, planning, txn layer.
-    SqlFrontend,
-    /// Storage pod (TiKV analogue): KV engine, block cache, Raft.
-    StorageNode,
-}
-
-impl NodeKind {
-    pub const fn label(self) -> &'static str {
-        match self {
-            NodeKind::Client => "client",
-            NodeKind::AppServer => "app_server",
-            NodeKind::RemoteCache => "remote_cache",
-            NodeKind::SqlFrontend => "sql_frontend",
-            NodeKind::StorageNode => "storage_node",
-        }
-    }
-
-    /// Whether this node's resources are billed to the service under study.
-    pub const fn billed(self) -> bool {
-        !matches!(self, NodeKind::Client)
-    }
-}
-
-impl fmt::Display for NodeKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// One provisionable machine in the deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Node {
-    pub id: NodeId,
-    pub kind: NodeKind,
-    /// CPU meter accumulating busy time charged to this node.
-    pub cpu: CpuMeter,
-    /// Memory provisioned for cache / buffer purposes, in bytes. This is the
-    /// quantity billed at the DRAM price.
-    pub mem_provisioned_bytes: u64,
-    /// Persistent storage provisioned, in bytes (only storage nodes normally
-    /// set this; billed at the disk price).
-    pub disk_provisioned_bytes: u64,
-}
-
-impl Node {
-    pub fn new(id: NodeId, kind: NodeKind) -> Self {
-        Node {
-            id,
-            kind,
-            cpu: CpuMeter::new(),
-            mem_provisioned_bytes: 0,
-            disk_provisioned_bytes: 0,
-        }
-    }
-
-    pub fn with_memory(mut self, bytes: u64) -> Self {
-        self.mem_provisioned_bytes = bytes;
-        self
-    }
-
-    pub fn with_disk(mut self, bytes: u64) -> Self {
-        self.disk_provisioned_bytes = bytes;
-        self
-    }
-}
-
-/// Aggregated resource usage for a tier (all nodes of one kind).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TierUsage {
-    pub node_count: usize,
-    pub cpu: CpuMeter,
-    pub mem_provisioned_bytes: u64,
-    pub disk_provisioned_bytes: u64,
-}
-
-impl TierUsage {
-    /// Steady-state cores used by the whole tier over `window`.
-    pub fn cores(&self, window: SimDuration) -> f64 {
-        self.cpu.cores_used(window)
-    }
-
-    /// Provisioned memory in GiB.
-    pub fn mem_gib(&self) -> f64 {
-        self.mem_provisioned_bytes as f64 / (1u64 << 30) as f64
-    }
-
-    /// Provisioned disk in GiB.
-    pub fn disk_gib(&self) -> f64 {
-        self.disk_provisioned_bytes as f64 / (1u64 << 30) as f64
-    }
-}
-
-/// Owns every node in a deployment; hands out ids.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct NodeRegistry {
-    nodes: Vec<Node>,
-}
-
-impl NodeRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a node of `kind`, returning its id.
-    pub fn add(&mut self, kind: NodeKind) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node::new(id, kind));
-        id
-    }
-
-    /// Add a node with provisioned memory.
-    pub fn add_with_memory(&mut self, kind: NodeKind, mem_bytes: u64) -> NodeId {
-        let id = self.add(kind);
-        self.nodes[id.0 as usize].mem_provisioned_bytes = mem_bytes;
-        id
-    }
-
-    pub fn get(&self, id: NodeId) -> &Node {
-        &self.nodes[id.0 as usize]
-    }
-
-    pub fn get_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.0 as usize]
-    }
-
-    /// Charge CPU time on a node.
-    pub fn charge(&mut self, id: NodeId, category: CpuCategory, amount: SimDuration) {
-        self.get_mut(id).cpu.charge(category, amount);
-    }
-
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.iter()
-    }
-
-    /// Ids of all nodes of a kind, in creation order.
-    pub fn of_kind(&self, kind: NodeKind) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| n.kind == kind)
-            .map(|n| n.id)
-            .collect()
-    }
-
-    /// Aggregate usage for one tier.
-    pub fn tier_usage(&self, kind: NodeKind) -> TierUsage {
-        let mut usage = TierUsage::default();
-        for n in self.nodes.iter().filter(|n| n.kind == kind) {
-            usage.node_count += 1;
-            usage.cpu.merge(&n.cpu);
-            usage.mem_provisioned_bytes += n.mem_provisioned_bytes;
-            usage.disk_provisioned_bytes += n.disk_provisioned_bytes;
-        }
-        usage
-    }
-
-    /// Reset all CPU meters (between warmup and measurement phases).
-    pub fn reset_cpu(&mut self) {
-        for n in &mut self.nodes {
-            n.cpu.reset();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registry_assigns_sequential_ids() {
-        let mut reg = NodeRegistry::new();
-        let a = reg.add(NodeKind::AppServer);
-        let b = reg.add(NodeKind::StorageNode);
-        assert_eq!(a, NodeId(0));
-        assert_eq!(b, NodeId(1));
-        assert_eq!(reg.len(), 2);
-        assert_eq!(reg.get(a).kind, NodeKind::AppServer);
-    }
-
-    #[test]
-    fn tier_usage_aggregates_cpu_and_memory() {
-        let mut reg = NodeRegistry::new();
-        let a1 = reg.add_with_memory(NodeKind::AppServer, 6 << 30);
-        let a2 = reg.add_with_memory(NodeKind::AppServer, 6 << 30);
-        reg.add_with_memory(NodeKind::StorageNode, 15 << 30);
-        reg.charge(a1, CpuCategory::AppLogic, SimDuration::from_secs(1));
-        reg.charge(a2, CpuCategory::AppLogic, SimDuration::from_secs(3));
-        let tier = reg.tier_usage(NodeKind::AppServer);
-        assert_eq!(tier.node_count, 2);
-        assert!((tier.mem_gib() - 12.0).abs() < 1e-9);
-        assert!((tier.cores(SimDuration::from_secs(2)) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clients_are_not_billed() {
-        assert!(!NodeKind::Client.billed());
-        assert!(NodeKind::AppServer.billed());
-        assert!(NodeKind::StorageNode.billed());
-    }
-
-    #[test]
-    fn of_kind_preserves_creation_order() {
-        let mut reg = NodeRegistry::new();
-        let s1 = reg.add(NodeKind::StorageNode);
-        reg.add(NodeKind::AppServer);
-        let s2 = reg.add(NodeKind::StorageNode);
-        assert_eq!(reg.of_kind(NodeKind::StorageNode), vec![s1, s2]);
-    }
-
-    #[test]
-    fn reset_cpu_clears_meters_but_keeps_memory() {
-        let mut reg = NodeRegistry::new();
-        let a = reg.add_with_memory(NodeKind::RemoteCache, 1 << 30);
-        reg.charge(a, CpuCategory::CacheOp, SimDuration::from_secs(5));
-        reg.reset_cpu();
-        assert_eq!(reg.get(a).cpu.total(), SimDuration::ZERO);
-        assert_eq!(reg.get(a).mem_provisioned_bytes, 1 << 30);
     }
 }

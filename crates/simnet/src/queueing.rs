@@ -5,8 +5,7 @@
 //! (§5.1) — this module quantifies what that provisioning buys: given the
 //! measured offered load (steady-state cores) and a provisioned core count,
 //! [`mmc_wait_time`] estimates the expected queueing delay a request would
-//! see, and [`cores_for_wait_target`] inverts it (how many cores to stay
-//! under a target delay). Reports use it to sanity-check VM sizing.
+//! see. Reports use it to sanity-check VM sizing.
 
 /// Probability an arriving job waits in an M/M/c queue (Erlang C formula).
 ///
@@ -44,19 +43,6 @@ pub fn mmc_wait_time(servers: u32, offered_load: f64) -> f64 {
     }
     let p_wait = erlang_c(servers, offered_load);
     p_wait / (c - offered_load)
-}
-
-/// Smallest core count keeping the expected M/M/c wait below
-/// `max_wait_service_times` mean service times under `offered_load`.
-pub fn cores_for_wait_target(offered_load: f64, max_wait_service_times: f64) -> u32 {
-    let mut servers = offered_load.ceil().max(1.0) as u32;
-    while mmc_wait_time(servers, offered_load) > max_wait_service_times {
-        servers += 1;
-        if servers > 1_000_000 {
-            break; // absurd loads: bail rather than loop forever
-        }
-    }
-    servers
 }
 
 #[cfg(test)]
@@ -104,17 +90,6 @@ mod tests {
             let w = mmc_wait_time(servers, load);
             assert!(w < prev, "more servers must shorten the queue");
             prev = w;
-        }
-    }
-
-    #[test]
-    fn sizing_inverts_the_wait_formula() {
-        for load in [1.5, 8.0, 40.0] {
-            let servers = cores_for_wait_target(load, 0.1);
-            assert!(mmc_wait_time(servers, load) <= 0.1);
-            if servers > load.ceil() as u32 {
-                assert!(mmc_wait_time(servers - 1, load) > 0.1, "not minimal at {load}");
-            }
         }
     }
 

@@ -538,7 +538,6 @@ impl SqlCluster {
         params: &[Datum],
         now: SimTime,
     ) -> StoreResult<QueryReceipt> {
-        let _span = simnet::prof_span!("sql_execute_plan");
         let mut receipt = self.frontend_admission(sql_bytes, false);
         receipt.request_bytes += params.iter().map(|d| d.encoded_size()).sum::<u64>();
         self.run_plan(physical, params, now, &mut receipt)?;
@@ -603,7 +602,6 @@ impl SqlCluster {
         now: SimTime,
         receipt: &mut QueryReceipt,
     ) -> StoreResult<u64> {
-        let _span = simnet::prof_span!("commit_batch");
         if batch.is_empty() {
             // e.g. UPDATE matching zero rows: still a valid write statement.
             self.tso += 1;
@@ -904,7 +902,6 @@ impl ClusterRowStore<'_> {
 
 impl RowStore for ClusterRowStore<'_> {
     fn point_get(&mut self, table: &str, pk: &Datum) -> StoreResult<Option<(Row, u64)>> {
-        let _span = simnet::prof_span!("point_get");
         // Build the key in the cluster's scratch buffer and decode straight
         // out of the MVCC store's borrowed bytes: the hottest read in the
         // simulator allocates nothing beyond the decoded datums themselves.

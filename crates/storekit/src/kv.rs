@@ -238,7 +238,7 @@ pub struct VersionedValue<'a> {
 }
 
 /// The MVCC store. Single-threaded by design: concurrency in the simulation
-/// is modeled by the event kernel, not by host threads.
+/// is modeled in virtual time by the experiment runner, not by host threads.
 #[derive(Debug, Clone, Default)]
 pub struct KvEngine {
     data: BTreeMap<InlineBytes, Chain>,

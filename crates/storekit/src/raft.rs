@@ -7,8 +7,8 @@
 //! identifies in the version-check cost ("TiDB's transaction layer validates
 //! Raft leases").
 //!
-//! The group is driven synchronously by the cluster layer (the event kernel
-//! provides timing); what is modeled faithfully is the *safety-relevant
+//! The group is driven synchronously by the cluster layer (callers pass
+//! virtual timestamps); what is modeled faithfully is the *safety-relevant
 //! bookkeeping*: per-replica match indices, quorum commit, lease expiry, and
 //! failover that truncates uncommitted entries and never loses committed
 //! ones. Tests exercise crash/elect schedules directly.

@@ -1,15 +1,14 @@
 //! # workloads — trace generators for the cost study
 //!
-//! The paper evaluates on three workload families (§5.2); this crate
-//! synthesizes all of them, deterministically from a seed:
+//! The paper evaluates on three workload families (§5.2) — synthetic KV,
+//! Meta and Unity Catalog; this crate synthesizes all of them, plus the §2.3
+//! session workload, deterministically from a seed:
 //!
 //! * [`kv`] — the synthetic workload: 100K keys, Zipf(α=1.2) popularity,
 //!   read ratio swept 50–99%, value size swept 1 KB–1 MB.
 //! * [`meta`] — a synthesizer matching the published statistics of the Meta
 //!   / CacheLib traces: ≈30% writes, ≈10-byte median values with a heavy
 //!   tail.
-//! * [`twitter`] — Twitter-cluster-like parameters (230 B median, mixed
-//!   read/write), used by ablations.
 //! * [`sessions`] — the §2.3 session-state service: lifecycle-heavy,
 //!   read-your-writes-critical traffic where staleness is a correctness
 //!   bug (the consistent-cache motivation).
@@ -35,7 +34,6 @@ pub mod sessions;
 pub mod sizes;
 pub mod tenants;
 pub mod trace;
-pub mod twitter;
 pub mod unity;
 pub mod zipf;
 

@@ -11,11 +11,11 @@
 //!
 //! | module | crate | what it is |
 //! |---|---|---|
-//! | [`sim`] | `simnet` | deterministic event kernel, CPU meters, network + faults |
+//! | [`sim`] | `simnet` | virtual time, CPU meters, network + faults, metrics |
 //! | [`cache`] | `cachekit` | eviction policies, bounded caches, sharding, MRC estimation |
 //! | [`store`] | `storekit` | SQL subset engine, MVCC KV + block cache, Raft regions |
 //! | [`net`] | `netrpc` | a *real* tokio TCP remote-cache (protocol + server + client) |
-//! | [`workload`] | `workloads` | Zipf/Meta/Twitter/Unity-Catalog trace generators |
+//! | [`workload`] | `workloads` | Zipf/Meta/sessions/Unity-Catalog trace generators |
 //! | [`cost`] | `costmodel` | GCP pricing + the §4 analytical model |
 //! | [`study`] | `dcache` | the architectures, experiment runner, consistency machinery |
 //! | [`obs`] | `telemetry` | request tracing, metrics registry, CPU-attribution profiler |

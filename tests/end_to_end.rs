@@ -36,11 +36,7 @@ fn mid_cfg(arch: ArchKind) -> KvExperimentConfig {
 fn identical_seeds_give_identical_reports() {
     let a = run_kv_experiment(&mid_cfg(ArchKind::Linked)).unwrap();
     let b = run_kv_experiment(&mid_cfg(ArchKind::Linked)).unwrap();
-    assert_eq!(
-        serde_json::to_string(&a).unwrap(),
-        serde_json::to_string(&b).unwrap(),
-        "the whole pipeline must be deterministic"
-    );
+    assert_eq!(a, b, "the whole pipeline must be deterministic");
 }
 
 #[test]

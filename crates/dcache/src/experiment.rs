@@ -1267,8 +1267,9 @@ fn run_kv_experiment_core(cfg: &KvExperimentConfig) -> StoreResult<(ExperimentRe
     }
 
     // Seed the dataset: every key at generation 0. Multi-tenant runs load
-    // each tenant's namespaced slice of the key space; the classic
-    // single-workload path is byte-for-byte untouched.
+    // each tenant's namespaced slice of the key space, tenant by tenant in
+    // one call, so the storage pods load once; the classic single-workload
+    // path is byte-for-byte untouched.
     let wl_cfg = &cfg.workload;
     match &cfg.tenants {
         None => {
@@ -1286,11 +1287,11 @@ fn run_kv_experiment_core(cfg: &KvExperimentConfig) -> StoreResult<(ExperimentRe
             )?;
         }
         Some(mix) => {
-            for (t, spec) in mix.tenants.iter().enumerate() {
-                let w = &spec.workload;
-                dep.cluster.bulk_load(
-                    "kv",
-                    (0..w.keys).map(|k| {
+            dep.cluster.bulk_load(
+                "kv",
+                mix.tenants.iter().enumerate().flat_map(|(t, spec)| {
+                    let w = &spec.workload;
+                    (0..w.keys).map(move |k| {
                         vec![
                             Datum::Int(namespaced_key(t, k) as i64),
                             Datum::Payload {
@@ -1298,9 +1299,9 @@ fn run_kv_experiment_core(cfg: &KvExperimentConfig) -> StoreResult<(ExperimentRe
                                 seed: 0,
                             },
                         ]
-                    }),
-                )?;
-            }
+                    })
+                }),
+            )?;
         }
     }
 

@@ -14,6 +14,14 @@
 //! store. Its budget is three allocations per hit: the decoded row (which
 //! the projection reuses) and the result's row and version vectors.
 //!
+//! A Linked or Remote write runs a REPLACE through the executor, Raft and
+//! the MVCC store of every replica. Its budget is three allocations per
+//! write: the new row, the decoded old row of the duplicate check, and the
+//! write batch's mutation vector. Keys, rows and apply work travel inline
+//! or in reused buffers. The regions' Raft logs grow by doubling, which
+//! the averaged budget absorbs with a quarter allocation per write to
+//! spare.
+//!
 //! The gate counts *allocations* (not frees), is enabled only around the
 //! measured window, and the test binary contains this test alone so no
 //! sibling thread can pollute the counter.
@@ -104,8 +112,37 @@ fn count_hit_path_allocs(d: &mut Deployment, rounds: usize) -> u64 {
 /// Version-checked hits may allocate this many times each.
 const VERSION_CHECK_ALLOCS: u64 = 3;
 
+/// Average allocations a warmed write may make: three per write plus
+/// amortized Raft-log growth.
+const WRITE_ALLOCS: f64 = 3.25;
+
+fn write(d: &mut Deployment, k: i64, seed: u64, now: SimTime) {
+    let value = Datum::Payload { len: 256, seed };
+    d.serve_kv_write("kv", k, value, now).expect("write");
+}
+
+/// Average allocations per write over `rounds` sweeps of writes, after one
+/// uncounted warm-up write per key.
+fn count_write_path_allocs(d: &mut Deployment, rounds: u64) -> f64 {
+    let mut now = SimTime::from_nanos(2_000_000_000);
+    for k in 0..KEYS {
+        now += SimDuration::from_micros(50);
+        write(d, k, 4, now);
+    }
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    for round in 0..rounds {
+        for k in 0..KEYS {
+            now += SimDuration::from_micros(50);
+            write(d, k, 5 + round, now);
+        }
+    }
+    COUNTING.store(false, Ordering::SeqCst);
+    ALLOCS.load(Ordering::SeqCst) as f64 / (rounds * KEYS as u64) as f64
+}
+
 #[test]
-fn steady_state_cache_hit_reads_stay_within_allocation_budget() {
+fn steady_state_serve_paths_stay_within_allocation_budget() {
     // Linked: the paper's cheapest path (in-process cache hit) and the one
     // fig_scale hammers hardest. Remote: hit served by a cache-tier node.
     for arch in [ArchKind::Linked, ArchKind::Remote] {
@@ -116,6 +153,13 @@ fn steady_state_cache_hit_reads_stay_within_allocation_budget() {
             allocs, 0,
             "{arch:?} hit path allocated {allocs} times over {requests} requests \
              (expected 0 steady-state allocations per request)"
+        );
+        let per_write = count_write_path_allocs(&mut d, 2);
+        println!("alloc_regression: {arch:?} writes made {per_write:.2} allocations each");
+        assert!(
+            per_write <= WRITE_ALLOCS,
+            "{arch:?} write path made {per_write:.2} allocations per write \
+             (budget {WRITE_ALLOCS})"
         );
     }
     // LinkedVersion: every hit pays a version-check statement.

@@ -77,7 +77,14 @@ impl BlockCache {
     /// `value_bytes`. Returns how many of its blocks hit and missed;
     /// missed blocks become resident (read-through).
     pub fn access(&mut self, row_key: &[u8], value_bytes: u64) -> (u64, u64) {
-        let base = stable_hash(row_key);
+        self.access_hashed(stable_hash(row_key), value_bytes)
+    }
+
+    /// [`BlockCache::access`] for a caller that already holds
+    /// `stable_hash(row_key)`, as region routing does: the row's blocks are
+    /// `key_hash + i`.
+    pub(crate) fn access_hashed(&mut self, key_hash: u64, value_bytes: u64) -> (u64, u64) {
+        let base = key_hash;
         let span = self.blocks_spanned(value_bytes);
         let mut hits = 0;
         let mut misses = 0;
@@ -157,6 +164,9 @@ mod tests {
         let (h, m) = bc.access(b"big", 10 * 1024);
         assert_eq!((h, m), (0, 10));
         let (h, m) = bc.access(b"big", 10 * 1024);
+        assert_eq!((h, m), (10, 0));
+        // The same blocks, addressed by the key's hash.
+        let (h, m) = bc.access_hashed(stable_hash(b"big"), 10 * 1024);
         assert_eq!((h, m), (10, 0));
     }
 

@@ -18,7 +18,7 @@ use crate::cost::StorageCostConfig;
 use crate::durability::{DurabilityConfig, DurabilityStats, DurableStore};
 use crate::error::{StoreError, StoreResult};
 use crate::kv::{index_prefix, record_key_into, record_prefix, InlineBytes, KvEngine};
-use crate::raft::{LogEntry, RaftGroup};
+use crate::raft::{ApplyOp, LogEntry, RaftGroup};
 use crate::row::Row;
 use crate::schema::Catalog;
 use crate::sql::exec::{execute, ExecStats, Mutation, RowStore, WriteBatch};
@@ -100,8 +100,16 @@ impl StoragePod {
 
 /// Which of `regions` regions a raw key belongs to.
 fn region_index(key: &[u8], regions: usize) -> usize {
-    (stable_hash(key) % regions as u64) as usize
+    region_of_hash(stable_hash(key), regions)
 }
+
+/// [`region_index`] of a key whose `stable_hash` is `key_hash`.
+fn region_of_hash(key_hash: u64, regions: usize) -> usize {
+    (key_hash % regions as u64) as usize
+}
+
+/// One replica set's bulk-load writes: `(key, value, version)`.
+type Run = Vec<(InlineBytes, Option<InlineBytes>, u64)>;
 
 /// Mirror one applied raft entry into the pod's durable store: WAL append
 /// (+ group-commit fsync when due, + snapshot when the cadence fires).
@@ -117,13 +125,13 @@ fn durable_apply(
     if !config.durability.enabled() {
         return SimDuration::ZERO;
     }
-    let writes: Vec<(Vec<u8>, Option<Vec<u8>>)> = entry
-        .batch
-        .mutations
-        .iter()
-        .map(|m| (m.key.clone(), m.value.clone()))
-        .collect();
-    let wal_cpu = durable.on_apply(region, entry.version, writes, entry.bytes, &config.cost);
+    let wal_cpu = durable.on_apply(
+        region,
+        entry.version,
+        &entry.batch.mutations,
+        entry.bytes,
+        &config.cost,
+    );
     pod.cpu.charge(CpuCategory::Replication, wal_cpu);
     let mut total = wal_cpu;
     if let Some(snap_cpu) = durable.maybe_snapshot(&pod.kv, &config.cost) {
@@ -192,8 +200,11 @@ pub struct SqlCluster {
     /// the full `parse_plan_cost`, exactly like TiDB bills a plan-cache hit
     /// to its front-end in the paper's deployment.
     plan_cache: std::collections::HashMap<String, PhysicalPlan>,
-    /// Scratch buffer for point reads' record keys, reused across queries.
+    /// Scratch buffer for record keys and encoded rows, reused across
+    /// statements.
     point_key: Vec<u8>,
+    /// Scratch buffer for the apply work of one raft proposal or heartbeat.
+    apply_ops: Vec<ApplyOp>,
 }
 
 /// Distinct statement shapes worth remembering per cluster; beyond this the
@@ -244,6 +255,7 @@ impl SqlCluster {
             tso: 0,
             plan_cache: std::collections::HashMap::new(),
             point_key: Vec::new(),
+            apply_ops: Vec::new(),
             config,
         }
     }
@@ -295,11 +307,11 @@ impl SqlCluster {
     /// Renew leases / catch up stragglers on every region (heartbeat tick).
     pub fn tick(&mut self, now: SimTime) {
         for r in 0..self.regions.len() {
-            let ops = self.regions[r].tick(now);
+            self.regions[r].tick(now, &mut self.apply_ops);
             // Apply straight from the log: `regions` and `storages` are
             // disjoint fields, so no entry is cloned.
             let region = &self.regions[r];
-            for op in ops {
+            for op in &self.apply_ops {
                 let entry = region.entry(op.index);
                 let pod = region.replicas[op.slot];
                 let storage = &mut self.storages[pod];
@@ -384,23 +396,45 @@ impl SqlCluster {
     /// CPU accounting — the "restore from backup" primitive experiments use
     /// to seed datasets. Rows are validated, indexed and replicated exactly
     /// as SQL inserts would be. Returns the number of rows loaded.
+    ///
+    /// Pods that host the same regions receive the same writes, so the load
+    /// gathers one run per distinct replica set; in the paper's deployment
+    /// (3 pods, replication 3) every pod hosts every region and there is
+    /// one run. Within a set, the pods whose engine was new (as
+    /// [`KvEngine::new`] builds it) before the load end up equal: the first
+    /// builds its tree from the run and the others get a `clone` of it.
+    /// Pods that already held data (on a second load, say) merge the run
+    /// into their own trees, and a new pod never copies one of those: a pod
+    /// wiped by a crash beside loaded peers builds its own tree.
     pub fn bulk_load<I>(&mut self, table: &str, rows: I) -> StoreResult<usize>
     where
         I: IntoIterator<Item = Vec<Datum>>,
     {
         let schema = self.catalog.get(table)?.clone();
-        // Gather each pod's writes, then build each pod's tree from its
-        // sorted run. Rows before an invalid one still load, as they would
-        // one by one.
-        let mut per_pod: Vec<Vec<(InlineBytes, Option<InlineBytes>, u64)>> =
-            vec![Vec::new(); self.storages.len()];
-        let regions = &self.regions;
+        let sets = self.replica_sets();
+        let region_count = self.regions.len();
+        let mut hosts: Vec<Vec<usize>> = vec![Vec::new(); region_count];
+        for (set, (regions, _)) in sets.iter().enumerate() {
+            for &r in regions {
+                hosts[r].push(set);
+            }
+        }
+        // Size each run for its share of the regions.
+        let rows = rows.into_iter();
+        let writes = rows.size_hint().0 * (1 + schema.indexes.len());
+        let mut runs: Vec<Run> = sets
+            .iter()
+            .map(|(regions, _)| Vec::with_capacity(writes * regions.len() / region_count))
+            .collect();
         let mut gather = |key: InlineBytes, value: InlineBytes, version: u64| {
-            let region = &regions[region_index(&key, regions.len())];
-            for &pod in &region.replicas {
-                per_pod[pod].push((key.clone(), Some(value.clone()), version));
+            if let Some((&last, rest)) = hosts[region_index(&key, region_count)].split_last() {
+                for &set in rest {
+                    runs[set].push((key.clone(), Some(value.clone()), version));
+                }
+                runs[last].push((key, Some(value), version));
             }
         };
+        // Rows before an invalid one still load, as they would one by one.
         let mut record = Vec::new();
         let mut encoded = Vec::new();
         let mut count = 0usize;
@@ -425,8 +459,8 @@ impl SqlCluster {
             gather(record, encoded.as_slice().into(), version);
             count += 1;
         }
-        for (pod, writes) in per_pod.into_iter().enumerate() {
-            self.storages[pod].kv.bulk_load(writes);
+        for ((_, pods), run) in sets.iter().zip(runs) {
+            self.load_run(pods, run);
         }
         outcome?;
         // A restore-from-backup lands durable: snapshot each pod so the
@@ -438,6 +472,48 @@ impl SqlCluster {
             }
         }
         Ok(count)
+    }
+
+    /// Storage pods grouped by the regions they host: `(regions, pods)`
+    /// per distinct set, both ascending.
+    fn replica_sets(&self) -> Vec<(Vec<usize>, Vec<usize>)> {
+        let mut hosted = vec![Vec::new(); self.storages.len()];
+        for (r, region) in self.regions.iter().enumerate() {
+            for &pod in &region.replicas {
+                hosted[pod].push(r);
+            }
+        }
+        let mut sets: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
+        for (pod, regions) in hosted.into_iter().enumerate() {
+            match sets.iter_mut().find(|(r, _)| *r == regions) {
+                Some((_, pods)) => pods.push(pod),
+                None => sets.push((regions, vec![pod])),
+            }
+        }
+        sets
+    }
+
+    /// Load one replica set's run into its `pods`: each pod that already
+    /// holds data merges its own copy, and of the pods that were new the
+    /// first builds its tree and the rest clone it.
+    fn load_run(&mut self, pods: &[usize], mut run: Run) {
+        let (new, loaded): (Vec<usize>, Vec<usize>) = pods
+            .iter()
+            .partition(|&&pod| self.storages[pod].kv.is_new());
+        for (i, &pod) in loaded.iter().enumerate() {
+            let writes = if new.is_empty() && i + 1 == loaded.len() {
+                std::mem::take(&mut run)
+            } else {
+                run.clone()
+            };
+            self.storages[pod].kv.bulk_load(writes);
+        }
+        if let Some((&first, rest)) = new.split_first() {
+            self.storages[first].kv.bulk_load(run);
+            for &pod in rest {
+                self.storages[pod].kv = self.storages[first].kv.clone();
+            }
+        }
     }
 
     /// Execute one SQL statement. `now` is the simulation time of arrival at
@@ -596,6 +672,8 @@ impl SqlCluster {
     }
 
     /// Route a write batch through the raft groups of the touched regions.
+    /// A batch that touches one region, as every `kv` write does, is
+    /// proposed as it is.
     fn commit_batch(
         &mut self,
         batch: WriteBatch,
@@ -608,12 +686,21 @@ impl SqlCluster {
             return Ok(self.tso);
         }
         let WriteBatch {
-            mut table,
             mutations,
             logical_bytes,
-            ..
         } = batch;
         let bytes_per_mutation = logical_bytes / mutations.len() as u64;
+        // One commit version for the statement (TSO-style).
+        self.tso += 1;
+        let version = self.tso;
+        let home = self.region_of(&mutations[0].key);
+        if mutations[1..]
+            .iter()
+            .all(|m| self.region_of(&m.key) == home)
+        {
+            self.commit_region(home, mutations, bytes_per_mutation, version, now, receipt)?;
+            return Ok(version);
+        }
         // Group mutations by region, regions in ascending order and each
         // region's mutations in statement order; they move, uncopied, into
         // the per-region log entries.
@@ -621,62 +708,79 @@ impl SqlCluster {
             mutations.into_iter().map(|m| (self.region_of(&m.key), m)).collect();
         routed.sort_by_key(|&(r, _)| r);
         let mut routed = routed.into_iter().peekable();
-        // One commit version for the statement (TSO-style).
-        self.tso += 1;
-        let version = self.tso;
-        // The record mutation's logical bytes dominate; spread the logical
-        // write size across regions proportionally to physical size.
         while let Some((region_idx, first)) = routed.next() {
-            let mut sub = WriteBatch::default();
-            sub.mutations.push(first);
+            let mut mutations = vec![first];
             while let Some((_, m)) = routed.next_if(|&(r, _)| r == region_idx) {
-                sub.mutations.push(m);
+                mutations.push(m);
             }
-            sub.logical_bytes = sub
-                .mutations
-                .iter()
-                .map(|m| m.value.as_ref().map_or(0, |v| v.len() as u64))
-                .sum();
-            // The last region takes the table name; earlier ones copy it.
-            sub.table = if routed.peek().is_none() {
-                std::mem::take(&mut table)
-            } else {
-                table.clone()
-            };
-
-            let leader = self.regions[region_idx].leader()?;
-            // RPC front-end → leader carrying the batch.
-            let bytes = 64 + sub.logical_bytes.max(bytes_per_mutation);
-            self.charge_rpc(leader, bytes, 16, receipt, now);
-
-            let leader_cost = self.config.cost.raft_leader_cost(bytes);
-            self.storages[leader].cpu.charge(CpuCategory::Replication, leader_cost);
-            receipt.storage_cpu += leader_cost;
-
-            let ops = self.regions[region_idx].propose(sub, version, now)?;
-            // Apply straight from the log, as in `tick`.
-            let region = &self.regions[region_idx];
-            let mut max_follower = SimDuration::ZERO;
-            for op in ops {
-                let entry = region.entry(op.index);
-                let pod = region.replicas[op.slot];
-                let storage = &mut self.storages[pod];
-                storage.apply(entry);
-                let kv_cost = SimDuration::from_micros_f64(
-                    self.config.cost.kv_write_us * entry.batch.mutations.len() as f64,
-                );
-                let repl_cost = self.config.cost.raft_follower_cost(entry.bytes);
-                storage.cpu.charge(CpuCategory::KvExec, kv_cost);
-                storage.cpu.charge(CpuCategory::Replication, repl_cost);
-                receipt.storage_cpu += kv_cost + repl_cost;
-                receipt.storage_cpu +=
-                    durable_apply(&mut self.durable[pod], storage, &self.config, region_idx, entry);
-                max_follower = max_follower.max(repl_cost);
-            }
-            // Quorum round trip: leader → follower → ack.
-            receipt.latency += self.config.link.delivery_time(bytes) * 2 + max_follower;
+            self.commit_region(
+                region_idx,
+                mutations,
+                bytes_per_mutation,
+                version,
+                now,
+                receipt,
+            )?;
         }
         Ok(version)
+    }
+
+    /// Propose one region's mutations at `version` and apply the entry on
+    /// every replica that commits it, charging the leader RPC, replication
+    /// and KV work to the pods and the receipt.
+    fn commit_region(
+        &mut self,
+        region_idx: usize,
+        mutations: Vec<Mutation>,
+        bytes_per_mutation: u64,
+        version: u64,
+        now: SimTime,
+        receipt: &mut QueryReceipt,
+    ) -> StoreResult<()> {
+        // The log entry carries the encoded values' bytes, which drive the
+        // follower and WAL charges; the leader RPC ships at least the
+        // statement's logical bytes per mutation.
+        let logical_bytes = mutations
+            .iter()
+            .map(|m| m.value.as_ref().map_or(0, |v| v.len() as u64))
+            .sum();
+        let sub = WriteBatch {
+            mutations,
+            logical_bytes,
+        };
+
+        let leader = self.regions[region_idx].leader()?;
+        // RPC front-end → leader carrying the batch.
+        let bytes = 64 + sub.logical_bytes.max(bytes_per_mutation);
+        self.charge_rpc(leader, bytes, 16, receipt, now);
+
+        let leader_cost = self.config.cost.raft_leader_cost(bytes);
+        self.storages[leader].cpu.charge(CpuCategory::Replication, leader_cost);
+        receipt.storage_cpu += leader_cost;
+
+        self.regions[region_idx].propose(sub, version, now, &mut self.apply_ops)?;
+        // Apply straight from the log, as in `tick`.
+        let region = &self.regions[region_idx];
+        let mut max_follower = SimDuration::ZERO;
+        for op in &self.apply_ops {
+            let entry = region.entry(op.index);
+            let pod = region.replicas[op.slot];
+            let storage = &mut self.storages[pod];
+            storage.apply(entry);
+            let kv_cost = SimDuration::from_micros_f64(
+                self.config.cost.kv_write_us * entry.batch.mutations.len() as f64,
+            );
+            let repl_cost = self.config.cost.raft_follower_cost(entry.bytes);
+            storage.cpu.charge(CpuCategory::KvExec, kv_cost);
+            storage.cpu.charge(CpuCategory::Replication, repl_cost);
+            receipt.storage_cpu += kv_cost + repl_cost;
+            receipt.storage_cpu +=
+                durable_apply(&mut self.durable[pod], storage, &self.config, region_idx, entry);
+            max_follower = max_follower.max(repl_cost);
+        }
+        // Quorum round trip: leader → follower → ack.
+        receipt.latency += self.config.link.delivery_time(bytes) * 2 + max_follower;
+        Ok(())
     }
 
     /// Charge one front-end↔storage round trip (request `req_bytes` out,
@@ -816,20 +920,20 @@ struct ClusterRowStore<'a> {
     cost: &'a StorageCostConfig,
     link: &'a LinkSpec,
     receipt: &'a mut QueryReceipt,
-    /// The cluster's record-key scratch buffer: the store is rebuilt per
-    /// query, so a buffer of its own would allocate per request.
+    /// The cluster's scratch buffer for record keys and encoded rows: the
+    /// store is rebuilt per query, so a buffer of its own would allocate
+    /// per request.
     point_key: &'a mut Vec<u8>,
     region_count: usize,
 }
 
 impl ClusterRowStore<'_> {
-    fn region_of(&self, key: &[u8]) -> usize {
-        region_index(key, self.region_count)
-    }
-
-    /// Charge a storage-side row read (block cache + KV) on `pod`.
-    fn charge_row_read(&mut self, pod: usize, key: &[u8], bytes: u64, rows_scanned: u64) {
-        let (hits, misses) = self.storages[pod].block_cache.access(key, bytes.max(1));
+    /// Charge a storage-side row read (block cache + KV) on `pod` for the
+    /// row whose key hashes to `key_hash`.
+    fn charge_row_read(&mut self, pod: usize, key_hash: u64, bytes: u64, rows_scanned: u64) {
+        let (hits, misses) = self.storages[pod]
+            .block_cache
+            .access_hashed(key_hash, bytes.max(1));
         self.receipt.block_hits += hits;
         self.receipt.block_misses += misses;
         let kv = self.cost.kv_read_cost(bytes, rows_scanned);
@@ -857,13 +961,16 @@ impl ClusterRowStore<'_> {
             + fe_cost * 2;
     }
 
-    fn leader_for_key(&self, key: &[u8]) -> StoreResult<usize> {
-        self.regions[self.region_of(key)].leader()
+    /// The leader pod of the region of the key hashing to `key_hash`.
+    fn leader_for_hash(&self, key_hash: u64) -> StoreResult<usize> {
+        self.regions[region_of_hash(key_hash, self.region_count)].leader()
     }
 
-    /// Fetch one row by record key from its home region, with charges.
+    /// Fetch one row by record key from its home region, with charges. The
+    /// key is hashed once, for both the region and the block cache.
     fn point_get_key(&mut self, key: &[u8]) -> StoreResult<Option<(Row, u64)>> {
-        let pod = self.leader_for_key(key)?;
+        let key_hash = stable_hash(key);
+        let pod = self.leader_for_hash(key_hash)?;
         let found = self.storages[pod]
             .kv
             .get_latest(key)
@@ -871,7 +978,7 @@ impl ClusterRowStore<'_> {
             .transpose()?;
         // Negative lookups still pay lookup + RPC.
         let logical = found.as_ref().map_or(0, |(row, _)| row.encoded_size());
-        self.charge_row_read(pod, key, logical, 1);
+        self.charge_row_read(pod, key_hash, logical, 1);
         self.charge_fetch_rpc(pod, logical);
         Ok(found)
     }
@@ -883,7 +990,8 @@ impl ClusterRowStore<'_> {
     ) -> StoreResult<Vec<(Row, u64)>> {
         let mut rows = Vec::new();
         for key in record_keys {
-            let pod = self.leader_for_key(&key)?;
+            let key_hash = stable_hash(&key);
+            let pod = self.leader_for_hash(key_hash)?;
             let found = self.storages[pod]
                 .kv
                 .get_latest(&key)
@@ -891,10 +999,40 @@ impl ClusterRowStore<'_> {
                 .transpose()?;
             if let Some((row, version)) = found {
                 let logical = row.encoded_size();
-                self.charge_row_read(pod, &key, logical, 1);
+                self.charge_row_read(pod, key_hash, logical, 1);
                 self.charge_fetch_rpc(pod, logical);
                 rows.push((row, version));
             }
+        }
+        Ok(rows)
+    }
+
+    /// Every live row of `[start, end)` in each region's slice, read from
+    /// the region's leader and charged per row: the multi-region scan
+    /// behind `pk_range` and `full_scan`.
+    fn scan_rows(&mut self, start: &[u8], end: Option<&[u8]>) -> StoreResult<Vec<(Row, u64)>> {
+        let mut rows = Vec::new();
+        for region_idx in 0..self.region_count {
+            let pod = self.regions[region_idx].leader()?;
+            let region_count = self.region_count;
+            let hits: Vec<(u64, Vec<u8>, u64)> = self.storages[pod]
+                .kv
+                .scan_between(start, end, u64::MAX)
+                .filter_map(|(k, v)| {
+                    let key_hash = stable_hash(k);
+                    (region_of_hash(key_hash, region_count) == region_idx)
+                        .then(|| (key_hash, v.value.to_vec(), v.version))
+                })
+                .collect();
+            let mut region_bytes = 0u64;
+            for (key_hash, bytes, version) in hits {
+                let row = Row::decode(&bytes)?;
+                let logical = row.encoded_size();
+                region_bytes += logical;
+                self.charge_row_read(pod, key_hash, logical, 1);
+                rows.push((row, version));
+            }
+            self.charge_fetch_rpc(pod, region_bytes);
         }
         Ok(rows)
     }
@@ -919,14 +1057,15 @@ impl RowStore for ClusterRowStore<'_> {
         value: &Datum,
     ) -> StoreResult<Vec<(Row, u64)>> {
         let prefix = index_prefix(table, column, value);
-        let pod = self.leader_for_key(&prefix)?;
+        let prefix_hash = stable_hash(&prefix);
+        let pod = self.leader_for_hash(prefix_hash)?;
         let record_keys: Vec<Vec<u8>> = self.storages[pod]
             .kv
             .scan_prefix(&prefix, u64::MAX)
             .map(|(_, v)| v.value.to_vec())
             .collect();
         // Index scan: one block access over the index range, rows = entries.
-        self.charge_row_read(pod, &prefix, 32 * record_keys.len() as u64, record_keys.len().max(1) as u64);
+        self.charge_row_read(pod, prefix_hash, 32 * record_keys.len() as u64, record_keys.len().max(1) as u64);
         self.charge_fetch_rpc(pod, 40 * record_keys.len() as u64);
         self.fetch_rows_by_record_keys(record_keys)
     }
@@ -942,20 +1081,21 @@ impl RowStore for ClusterRowStore<'_> {
         // hash by full key), so every region leader scans its slice — the
         // multi-region coprocessor pattern of the real system.
         let (start, end) = crate::kv::index_range_bounds(table, column, lo, hi);
+        let start_hash = stable_hash(&start);
         let mut record_keys = Vec::new();
         for region_idx in 0..self.region_count {
             let pod = self.regions[region_idx].leader()?;
-            let hits: Vec<(Vec<u8>, Vec<u8>)> = self.storages[pod]
+            let hits: Vec<Vec<u8>> = self.storages[pod]
                 .kv
                 .scan_between(&start, end.as_deref(), u64::MAX)
                 .filter(|(k, _)| {
                     region_index(k, self.region_count) == region_idx
                 })
-                .map(|(k, v)| (k.to_vec(), v.value.to_vec()))
+                .map(|(_, v)| v.value.to_vec())
                 .collect();
-            self.charge_row_read(pod, &start, 32 * hits.len() as u64, hits.len().max(1) as u64);
+            self.charge_row_read(pod, start_hash, 32 * hits.len() as u64, hits.len().max(1) as u64);
             self.charge_fetch_rpc(pod, 40 * hits.len() as u64);
-            record_keys.extend(hits.into_iter().map(|(_, rk)| rk));
+            record_keys.extend(hits);
         }
         record_keys.sort();
         record_keys.dedup();
@@ -969,54 +1109,18 @@ impl RowStore for ClusterRowStore<'_> {
         hi: Option<&Datum>,
     ) -> StoreResult<Vec<(Row, u64)>> {
         let (start, end) = crate::kv::record_range_bounds(table, lo, hi);
-        let mut rows = Vec::new();
-        for region_idx in 0..self.region_count {
-            let pod = self.regions[region_idx].leader()?;
-            let hits: Vec<(Vec<u8>, Vec<u8>, u64)> = self.storages[pod]
-                .kv
-                .scan_between(&start, end.as_deref(), u64::MAX)
-                .filter(|(k, _)| {
-                    region_index(k, self.region_count) == region_idx
-                })
-                .map(|(k, v)| (k.to_vec(), v.value.to_vec(), v.version))
-                .collect();
-            let mut region_bytes = 0u64;
-            for (key, bytes, version) in hits {
-                let row = Row::decode(&bytes)?;
-                let logical = row.encoded_size();
-                region_bytes += logical;
-                self.charge_row_read(pod, &key, logical, 1);
-                rows.push((row, version));
-            }
-            self.charge_fetch_rpc(pod, region_bytes);
-        }
-        Ok(rows)
+        self.scan_rows(&start, end.as_deref())
     }
 
     fn full_scan(&mut self, table: &str) -> StoreResult<Vec<(Row, u64)>> {
         let prefix = record_prefix(table);
-        let mut rows = Vec::new();
-        for region_idx in 0..self.region_count {
-            let pod = self.regions[region_idx].leader()?;
-            let hits: Vec<(Vec<u8>, Vec<u8>, u64)> = self.storages[pod]
-                .kv
-                .scan_prefix(&prefix, u64::MAX)
-                .filter(|(k, _)| {
-                    region_index(k, self.region_count) == region_idx
-                })
-                .map(|(k, v)| (k.to_vec(), v.value.to_vec(), v.version))
-                .collect();
-            let mut region_bytes = 0u64;
-            for (key, bytes, version) in hits {
-                let row = Row::decode(&bytes)?;
-                let logical = row.encoded_size();
-                region_bytes += logical;
-                self.charge_row_read(pod, &key, logical, 1);
-                rows.push((row, version));
-            }
-            self.charge_fetch_rpc(pod, region_bytes);
-        }
-        Ok(rows)
+        let mut end = prefix.clone();
+        *end.last_mut().expect("prefix non-empty") += 1;
+        self.scan_rows(&prefix, Some(&end))
+    }
+
+    fn scratch(&mut self) -> &mut Vec<u8> {
+        self.point_key
     }
 }
 

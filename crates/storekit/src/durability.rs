@@ -19,6 +19,7 @@
 
 use crate::cost::StorageCostConfig;
 use crate::kv::KvEngine;
+use crate::sql::exec::Mutation;
 use serde::{Deserialize, Serialize};
 use simnet::SimDuration;
 
@@ -125,7 +126,7 @@ struct WalRecord {
     region: usize,
     version: u64,
     bytes: u64,
-    writes: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+    writes: Vec<Mutation>,
 }
 
 /// What a recovery rebuilt and what it cost.
@@ -195,7 +196,7 @@ impl DurableStore {
         &mut self,
         region: usize,
         version: u64,
-        writes: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+        writes: &[Mutation],
         bytes: u64,
         cost: &StorageCostConfig,
     ) -> SimDuration {
@@ -203,7 +204,7 @@ impl DurableStore {
             region,
             version,
             bytes,
-            writes,
+            writes: writes.to_vec(),
         });
         self.tail_applied[region] += 1;
         self.appends_since_snapshot += 1;
@@ -262,8 +263,8 @@ impl DurableStore {
         let mut replay_cpu = SimDuration::ZERO;
         let mut replayed_bytes = 0u64;
         for rec in &self.wal {
-            for (key, value) in &rec.writes {
-                kv.put_at(key, value.as_deref(), rec.version);
+            for m in &rec.writes {
+                kv.put_at(&m.key, m.value.as_deref(), rec.version);
             }
             replay_cpu += cost.wal_replay_cost(rec.bytes);
             replayed_bytes += rec.bytes;
@@ -303,8 +304,11 @@ mod tests {
         }
     }
 
-    fn write(tag: u8) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
-        vec![(vec![tag], Some(vec![tag; 4]))]
+    fn write(tag: u8) -> [Mutation; 1] {
+        [Mutation {
+            key: [tag][..].into(),
+            value: Some([tag; 4][..].into()),
+        }]
     }
 
     #[test]
@@ -319,7 +323,7 @@ mod tests {
         let cost = StorageCostConfig::default();
         let mut d = DurableStore::new(cfg(FsyncPolicy::EveryEntry, 1_000), 2);
         for v in 1..=3u64 {
-            d.on_apply(0, v, write(v as u8), 64, &cost);
+            d.on_apply(0, v, &write(v as u8), 64, &cost);
         }
         assert_eq!(d.stats.wal_appends, 3);
         assert_eq!(d.stats.fsync_batches, 3);
@@ -331,7 +335,7 @@ mod tests {
         let cost = StorageCostConfig::default();
         let mut d = DurableStore::new(cfg(FsyncPolicy::Group(4), 1_000), 1);
         for v in 1..=6u64 {
-            d.on_apply(0, v, write(v as u8), 64, &cost);
+            d.on_apply(0, v, &write(v as u8), 64, &cost);
         }
         // One fsync at 4 appends; records 5..6 are volatile.
         assert_eq!(d.stats.fsync_batches, 1);
@@ -353,7 +357,7 @@ mod tests {
         let mut kv = KvEngine::new();
         for v in 1..=3u64 {
             kv.put_at(&[v as u8], Some(&[v as u8; 4]), v);
-            d.on_apply(0, v, write(v as u8), 64, &cost);
+            d.on_apply(0, v, &write(v as u8), 64, &cost);
         }
         // Third append crosses the cadence; the caller snapshots.
         assert!(d.maybe_snapshot(&kv, &cost).is_some());
@@ -371,7 +375,7 @@ mod tests {
         let cost = StorageCostConfig::default();
         let mut d = DurableStore::new(cfg(FsyncPolicy::Group(2), 1_000), 1);
         for v in 1..=5u64 {
-            d.on_apply(0, v, write(v as u8), 100, &cost);
+            d.on_apply(0, v, &write(v as u8), 100, &cost);
         }
         let out = d.crash_and_recover(&cost);
         assert_eq!(out.replayed_entries, 4);
@@ -389,7 +393,7 @@ mod tests {
         let cost = StorageCostConfig::default();
         let mut d = DurableStore::new(cfg(FsyncPolicy::EveryEntry, 1_000), 1);
         assert_eq!(d.ssd_resident_bytes(), 0);
-        d.on_apply(0, 1, write(1), 128, &cost);
+        d.on_apply(0, 1, &write(1), 128, &cost);
         assert_eq!(d.ssd_resident_bytes(), 128);
         let mut kv = KvEngine::new();
         kv.put_at(&[1], Some(&[1; 4]), 1);

@@ -18,7 +18,10 @@
 //!   to a `Vec` on the key's second write;
 //! - [`KvEngine::bulk_load`] sorts a batch of writes, folds repeated keys
 //!   into chains and builds the tree from the sorted run, so a loaded
-//!   dataset lives in full B-tree nodes and nothing else.
+//!   dataset lives in full B-tree nodes and nothing else. Replicas that
+//!   start empty, as [`KvEngine::new`] builds them, and receive the same
+//!   run end up equal, so `SqlCluster::bulk_load` builds one tree per
+//!   replica set and `clone`s it into the set's other pods.
 //!
 //! Keys are raw byte strings produced by the order-preserving encoders in
 //! this module, so prefix and range scans work for both primary-key and
@@ -254,6 +257,13 @@ impl KvEngine {
             next_version: 1,
             bytes_written: 0,
         }
+    }
+
+    /// Whether the engine is exactly [`KvEngine::new`]: no key, no version
+    /// and no byte ever written. Two new engines given the same writes end
+    /// in the same state, so one can be a clone of the other.
+    pub(crate) fn is_new(&self) -> bool {
+        self.data.is_empty() && self.next_version == 1 && self.bytes_written == 0
     }
 
     /// Number of live keys (latest version is not a tombstone).

@@ -15,11 +15,10 @@
 
 use crate::error::{StoreError, StoreResult};
 use crate::sql::exec::WriteBatch;
-use serde::{Deserialize, Serialize};
 use simnet::{SimDuration, SimTime};
 
 /// One replicated log entry: a write batch bound for the region's replicas.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogEntry {
     pub term: u64,
     pub batch: WriteBatch,
@@ -39,7 +38,7 @@ pub struct ApplyOp {
 }
 
 /// A Raft group for one region.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RaftGroup {
     pub id: u64,
     /// Storage-pod indices hosting this region; `replicas[slot]`.
@@ -127,16 +126,17 @@ impl RaftGroup {
     }
 
     /// Propose a write at the leader and drive it to commit: replicate to
-    /// live followers, advance the quorum commit point, and return the apply
-    /// work for every replica that can now apply entries. Fails without a
-    /// leader or a live quorum (the entry is not appended in either case, so
-    /// failed proposals leave no partial state).
+    /// live followers, advance the quorum commit point, and fill `ops` with
+    /// the apply work for every replica that can now apply entries. Fails
+    /// without a leader or a live quorum (the entry is not appended in
+    /// either case, so failed proposals leave no partial state).
     pub fn propose(
         &mut self,
         batch: WriteBatch,
         version: u64,
         now: SimTime,
-    ) -> StoreResult<Vec<ApplyOp>> {
+        ops: &mut Vec<ApplyOp>,
+    ) -> StoreResult<()> {
         let leader = self.leader_slot.ok_or(StoreError::NoLeader { region: self.id })?;
         if self.alive_count() < self.quorum() {
             return Err(StoreError::NoLeader { region: self.id });
@@ -150,22 +150,31 @@ impl RaftGroup {
         });
         self.match_len[leader] = self.log.len();
         self.renew_lease(now);
-        Ok(self.replicate())
+        self.replicate(ops);
+        Ok(())
     }
 
-    /// Bring live followers up to date, advance commit, and emit apply ops.
-    fn replicate(&mut self) -> Vec<ApplyOp> {
+    /// Bring live followers up to date, advance commit, and replace the
+    /// contents of `ops` with the apply work.
+    fn replicate(&mut self, ops: &mut Vec<ApplyOp>) {
+        ops.clear();
         for slot in 0..self.replicas.len() {
             if self.alive[slot] {
                 self.match_len[slot] = self.log.len();
             }
         }
-        // Quorum commit: the largest index replicated on a majority.
-        let mut sorted = self.match_len.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        self.commit = self.commit.max(sorted[self.quorum() - 1]);
+        // Quorum commit: the largest index replicated on a majority, i.e.
+        // the largest length that at least a quorum of slots reach.
+        let quorum = self.quorum();
+        let on_quorum = self
+            .match_len
+            .iter()
+            .copied()
+            .filter(|&len| self.match_len.iter().filter(|&&m| m >= len).count() >= quorum)
+            .max()
+            .unwrap_or(0);
+        self.commit = self.commit.max(on_quorum);
 
-        let mut ops = Vec::new();
         for slot in 0..self.replicas.len() {
             if !self.alive[slot] {
                 continue;
@@ -176,7 +185,6 @@ impl RaftGroup {
             }
             self.applied[slot] = upto.max(self.applied[slot]);
         }
-        ops
     }
 
     /// Crash a replica. If it was the leader, the region has no leader until
@@ -239,13 +247,15 @@ impl RaftGroup {
     }
 
     /// Heartbeat: re-replicates to stragglers (e.g. restarted replicas) and
-    /// renews the lease. Returns apply work for replicas that caught up.
-    pub fn tick(&mut self, now: SimTime) -> Vec<ApplyOp> {
+    /// renews the lease. Fills `ops` with apply work for replicas that
+    /// caught up.
+    pub fn tick(&mut self, now: SimTime, ops: &mut Vec<ApplyOp>) {
         if self.leader_slot.is_none() {
-            return Vec::new();
+            ops.clear();
+            return;
         }
         self.renew_lease(now);
-        self.replicate()
+        self.replicate(ops);
     }
 }
 
@@ -255,7 +265,6 @@ mod tests {
 
     fn batch(bytes: u64) -> WriteBatch {
         WriteBatch {
-            table: "t".into(),
             logical_bytes: bytes,
             ..Default::default()
         }
@@ -265,10 +274,29 @@ mod tests {
         RaftGroup::new(1, vec![10, 11, 12], SimTime::ZERO, SimDuration::from_secs(10))
     }
 
+    /// Propose and return the apply work.
+    fn propose(
+        g: &mut RaftGroup,
+        bytes: u64,
+        version: u64,
+        now: SimTime,
+    ) -> StoreResult<Vec<ApplyOp>> {
+        let mut ops = Vec::new();
+        g.propose(batch(bytes), version, now, &mut ops)
+            .map(|()| ops)
+    }
+
+    /// Heartbeat and return the apply work.
+    fn tick(g: &mut RaftGroup) -> Vec<ApplyOp> {
+        let mut ops = Vec::new();
+        g.tick(SimTime::ZERO, &mut ops);
+        ops
+    }
+
     #[test]
     fn propose_commits_and_applies_on_all_replicas() {
         let mut g = group();
-        let ops = g.propose(batch(100), 1, SimTime::ZERO).unwrap();
+        let ops = propose(&mut g, 100, 1, SimTime::ZERO).unwrap();
         assert_eq!(g.committed(), 1);
         assert_eq!(ops.len(), 3, "all three replicas apply");
         assert!(ops.iter().all(|o| o.index == 0));
@@ -280,9 +308,29 @@ mod tests {
     fn commit_survives_one_follower_crash() {
         let mut g = group();
         g.crash(2);
-        let ops = g.propose(batch(1), 1, SimTime::ZERO).unwrap();
+        let ops = propose(&mut g, 1, 1, SimTime::ZERO).unwrap();
         assert_eq!(g.committed(), 1);
         assert_eq!(ops.len(), 2, "only live replicas apply");
+    }
+
+    #[test]
+    fn commit_is_the_longest_prefix_a_quorum_holds() {
+        let mut g = RaftGroup::new(
+            1,
+            vec![0, 1, 2, 3, 4],
+            SimTime::ZERO,
+            SimDuration::from_secs(10),
+        );
+        propose(&mut g, 1, 1, SimTime::ZERO).unwrap();
+        // Slots 3 and 4 miss the second entry; the other three commit it.
+        g.crash(3);
+        g.crash(4);
+        let ops = propose(&mut g, 1, 2, SimTime::ZERO).unwrap();
+        assert_eq!(g.committed(), 2);
+        assert_eq!(ops, [0, 1, 2].map(|slot| ApplyOp { slot, index: 1 }));
+        // A restarted slot catches up on the next heartbeat.
+        g.restart(3);
+        assert_eq!(tick(&mut g), [ApplyOp { slot: 3, index: 1 }]);
     }
 
     #[test]
@@ -290,7 +338,7 @@ mod tests {
         let mut g = group();
         g.crash(1);
         g.crash(2);
-        let err = g.propose(batch(1), 1, SimTime::ZERO).unwrap_err();
+        let err = propose(&mut g, 1, 1, SimTime::ZERO).unwrap_err();
         assert!(matches!(err, StoreError::NoLeader { region: 1 }));
         assert_eq!(g.log_len(), 0, "failed proposal leaves no partial state");
     }
@@ -298,7 +346,7 @@ mod tests {
     #[test]
     fn leader_crash_blocks_until_election() {
         let mut g = group();
-        g.propose(batch(1), 1, SimTime::ZERO).unwrap();
+        propose(&mut g, 1, 1, SimTime::ZERO).unwrap();
         g.crash(0);
         assert!(g.leader().is_err());
         let new_leader = g.elect(SimTime::ZERO).unwrap();
@@ -314,13 +362,13 @@ mod tests {
         let mut g = group();
         // Commit 3 entries with all alive.
         for v in 1..=3 {
-            g.propose(batch(10), v, SimTime::ZERO).unwrap();
+            propose(&mut g, 10, v, SimTime::ZERO).unwrap();
         }
         // Crash leader, elect, verify all 3 survive; repeat.
         g.crash(0);
         g.elect(SimTime::ZERO).unwrap();
         assert_eq!(g.committed(), 3);
-        g.propose(batch(10), 4, SimTime::ZERO).unwrap();
+        propose(&mut g, 10, 4, SimTime::ZERO).unwrap();
         assert_eq!(g.committed(), 4);
     }
 
@@ -328,10 +376,10 @@ mod tests {
     fn restarted_replica_catches_up_on_tick() {
         let mut g = group();
         g.crash(2);
-        g.propose(batch(1), 1, SimTime::ZERO).unwrap();
-        g.propose(batch(1), 2, SimTime::ZERO).unwrap();
+        propose(&mut g, 1, 1, SimTime::ZERO).unwrap();
+        propose(&mut g, 1, 2, SimTime::ZERO).unwrap();
         g.restart(2);
-        let ops = g.tick(SimTime::ZERO);
+        let ops = tick(&mut g);
         let slot2_ops: Vec<_> = ops.iter().filter(|o| o.slot == 2).collect();
         assert_eq!(slot2_ops.len(), 2, "straggler applies both entries");
     }
@@ -343,7 +391,7 @@ mod tests {
         assert!(g.lease_valid(t0));
         let late = t0 + SimDuration::from_secs(11);
         assert!(!g.lease_valid(late));
-        g.propose(batch(1), 1, late).unwrap();
+        propose(&mut g, 1, 1, late).unwrap();
         assert!(g.lease_valid(late + SimDuration::from_secs(5)));
     }
 
@@ -370,8 +418,8 @@ mod tests {
     #[test]
     fn recovered_restart_does_not_resurrect_lost_tail() {
         let mut g = group();
-        g.propose(batch(1), 1, SimTime::ZERO).unwrap();
-        g.propose(batch(1), 2, SimTime::ZERO).unwrap();
+        propose(&mut g, 1, 1, SimTime::ZERO).unwrap();
+        propose(&mut g, 1, 2, SimTime::ZERO).unwrap();
         assert_eq!(g.committed(), 2);
         // Replica 2 crashed between appending/applying entry 2 and making
         // it durable: its recovery only rebuilt entry 1.
@@ -380,7 +428,7 @@ mod tests {
         // The lost entry must be re-replicated and re-applied — with the
         // old restart (full in-memory log intact) no op was emitted and the
         // replica's state machine silently diverged.
-        let ops = g.tick(SimTime::ZERO);
+        let ops = tick(&mut g);
         let slot2: Vec<usize> = ops.iter().filter(|o| o.slot == 2).map(|o| o.index).collect();
         assert_eq!(slot2, vec![1], "lost entry is re-applied, not resurrected");
     }
@@ -388,13 +436,13 @@ mod tests {
     #[test]
     fn recovery_cannot_claim_beyond_prior_ack() {
         let mut g = group();
-        g.propose(batch(1), 1, SimTime::ZERO).unwrap();
+        propose(&mut g, 1, 1, SimTime::ZERO).unwrap();
         g.crash(1);
-        g.propose(batch(1), 2, SimTime::ZERO).unwrap();
+        propose(&mut g, 1, 2, SimTime::ZERO).unwrap();
         // Replica 1 never saw entry 2; a buggy recovery claiming 99 entries
         // must still be clamped to what it had acknowledged (1).
         g.restart_recovered(1, 99);
-        let ops = g.tick(SimTime::ZERO);
+        let ops = tick(&mut g);
         let slot1: Vec<usize> = ops.iter().filter(|o| o.slot == 1).map(|o| o.index).collect();
         assert_eq!(slot1, vec![1], "replica catches up from its real prefix");
     }
@@ -403,7 +451,7 @@ mod tests {
     fn election_prefers_fully_recovered_replica() {
         let mut g = group();
         for v in 1..=3 {
-            g.propose(batch(1), v, SimTime::ZERO).unwrap();
+            propose(&mut g, 1, v, SimTime::ZERO).unwrap();
         }
         // Leader 0 crashes; replica 1 also crashed and recovered only a
         // durable prefix of 1. The election must pick replica 2 (full log),
@@ -420,7 +468,7 @@ mod tests {
     #[test]
     fn entry_versions_are_preserved_in_log() {
         let mut g = group();
-        g.propose(batch(5), 42, SimTime::ZERO).unwrap();
+        propose(&mut g, 5, 42, SimTime::ZERO).unwrap();
         assert_eq!(g.entry(0).version, 42);
         assert!(g.entry(0).bytes >= 64 + 5);
     }

@@ -53,9 +53,8 @@ impl Row {
 
     /// Encode to the binary wire/storage format.
     pub fn encode(&self) -> Vec<u8> {
-        // Sized to the physical bytes: write batches keep this buffer in
-        // the raft log, so reserving a payload's logical size would pin
-        // kilobytes per write.
+        // Sized to the physical bytes: a payload's logical size would
+        // reserve kilobytes for its 17-byte encoding.
         let mut out = Vec::with_capacity(self.physical_size());
         self.encode_into(&mut out);
         out

@@ -12,7 +12,7 @@
 //! commit versions are assigned at apply time by the replication layer.
 
 use crate::error::{StoreError, StoreResult};
-use crate::kv::{index_key, record_key, KvEngine};
+use crate::kv::{index_key, record_key, record_key_into, InlineBytes, KvEngine};
 use crate::row::Row;
 use crate::schema::{Catalog, TableSchema};
 use crate::sql::ast::Literal;
@@ -49,6 +49,9 @@ pub trait RowStore {
         hi: Option<&Datum>,
     ) -> StoreResult<Vec<(Row, u64)>>;
     fn full_scan(&mut self, table: &str) -> StoreResult<Vec<(Row, u64)>>;
+    /// A buffer the write path encodes record keys and rows into before
+    /// copying them into [`InlineBytes`], reused across statements.
+    fn scratch(&mut self) -> &mut Vec<u8>;
 }
 
 /// Execution statistics, the raw material of storage CPU accounting.
@@ -66,21 +69,20 @@ pub struct ExecStats {
     pub full_scans: u64,
 }
 
-/// One low-level KV mutation (`None` value = tombstone).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One low-level KV mutation (`None` value = tombstone). Key and value are
+/// [`InlineBytes`], so a `kv` table write's 14-byte key and 28-byte row
+/// travel inside the Raft log entry without a heap allocation of their own.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mutation {
-    pub key: Vec<u8>,
-    pub value: Option<Vec<u8>>,
+    pub key: InlineBytes,
+    pub value: Option<InlineBytes>,
 }
 
 /// All mutations produced by one write statement.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WriteBatch {
-    pub table: String,
     /// Record mutation first, index maintenance after.
     pub mutations: Vec<Mutation>,
-    /// Primary keys of rows touched (for cache invalidation upstream).
-    pub touched_pks: Vec<Datum>,
     /// Logical bytes of the new row images (what replication would ship).
     pub logical_bytes: u64,
 }
@@ -390,32 +392,40 @@ fn project(mut lrow: Row, lver: u64, rrow: Option<&Row>, cols: &[OutputCol]) -> 
     lrow
 }
 
+/// Run `encode` into the cleared `scratch` buffer and copy the result out:
+/// inline when it fits, else into one exactly sized boxed slice.
+fn encoded(scratch: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> InlineBytes {
+    scratch.clear();
+    encode(scratch);
+    InlineBytes::from(scratch.as_slice())
+}
+
+/// The record mutation writing `row` under primary key `pk`.
+fn record_put(scratch: &mut Vec<u8>, table: &str, pk: &Datum, row: &Row) -> Mutation {
+    Mutation {
+        key: encoded(scratch, |k| record_key_into(k, table, pk)),
+        value: Some(encoded(scratch, |v| row.encode_into(v))),
+    }
+}
+
 /// Index-maintenance mutations for removing `row`'s entries.
-fn index_deletes(schema: &TableSchema, row: &Row) -> Vec<Mutation> {
+fn index_deletes<'a>(schema: &'a TableSchema, row: &'a Row) -> impl Iterator<Item = Mutation> + 'a {
     let pk = schema.pk_of(row);
-    schema
-        .indexes
-        .iter()
-        .map(|&col| Mutation {
-            key: index_key(&schema.name, col, row.get(col).unwrap_or(&Datum::Null), pk),
-            value: None,
-        })
-        .collect()
+    schema.indexes.iter().map(move |&col| Mutation {
+        key: index_key(&schema.name, col, row.get(col).unwrap_or(&Datum::Null), pk).into(),
+        value: None,
+    })
 }
 
 /// Index-maintenance mutations for adding `row`'s entries. The entry's
 /// value is the row's record key, so range scans can locate rows without
 /// decoding variable-length key suffixes.
-fn index_puts(schema: &TableSchema, row: &Row) -> Vec<Mutation> {
+fn index_puts<'a>(schema: &'a TableSchema, row: &'a Row) -> impl Iterator<Item = Mutation> + 'a {
     let pk = schema.pk_of(row);
-    schema
-        .indexes
-        .iter()
-        .map(|&col| Mutation {
-            key: index_key(&schema.name, col, row.get(col).unwrap_or(&Datum::Null), pk),
-            value: Some(record_key(&schema.name, pk)),
-        })
-        .collect()
+    schema.indexes.iter().map(move |&col| Mutation {
+        key: index_key(&schema.name, col, row.get(col).unwrap_or(&Datum::Null), pk).into(),
+        value: Some(record_key(&schema.name, pk).into()),
+    })
 }
 
 fn execute_insert(
@@ -444,27 +454,20 @@ fn execute_insert(
         }
         got
     };
-    let mut batch = WriteBatch {
-        table: table.to_string(),
-        ..Default::default()
-    };
-    match existing {
-        Some(_) if !replace => return Err(StoreError::DuplicateKey(pk.to_string())),
-        Some((old, _)) => {
-            batch.mutations.extend(index_deletes(schema, &old));
-        }
-        None => {}
+    if existing.is_some() && !replace {
+        return Err(StoreError::DuplicateKey(pk.to_string()));
     }
-    batch.logical_bytes = row.encoded_size();
-    batch.mutations.insert(
-        0,
-        Mutation {
-            key: record_key(table, &pk),
-            value: Some(row.encode()),
-        },
-    );
+    let mut batch = WriteBatch {
+        mutations: Vec::with_capacity(1 + 2 * schema.indexes.len()),
+        logical_bytes: row.encoded_size(),
+    };
+    batch
+        .mutations
+        .push(record_put(store.scratch(), table, &pk, &row));
+    if let Some((old, _)) = &existing {
+        batch.mutations.extend(index_deletes(schema, old));
+    }
     batch.mutations.extend(index_puts(schema, &row));
-    batch.touched_pks.push(pk);
 
     Ok(ExecOutcome {
         stats,
@@ -485,10 +488,7 @@ fn execute_update(
     let schema = catalog.get(table)?;
     let mut stats = ExecStats::default();
     let candidates = fetch(store, table, access, params, &mut stats)?;
-    let mut batch = WriteBatch {
-        table: table.to_string(),
-        ..Default::default()
-    };
+    let mut batch = WriteBatch::default();
     for (old, _ver) in candidates {
         if !matches_all(&old, residual, params)? {
             continue;
@@ -501,7 +501,6 @@ fn execute_update(
         let pk = schema.pk_of(&new).clone();
         // Only rewrite index entries for columns that changed.
         for m in index_deletes(schema, &old)
-            .into_iter()
             .zip(index_puts(schema, &new))
             .filter(|(del, put)| del.key != put.key)
             .flat_map(|(del, put)| [del, put])
@@ -509,14 +508,9 @@ fn execute_update(
             batch.mutations.push(m);
         }
         batch.logical_bytes += new.encoded_size();
-        batch.mutations.insert(
-            0,
-            Mutation {
-                key: record_key(table, &pk),
-                value: Some(new.encode()),
-            },
-        );
-        batch.touched_pks.push(pk);
+        batch
+            .mutations
+            .insert(0, record_put(store.scratch(), table, &pk, &new));
     }
     Ok(ExecOutcome {
         stats,
@@ -536,21 +530,18 @@ fn execute_delete(
     let schema = catalog.get(table)?;
     let mut stats = ExecStats::default();
     let candidates = fetch(store, table, access, params, &mut stats)?;
-    let mut batch = WriteBatch {
-        table: table.to_string(),
-        ..Default::default()
-    };
+    let mut batch = WriteBatch::default();
     for (old, _ver) in candidates {
         if !matches_all(&old, residual, params)? {
             continue;
         }
-        let pk = schema.pk_of(&old).clone();
         batch.mutations.push(Mutation {
-            key: record_key(table, &pk),
+            key: encoded(store.scratch(), |k| {
+                record_key_into(k, table, schema.pk_of(&old))
+            }),
             value: None,
         });
         batch.mutations.extend(index_deletes(schema, &old));
-        batch.touched_pks.push(pk);
     }
     Ok(ExecOutcome {
         stats,
@@ -569,6 +560,7 @@ fn execute_delete(
 pub struct MemStore {
     pub kv: KvEngine,
     pub catalog: Catalog,
+    scratch: Vec<u8>,
 }
 
 impl MemStore {
@@ -576,6 +568,7 @@ impl MemStore {
         MemStore {
             kv: KvEngine::new(),
             catalog,
+            scratch: Vec::new(),
         }
     }
 
@@ -678,6 +671,10 @@ impl RowStore for MemStore {
             .scan_prefix(&prefix, u64::MAX)
             .map(|(_, v)| Ok((Row::decode(v.value)?, v.version)))
             .collect()
+    }
+
+    fn scratch(&mut self) -> &mut Vec<u8> {
+        &mut self.scratch
     }
 }
 
@@ -896,7 +893,8 @@ mod tests {
         let out = s
             .run("UPDATE users SET name = 'multi' WHERE org = 10", &[])
             .unwrap();
-        assert_eq!(out.write.as_ref().unwrap().touched_pks.len(), 2);
+        // The org index is unchanged: one record mutation per matched row.
+        assert_eq!(out.write.as_ref().unwrap().mutations.len(), 2);
         let names = s.run("SELECT name FROM users WHERE org = 10", &[]).unwrap();
         for row in names.rows {
             assert_eq!(row.get(0), Some(&Datum::Text("multi".into())));

@@ -32,7 +32,6 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 
 fn batch(tag: u8) -> WriteBatch {
     WriteBatch {
-        table: format!("t{tag}"),
         logical_bytes: tag as u64,
         ..Default::default()
     }
@@ -57,7 +56,8 @@ proptest! {
         let mut applied: [Vec<u64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         let now = SimTime::ZERO;
 
-        let record_ops = |g: &RaftGroup, ops: Vec<storekit::raft::ApplyOp>,
+        let mut ops = Vec::new();
+        let record_ops = |g: &RaftGroup, ops: &[storekit::raft::ApplyOp],
                               applied: &mut [Vec<u64>; 3]| {
             for op in ops {
                 let version = g.entry(op.index).version;
@@ -72,9 +72,9 @@ proptest! {
             match step {
                 Step::Propose(tag) => {
                     let version = next_version;
-                    if let Ok(ops) = g.propose(batch(tag), version, now) {
+                    if g.propose(batch(tag), version, now, &mut ops).is_ok() {
                         next_version += 1;
-                        record_ops(&g, ops, &mut applied);
+                        record_ops(&g, &ops, &mut applied);
                     }
                 }
                 Step::Crash(slot) => g.crash(slot as usize),
@@ -83,8 +83,8 @@ proptest! {
                     let _ = g.elect(now);
                 }
                 Step::Tick => {
-                    let ops = g.tick(now);
-                    record_ops(&g, ops, &mut applied);
+                    g.tick(now, &mut ops);
+                    record_ops(&g, &ops, &mut applied);
                 }
             }
             // (1) commit never regresses.
@@ -123,8 +123,8 @@ proptest! {
             g.restart(slot);
         }
         let _ = g.elect(now);
-        let ops = g.tick(now);
-        record_ops(&g, ops, &mut applied);
+        g.tick(now, &mut ops);
+        record_ops(&g, &ops, &mut applied);
         for (slot, seq) in applied.iter().enumerate() {
             prop_assert_eq!(seq.len(), g.committed(), "replica {} did not converge", slot);
         }

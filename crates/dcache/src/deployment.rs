@@ -310,6 +310,10 @@ pub struct Deployment {
     /// Reusable buffer for building `table/key` bytes before interning;
     /// keeps the steady-state serve path allocation-free.
     key_scratch: Vec<u8>,
+    /// The receipt every KV statement fills (reads, version checks, writes
+    /// and deletes), so its row and version buffers are reused and a
+    /// steady-state statement allocates nothing for its result.
+    receipt: QueryReceipt,
 }
 
 /// The four statement shapes the KV serve paths issue, pre-planned per
@@ -413,6 +417,7 @@ impl Deployment {
             sql_stmts: Vec::new(),
             interner: KeyInterner::new(),
             key_scratch: Vec::new(),
+            receipt: QueryReceipt::default(),
             cluster,
             config,
         }
@@ -715,7 +720,7 @@ impl Deployment {
                 return Ok(val);
             }
         }
-        let (val, lat, _r) = self.storage_read(app, table, key, now)?;
+        let (val, lat) = self.storage_read(app, table, key, now)?;
         out.sql_statements += 1;
         out.latency += lat;
         if self.config.fault_tolerance.single_flight {
@@ -962,6 +967,28 @@ impl Deployment {
         comm + self.config.cluster.link.delivery_time(bytes)
     }
 
+    /// Run one KV statement on `table` into the deployment's receipt and
+    /// charge the app side of its round trip; returns the round trip's
+    /// latency.
+    fn kv_statement(
+        &mut self,
+        app: usize,
+        table: &str,
+        which: KvStmt,
+        params: &[Datum],
+        now: SimTime,
+    ) -> StoreResult<SimDuration> {
+        let stmt = Self::table_sql(&mut self.sql_stmts, &self.cluster, table, which)?;
+        self.cluster
+            .execute_cached_into(stmt, params, now, &mut self.receipt)?;
+        // Lend the receipt out for the app-side charge; moving it keeps its
+        // buffers.
+        let receipt = std::mem::take(&mut self.receipt);
+        let latency = self.charge_app_db_rpc(app, &receipt);
+        self.receipt = receipt;
+        Ok(latency)
+    }
+
     /// Fetch `(value, version)` from the database through the SQL path.
     pub(crate) fn storage_read(
         &mut self,
@@ -969,11 +996,9 @@ impl Deployment {
         table: &str,
         key: i64,
         now: SimTime,
-    ) -> StoreResult<(Option<CachedVal>, SimDuration, QueryReceipt)> {
-        let stmt = Self::table_sql(&mut self.sql_stmts, &self.cluster, table, KvStmt::Select)?;
-        let receipt = self.cluster.execute_cached(stmt, &[Datum::Int(key)], now)?;
-        let latency = self.charge_app_db_rpc(app, &receipt);
-        let val = receipt.rows.first().map(|row| {
+    ) -> StoreResult<(Option<CachedVal>, SimDuration)> {
+        let latency = self.kv_statement(app, table, KvStmt::Select, &[Datum::Int(key)], now)?;
+        let val = self.receipt.rows.first().map(|row| {
             let (bytes, seed) = payload_identity(row.get(0).unwrap_or(&Datum::Null));
             let version = row.get(1).and_then(|d| d.as_int()).unwrap_or(0) as u64;
             CachedVal {
@@ -982,7 +1007,7 @@ impl Deployment {
                 seed,
             }
         });
-        Ok((val, latency, receipt))
+        Ok((val, latency))
     }
 
     /// Write `value` under `key` through the SQL path.
@@ -998,12 +1023,9 @@ impl Deployment {
         // The app serializes the value into the write request.
         let ser = self.config.app_cost.serialize_cost(bytes);
         self.charge_app(app, CpuCategory::Serialization, ser);
-        let stmt = Self::table_sql(&mut self.sql_stmts, &self.cluster, table, KvStmt::Replace)?;
-        let receipt = self
-            .cluster
-            .execute_cached(stmt, &[Datum::Int(key), value], now)?;
-        let latency = ser + self.charge_app_db_rpc(app, &receipt);
-        let version = receipt.write_version.unwrap_or(0);
+        let params = [Datum::Int(key), value];
+        let latency = ser + self.kv_statement(app, table, KvStmt::Replace, &params, now)?;
+        let version = self.receipt.write_version.unwrap_or(0);
         Ok((
             CachedVal {
                 version,
@@ -1364,7 +1386,7 @@ impl Deployment {
 
         match self.config.arch {
             ArchKind::Base => {
-                let (val, lat, _r) = self.storage_read(app, table, key, now)?;
+                let (val, lat) = self.storage_read(app, table, key, now)?;
                 out.sql_statements += 1;
                 out.latency += lat;
                 self.finish_read(app, val, now, &mut out);
@@ -1765,18 +1787,14 @@ impl Deployment {
         key: i64,
         now: SimTime,
     ) -> StoreResult<(Option<u64>, SimDuration)> {
-        let stmt = Self::table_sql(&mut self.sql_stmts, &self.cluster, table, KvStmt::Version)?;
-        let pk = Datum::Int(key);
-        let receipt = self
-            .cluster
-            .execute_cached(stmt, std::slice::from_ref(&pk), now)?;
-        let version = receipt
+        let latency = self.kv_statement(app, table, KvStmt::Version, &[Datum::Int(key)], now)?;
+        let version = self
+            .receipt
             .rows
             .first()
             .and_then(|r| r.get(0))
             .and_then(|d| d.as_int())
             .map(|v| v as u64);
-        let latency = self.charge_app_db_rpc(app, &receipt);
         Ok((version, latency))
     }
 
@@ -1925,11 +1943,9 @@ impl Deployment {
             out.latency += lease_cost;
         }
 
-        let stmt = Self::table_sql(&mut self.sql_stmts, &self.cluster, table, KvStmt::Delete)?;
-        let receipt = self.cluster.execute_cached(stmt, &[Datum::Int(key)], now)?;
+        out.latency += self.kv_statement(app, table, KvStmt::Delete, &[Datum::Int(key)], now)?;
         out.sql_statements += 1;
-        out.version = receipt.write_version;
-        out.latency += self.charge_app_db_rpc(app, &receipt);
+        out.version = self.receipt.write_version;
         self.single_flight.invalidate(ckey);
 
         match self.config.arch {

@@ -11,16 +11,20 @@
 //!
 //! LinkedVersion's hit also runs the §5.5 version check, a prepared
 //! `SELECT _version ... WHERE k = ?` through the SQL executor and the MVCC
-//! store. Its budget is three allocations per hit: the decoded row (which
-//! the projection reuses) and the result's row and version vectors.
+//! store. Its budget is zero allocations per hit too: the deployment keeps
+//! one `QueryReceipt` for all its statements, and the executor decodes the
+//! row into that receipt's reused row buffer and fills its reused row and
+//! version vectors. A Remote fill (a write invalidates the key, the next
+//! read misses and refills the cache from storage) runs the same point
+//! SELECT through the same receipt, and its budget is zero as well.
 //!
 //! A Linked or Remote write runs a REPLACE through the executor, Raft and
-//! the MVCC store of every replica. Its budget is three allocations per
-//! write: the new row, the decoded old row of the duplicate check, and the
-//! write batch's mutation vector. Keys, rows and apply work travel inline
-//! or in reused buffers. The regions' Raft logs grow by doubling, which
-//! the averaged budget absorbs with a quarter allocation per write to
-//! spare.
+//! the MVCC store of every replica. Its budget is two allocations per
+//! write: the new row and the write batch's mutation vector, which moves
+//! into the Raft log. The duplicate check decodes the old row into the
+//! reused row buffer, and keys, rows and apply work travel inline or in
+//! reused buffers. The regions' Raft logs grow by doubling, which the
+//! averaged budget absorbs with a quarter allocation per write to spare.
 //!
 //! The gate counts *allocations* (not frees), is enabled only around the
 //! measured window, and the test binary contains this test alone so no
@@ -110,11 +114,14 @@ fn count_hit_path_allocs(d: &mut Deployment, rounds: usize) -> u64 {
 }
 
 /// Version-checked hits may allocate this many times each.
-const VERSION_CHECK_ALLOCS: u64 = 3;
+const VERSION_CHECK_ALLOCS: u64 = 0;
 
-/// Average allocations a warmed write may make: three per write plus
+/// Remote fills may allocate this many times each.
+const FILL_ALLOCS: u64 = 0;
+
+/// Average allocations a warmed write may make: two per write plus
 /// amortized Raft-log growth.
-const WRITE_ALLOCS: f64 = 3.25;
+const WRITE_ALLOCS: f64 = 2.25;
 
 fn write(d: &mut Deployment, k: i64, seed: u64, now: SimTime) {
     let value = Datum::Payload { len: 256, seed };
@@ -141,6 +148,26 @@ fn count_write_path_allocs(d: &mut Deployment, rounds: u64) -> f64 {
     ALLOCS.load(Ordering::SeqCst) as f64 / (rounds * KEYS as u64) as f64
 }
 
+/// Allocations across `rounds` sweeps of Remote fills: each key is written
+/// (uncounted), which invalidates its cache entry, and then read back
+/// (counted), which misses and refills the cache from storage.
+fn count_fill_allocs(d: &mut Deployment, rounds: u64) -> u64 {
+    let mut now = SimTime::from_nanos(3_000_000_000);
+    ALLOCS.store(0, Ordering::SeqCst);
+    for round in 0..rounds {
+        for k in 0..KEYS {
+            now += SimDuration::from_micros(50);
+            write(d, k, 100 + round, now);
+            now += SimDuration::from_micros(50);
+            COUNTING.store(true, Ordering::SeqCst);
+            let out = d.serve_kv_read("kv", k, now).expect("fill read");
+            COUNTING.store(false, Ordering::SeqCst);
+            assert!(!out.cache_hit, "a read after a write must refill");
+        }
+    }
+    ALLOCS.load(Ordering::SeqCst)
+}
+
 #[test]
 fn steady_state_serve_paths_stay_within_allocation_budget() {
     // Linked: the paper's cheapest path (in-process cache hit) and the one
@@ -161,6 +188,16 @@ fn steady_state_serve_paths_stay_within_allocation_budget() {
             "{arch:?} write path made {per_write:.2} allocations per write \
              (budget {WRITE_ALLOCS})"
         );
+        if arch == ArchKind::Remote {
+            let fills = 10 * KEYS as u64;
+            let allocs = count_fill_allocs(&mut d, 10);
+            println!("alloc_regression: Remote made {allocs} allocations over {fills} fills");
+            assert!(
+                allocs <= FILL_ALLOCS * fills,
+                "Remote fill path allocated {allocs} times over {fills} fills \
+                 (budget {FILL_ALLOCS} per fill)"
+            );
+        }
     }
     // LinkedVersion: every hit pays a version-check statement.
     let mut d = warmed_deployment(ArchKind::LinkedVersion);

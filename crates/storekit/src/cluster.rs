@@ -21,7 +21,7 @@ use crate::kv::{index_prefix, record_key_into, record_prefix, InlineBytes, KvEng
 use crate::raft::{ApplyOp, LogEntry, RaftGroup};
 use crate::row::Row;
 use crate::schema::Catalog;
-use crate::sql::exec::{execute, ExecStats, Mutation, RowStore, WriteBatch};
+use crate::sql::exec::{execute, ExecOutcome, ExecStats, Mutation, RowStore, WriteBatch};
 use crate::sql::parser::parse;
 use crate::sql::plan::{plan, PhysicalPlan};
 use crate::value::Datum;
@@ -147,8 +147,9 @@ pub struct FrontendPod {
     pub cpu: CpuMeter,
 }
 
-/// What one statement cost and returned.
-#[derive(Debug, Clone, Default)]
+/// What one statement cost and returned. [`SqlCluster::execute_cached_into`]
+/// refills one in place, reusing its buffers.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryReceipt {
     pub rows: Vec<Row>,
     /// MVCC version per returned row.
@@ -199,10 +200,15 @@ pub struct SqlCluster {
     /// clock. Simulated CPU is untouched — cached executions still charge
     /// the full `parse_plan_cost`, exactly like TiDB bills a plan-cache hit
     /// to its front-end in the paper's deployment.
-    plan_cache: std::collections::HashMap<String, PhysicalPlan>,
+    plan_cache: std::collections::HashMap<String, CachedStatement>,
     /// Scratch buffer for record keys and encoded rows, reused across
     /// statements.
     point_key: Vec<u8>,
+    /// The executor's spare row buffer (see [`execute`]): it carries a
+    /// decoded row's buffer across statements that return no row, such as
+    /// a REPLACE, so the next point read into a reused receipt decodes
+    /// without allocating.
+    spare_row: Row,
     /// Scratch buffer for the apply work of one raft proposal or heartbeat.
     apply_ops: Vec<ApplyOp>,
 }
@@ -255,6 +261,7 @@ impl SqlCluster {
             tso: 0,
             plan_cache: std::collections::HashMap::new(),
             point_key: Vec::new(),
+            spare_row: Row::default(),
             apply_ops: Vec::new(),
             config,
         }
@@ -527,47 +534,24 @@ impl SqlCluster {
         // Plan-cache hit: lift the entry out, run it, put it back — no
         // clone, no allocation, identical receipts (the plan is a pure
         // function of the immutable catalog and the SQL text).
-        if let Some((sql_owned, physical)) = self.plan_cache.remove_entry(sql) {
-            let out = self.execute_plan(&physical, sql.len(), params, now);
-            self.plan_cache.insert(sql_owned, physical);
+        if let Some((sql_owned, stmt)) = self.plan_cache.remove_entry(sql) {
+            let out = self.execute_cached(&stmt, params, now);
+            self.plan_cache.insert(sql_owned, stmt);
             return out;
         }
-        let stmt = parse(sql)?;
-        let physical = plan(&self.catalog, &stmt)?;
-        let out = self.execute_plan(&physical, sql.len(), params, now);
+        let stmt = self.prepare_cached(sql)?;
+        let out = self.execute_cached(&stmt, params, now);
         if self.plan_cache.len() < PLAN_CACHE_CAP {
-            self.plan_cache.insert(sql.to_string(), physical);
+            self.plan_cache.insert(sql.to_string(), stmt);
         }
         out
     }
 
-    /// Execute a pre-planned statement (plan-cache ablation path: front-end
-    /// parse/plan CPU is skipped, only connection handling is charged).
-    pub fn execute_prepared(
-        &mut self,
-        physical: &PhysicalPlan,
-        params: &[Datum],
-        now: SimTime,
-    ) -> StoreResult<QueryReceipt> {
-        let mut receipt = self.frontend_admission(0, true);
-        self.run_plan(physical, params, now, &mut receipt)?;
-        Ok(receipt)
-    }
-
-    /// Plan a statement for later `execute_prepared` calls.
-    pub fn prepare(&self, sql: &str) -> StoreResult<PhysicalPlan> {
-        plan(&self.catalog, &parse(sql)?)
-    }
-
     /// Parse + plan a statement once for repeated [`execute_cached`] calls.
-    /// Unlike [`prepare`]/[`execute_prepared`] (the plan-cache *ablation*,
-    /// which charges only connection handling), a cached statement is a pure
-    /// wall-clock optimization: execution charges the full
-    /// `parse_plan_cost` of the original text, byte-identical to
-    /// [`execute`].
+    /// A cached statement is a pure wall-clock optimization: execution
+    /// charges the full `parse_plan_cost` of the original text,
+    /// byte-identical to [`execute`].
     ///
-    /// [`prepare`]: SqlCluster::prepare
-    /// [`execute_prepared`]: SqlCluster::execute_prepared
     /// [`execute_cached`]: SqlCluster::execute_cached
     /// [`execute`]: SqlCluster::execute
     pub fn prepare_cached(&self, sql: &str) -> StoreResult<CachedStatement> {
@@ -577,8 +561,9 @@ impl SqlCluster {
         })
     }
 
-    /// Execute a [`prepare_cached`] statement — receipts and CPU charges
-    /// are exactly those of `execute` on the original SQL text.
+    /// Execute a [`prepare_cached`] statement into a fresh receipt — receipts
+    /// and CPU charges are exactly those of `execute` on the original SQL
+    /// text.
     ///
     /// [`prepare_cached`]: SqlCluster::prepare_cached
     pub fn execute_cached(
@@ -587,47 +572,65 @@ impl SqlCluster {
         params: &[Datum],
         now: SimTime,
     ) -> StoreResult<QueryReceipt> {
-        self.execute_plan(&stmt.physical, stmt.sql_bytes, params, now)
-    }
-
-    fn frontend_admission(&mut self, sql_bytes: usize, prepared: bool) -> QueryReceipt {
-        let fe = self.next_frontend % self.frontends.len();
-        self.next_frontend = self.next_frontend.wrapping_add(1);
-        let cost = if prepared {
-            SimDuration::from_micros_f64(self.config.cost.conn_handling_us)
-        } else {
-            self.config.cost.parse_plan_cost(sql_bytes)
-        };
-        self.frontends[fe].cpu.charge(CpuCategory::SqlFrontend, cost);
-        QueryReceipt {
-            frontend_cpu: cost,
-            latency: cost,
-            request_bytes: sql_bytes as u64,
-            ..Default::default()
-        }
-    }
-
-    fn execute_plan(
-        &mut self,
-        physical: &PhysicalPlan,
-        sql_bytes: usize,
-        params: &[Datum],
-        now: SimTime,
-    ) -> StoreResult<QueryReceipt> {
-        let mut receipt = self.frontend_admission(sql_bytes, false);
-        receipt.request_bytes += params.iter().map(|d| d.encoded_size()).sum::<u64>();
-        self.run_plan(physical, params, now, &mut receipt)?;
+        let mut receipt = QueryReceipt::default();
+        self.execute_cached_into(stmt, params, now, &mut receipt)?;
         Ok(receipt)
     }
 
-    fn run_plan(
+    /// The statement-execution core: run `stmt`, charging the pods that do
+    /// the work, and fill `receipt` with what it cost and returned.
+    ///
+    /// Every field of `receipt` is replaced, but its buffers are kept: the
+    /// `rows` and `versions` vectors keep their capacity and the first
+    /// row's datum buffer takes the next point read. A caller that keeps
+    /// one receipt across statements therefore runs point SELECTs, version
+    /// probes and REPLACEs on rows of fixed-width datums (the `kv` table's)
+    /// without allocating for the result. The receipt, charges and
+    /// round-robin state are bit-identical to [`execute_cached`]'s. On error
+    /// the receipt's contents are unspecified.
+    ///
+    /// [`execute_cached`]: SqlCluster::execute_cached
+    pub fn execute_cached_into(
         &mut self,
-        physical: &PhysicalPlan,
+        stmt: &CachedStatement,
         params: &[Datum],
         now: SimTime,
         receipt: &mut QueryReceipt,
     ) -> StoreResult<()> {
-        let fe = (self.next_frontend.wrapping_sub(1)) % self.frontends.len();
+        if let Some(batch) = self.run_statement(&stmt.physical, stmt.sql_bytes, params, receipt)? {
+            receipt.write_version = Some(self.commit_batch(batch, now, receipt)?);
+        }
+        Ok(())
+    }
+
+    /// Everything of [`SqlCluster::execute_cached_into`] but the commit:
+    /// front-end admission, lease check, the executor and front-end
+    /// post-processing. A write's batch is returned uncommitted.
+    fn run_statement(
+        &mut self,
+        physical: &PhysicalPlan,
+        sql_bytes: usize,
+        params: &[Datum],
+        receipt: &mut QueryReceipt,
+    ) -> StoreResult<Option<WriteBatch>> {
+        // The executor refills the receipt's buffers.
+        let mut out = ExecOutcome {
+            rows: std::mem::take(&mut receipt.rows),
+            versions: std::mem::take(&mut receipt.versions),
+            ..ExecOutcome::default()
+        };
+
+        // Front-end admission: connection handling, parse and plan.
+        let fe = self.next_frontend % self.frontends.len();
+        self.next_frontend = self.next_frontend.wrapping_add(1);
+        let cost = self.config.cost.parse_plan_cost(sql_bytes);
+        self.frontends[fe].cpu.charge(CpuCategory::SqlFrontend, cost);
+        *receipt = QueryReceipt {
+            frontend_cpu: cost,
+            latency: cost,
+            request_bytes: sql_bytes as u64 + params.iter().map(|d| d.encoded_size()).sum::<u64>(),
+            ..QueryReceipt::default()
+        };
 
         // Transaction layer: consistent reads validate the leader lease.
         if physical.is_read() {
@@ -638,7 +641,7 @@ impl SqlCluster {
         }
 
         // Drive the executor with a store that charges pods as it fetches.
-        let outcome = {
+        {
             let mut store = ClusterRowStore {
                 storages: &mut self.storages,
                 regions: &self.regions,
@@ -648,11 +651,12 @@ impl SqlCluster {
                 point_key: &mut self.point_key,
                 region_count: self.config.regions.max(1) as usize,
             };
-            execute(&self.catalog, physical, params, &mut store)?
-        };
-        receipt.rows = outcome.rows;
-        receipt.versions = outcome.versions;
-        receipt.stats = outcome.stats;
+            let spare = &mut self.spare_row;
+            execute(&self.catalog, physical, params, &mut store, &mut out, spare)?;
+        }
+        receipt.rows = out.rows;
+        receipt.versions = out.versions;
+        receipt.stats = out.stats;
 
         // Front-end post-processing per returned row.
         let post = SimDuration::from_micros_f64(
@@ -662,13 +666,7 @@ impl SqlCluster {
         receipt.frontend_cpu += post;
         receipt.latency += post;
         receipt.response_bytes = receipt.rows.iter().map(|r| r.encoded_size()).sum();
-
-        // Writes go through Raft.
-        if let Some(batch) = outcome.write {
-            let version = self.commit_batch(batch, now, receipt)?;
-            receipt.write_version = Some(version);
-        }
-        Ok(())
+        Ok(out.write)
     }
 
     /// Route a write batch through the raft groups of the touched regions.
@@ -808,27 +806,6 @@ impl SqlCluster {
             + pod_cost;
     }
 
-    /// The §5.5 version check: `SELECT _version FROM <table> WHERE pk = ?`,
-    /// running the complete read path but returning only 8 bytes.
-    pub fn version_check(
-        &mut self,
-        table: &str,
-        pk: &Datum,
-        now: SimTime,
-    ) -> StoreResult<(Option<u64>, QueryReceipt)> {
-        let schema = self.catalog.get(table)?;
-        let pk_col = schema.columns[schema.primary_key].name.clone();
-        let sql = format!("SELECT _version FROM {table} WHERE {pk_col} = ?");
-        let receipt = self.execute(&sql, std::slice::from_ref(pk), now)?;
-        let version = receipt
-            .rows
-            .first()
-            .and_then(|r| r.get(0))
-            .and_then(|d| d.as_int())
-            .map(|v| v as u64);
-        Ok((version, receipt))
-    }
-
     /// Prepare a write but do not commit it — models the paper's Figure 8
     /// delayed write. Front-end and executor read costs are charged now;
     /// replication happens at [`SqlCluster::commit_delayed`].
@@ -838,26 +815,14 @@ impl SqlCluster {
         params: &[Datum],
         _now: SimTime,
     ) -> StoreResult<DelayedWrite> {
-        let stmt = parse(sql)?;
-        let physical = plan(&self.catalog, &stmt)?;
+        let physical = plan(&self.catalog, &parse(sql)?)?;
         if physical.is_read() {
             return Err(StoreError::Unsupported("delayed read".to_string()));
         }
-        let mut receipt = self.frontend_admission(sql.len(), false);
-        let outcome = {
-            let mut store = ClusterRowStore {
-                storages: &mut self.storages,
-                regions: &self.regions,
-                cost: &self.config.cost,
-                link: &self.config.link,
-                receipt: &mut receipt,
-                point_key: &mut self.point_key,
-                region_count: self.config.regions.max(1) as usize,
-            };
-            execute(&self.catalog, &physical, params, &mut store)?
-        };
+        let mut receipt = QueryReceipt::default();
+        let batch = self.run_statement(&physical, sql.len(), params, &mut receipt)?;
         Ok(DelayedWrite {
-            batch: outcome.write.unwrap_or_default(),
+            batch: batch.unwrap_or_default(),
             receipt,
         })
     }
@@ -946,14 +911,17 @@ impl ClusterRowStore<'_> {
             + SimDuration::from_micros_f64(self.cost.disk_read_latency_us * misses as f64);
     }
 
-    /// Charge the front-end↔storage round trip for a fetch.
+    /// Charge the front-end↔storage round trip for a fetch. Both sides'
+    /// RPC CPU goes into the receipt and its latency, but only the storage
+    /// side is charged to a meter: no front-end pod's meter is billed for
+    /// the front-end side, so billed SQL-frontend CPU falls short of the
+    /// receipts' `frontend_cpu` by exactly this amount per fetch (pinned by
+    /// `fetch_rpc_frontend_side_is_unbilled`).
     fn charge_fetch_rpc(&mut self, pod: usize, resp_bytes: u64) {
         let req = 48u64; // encoded key + header
         let fe_cost = self.cost.rpc_side_cost(req) + self.cost.rpc_side_cost(resp_bytes);
         self.storages[pod].cpu.charge(CpuCategory::RpcStack, fe_cost);
         self.receipt.storage_cpu += fe_cost;
-        // Front-end side is charged by the cluster wrapper on the same
-        // receipt (the receipt's frontend_cpu), via this addition:
         self.receipt.frontend_cpu += fe_cost;
         self.receipt.storage_rpcs += 1;
         self.receipt.latency += self.link.delivery_time(req)
@@ -966,18 +934,21 @@ impl ClusterRowStore<'_> {
         self.regions[region_of_hash(key_hash, self.region_count)].leader()
     }
 
-    /// Fetch one row by record key from its home region, with charges. The
-    /// key is hashed once, for both the region and the block cache.
-    fn point_get_key(&mut self, key: &[u8]) -> StoreResult<Option<(Row, u64)>> {
+    /// Fetch one row by record key from its home region into `row`, with
+    /// charges. The key is hashed once, for both the region and the block
+    /// cache.
+    fn point_get_key(&mut self, key: &[u8], row: &mut Row) -> StoreResult<Option<u64>> {
         let key_hash = stable_hash(key);
         let pod = self.leader_for_hash(key_hash)?;
-        let found = self.storages[pod]
-            .kv
-            .get_latest(key)
-            .map(|v| Row::decode(v.value).map(|row| (row, v.version)))
-            .transpose()?;
+        let found = match self.storages[pod].kv.get_latest(key) {
+            Some(v) => {
+                Row::decode_into(v.value, row)?;
+                Some(v.version)
+            }
+            None => None,
+        };
         // Negative lookups still pay lookup + RPC.
-        let logical = found.as_ref().map_or(0, |(row, _)| row.encoded_size());
+        let logical = found.map_or(0, |_| row.encoded_size());
         self.charge_row_read(pod, key_hash, logical, 1);
         self.charge_fetch_rpc(pod, logical);
         Ok(found)
@@ -1039,13 +1010,14 @@ impl ClusterRowStore<'_> {
 }
 
 impl RowStore for ClusterRowStore<'_> {
-    fn point_get(&mut self, table: &str, pk: &Datum) -> StoreResult<Option<(Row, u64)>> {
+    fn point_get(&mut self, table: &str, pk: &Datum, row: &mut Row) -> StoreResult<Option<u64>> {
         // Build the key in the cluster's scratch buffer and decode straight
-        // out of the MVCC store's borrowed bytes: the hottest read in the
-        // simulator allocates nothing beyond the decoded datums themselves.
+        // out of the MVCC store's borrowed bytes into the caller's row: the
+        // hottest read in the simulator allocates nothing for fixed-width
+        // datums.
         let mut key = std::mem::take(self.point_key);
         record_key_into(&mut key, table, pk);
-        let out = self.point_get_key(&key);
+        let out = self.point_get_key(&key, row);
         *self.point_key = key;
         out
     }
@@ -1155,6 +1127,15 @@ mod tests {
         SimTime::from_nanos(ms * 1_000_000)
     }
 
+    /// The §5.5 version probe of key `k`: its MVCC version, if the row
+    /// exists, and the probe's receipt.
+    fn version_probe(c: &mut SqlCluster, k: i64, now: SimTime) -> (Option<u64>, QueryReceipt) {
+        let stmt = c.prepare_cached("SELECT _version FROM kv WHERE k = ?").unwrap();
+        let receipt = c.execute_cached(&stmt, &[k.into()], now).unwrap();
+        let version = receipt.rows.first().and_then(|r| r.get(0)).and_then(|d| d.as_int());
+        (version.map(|v| v as u64), receipt)
+    }
+
     #[test]
     fn write_then_read_round_trips() {
         let mut c = cluster();
@@ -1201,7 +1182,7 @@ mod tests {
             .execute("UPDATE kv SET v = ? WHERE k = ?", &[Datum::Bytes(vec![2]).clone(), 1.into()], t(1))
             .unwrap();
         assert!(w2.write_version.unwrap() > w1.write_version.unwrap());
-        let (ver, _) = c.version_check("kv", &Datum::Int(1), t(2)).unwrap();
+        let (ver, _) = version_probe(&mut c, 1, t(2));
         assert_eq!(ver, Some(w2.write_version.unwrap()));
     }
 
@@ -1211,7 +1192,7 @@ mod tests {
         let big = Datum::Payload { len: 100_000, seed: 1 };
         c.execute("INSERT INTO kv VALUES (?, ?)", &[1.into(), big], t(0))
             .unwrap();
-        let (_, receipt) = c.version_check("kv", &Datum::Int(1), t(1)).unwrap();
+        let (_, receipt) = version_probe(&mut c, 1, t(1));
         // The row ships to the front-end in full: storage RPC cost reflects
         // ~100 KB even though only 8 bytes return to the app.
         assert!(receipt.storage_rpcs >= 1);
@@ -1261,15 +1242,21 @@ mod tests {
     }
 
     #[test]
-    fn prepared_execution_skips_parse_cost() {
+    fn fetch_rpc_frontend_side_is_unbilled() {
+        // A point read's receipt carries the front-end side of its storage
+        // fetch RPC, but no front-end meter is charged for it: billed
+        // SQL-frontend CPU is short by exactly that side, and storage CPU
+        // is billed in full.
         let mut c = cluster();
-        c.execute("INSERT INTO kv VALUES (1, ?)", &[Datum::Bytes(vec![1])], t(0))
-            .unwrap();
-        let plan = c.prepare("SELECT v FROM kv WHERE k = ?").unwrap();
-        let full = c.execute("SELECT v FROM kv WHERE k = ?", &[1.into()], t(1)).unwrap();
-        let prep = c.execute_prepared(&plan, &[1.into()], t(2)).unwrap();
-        assert!(prep.frontend_cpu < full.frontend_cpu);
-        assert_eq!(prep.rows, full.rows);
+        let value = Datum::Payload { len: 1_000, seed: 1 };
+        c.bulk_load("kv", [vec![Datum::Int(1), value.clone()]]).unwrap();
+        let stmt = c.prepare_cached("SELECT v FROM kv WHERE k = ?").unwrap();
+        let r = c.execute_cached(&stmt, &[1.into()], t(1)).unwrap();
+        let row_bytes = 2 + Datum::Int(1).encoded_size() + value.encoded_size();
+        let fetch_fe = c.config.cost.rpc_side_cost(48) + c.config.cost.rpc_side_cost(row_bytes);
+        assert_eq!(r.storage_rpcs, 1);
+        assert_eq!(c.frontend_cpu_total().total() + fetch_fe, r.frontend_cpu);
+        assert_eq!(c.storage_cpu_total().total(), r.storage_cpu);
     }
 
     #[test]
@@ -1328,7 +1315,7 @@ mod tests {
         let w = c
             .execute("UPDATE kv SET v = ? WHERE k = 0", &[Datum::Bytes(vec![99])], t(2))
             .unwrap();
-        let (ver, _) = c.version_check("kv", &Datum::Int(0), t(3)).unwrap();
+        let (ver, _) = version_probe(&mut c, 0, t(3));
         assert_eq!(ver, w.write_version);
     }
 

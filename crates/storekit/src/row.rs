@@ -99,14 +99,22 @@ impl Row {
 
     /// Decode from the binary format.
     pub fn decode(bytes: &[u8]) -> StoreResult<Row> {
+        let mut row = Row::default();
+        Row::decode_into(bytes, &mut row)?;
+        Ok(row)
+    }
+
+    /// Decode from the binary format into `row`, replacing its datums but
+    /// keeping its buffer: a point read that decodes into a reused row
+    /// allocates only for the owned payloads of `Text`/`Bytes` datums. On
+    /// error `row` holds the datums decoded before the fault.
+    pub fn decode_into(bytes: &[u8], row: &mut Row) -> StoreResult<()> {
         let err = |pos: usize, message: &str| StoreError::Syntax {
             pos,
             message: format!("row decode: {message}"),
         };
         let mut pos = 0usize;
-        // Borrowing cursor: field bytes are sliced in place (this runs once
-        // per row fetched on the serve path; the only allocations are the
-        // owned payloads of Text/Bytes datums and the datum vector itself).
+        // Borrowing cursor: field bytes are sliced in place.
         fn take<'a>(pos: &mut usize, n: usize, bytes: &'a [u8]) -> StoreResult<&'a [u8]> {
             let Some(out) = bytes.get(*pos..*pos + n) else {
                 return Err(StoreError::Syntax {
@@ -119,7 +127,9 @@ impl Row {
         }
         let count_bytes = take(&mut pos, 2, bytes)?;
         let count = u16::from_le_bytes([count_bytes[0], count_bytes[1]]) as usize;
-        let mut values = Vec::with_capacity(count);
+        let values = &mut row.0;
+        values.clear();
+        values.reserve(count);
         for _ in 0..count {
             let tag = take(&mut pos, 1, bytes)?[0];
             let datum = match tag {
@@ -160,7 +170,7 @@ impl Row {
         if pos != bytes.len() {
             return Err(err(pos, "trailing bytes"));
         }
-        Ok(Row(values))
+        Ok(())
     }
 }
 
@@ -190,6 +200,12 @@ mod tests {
         let row = sample();
         let bytes = row.encode();
         assert_eq!(Row::decode(&bytes).unwrap(), row);
+        // Decoding into a longer row replaces every datum in its buffer.
+        let mut reused = Row(vec![Datum::Text("stale".into()); 9]);
+        let capacity = reused.0.capacity();
+        Row::decode_into(&bytes, &mut reused).unwrap();
+        assert_eq!(reused, row);
+        assert_eq!(reused.0.capacity(), capacity);
     }
 
     #[test]

@@ -22,9 +22,12 @@ use crate::sql::plan::{
 use crate::value::Datum;
 use serde::{Deserialize, Serialize};
 
-/// Where rows live. `point_get` returns the row and its MVCC version.
+/// Where rows live. Reads return rows with their MVCC versions.
 pub trait RowStore {
-    fn point_get(&mut self, table: &str, pk: &Datum) -> StoreResult<Option<(Row, u64)>>;
+    /// Decode the live row under primary key `pk` into `row`, reusing its
+    /// datum buffer, and return the row's MVCC version. `None`, with `row`
+    /// untouched, when there is no such row.
+    fn point_get(&mut self, table: &str, pk: &Datum, row: &mut Row) -> StoreResult<Option<u64>>;
     fn index_lookup(
         &mut self,
         table: &str,
@@ -93,7 +96,7 @@ impl WriteBatch {
     }
 }
 
-/// Result of executing one plan.
+/// Result of executing one plan. [`execute`] refills one in place.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOutcome {
     pub rows: Vec<Row>,
@@ -130,19 +133,28 @@ fn matches_all(row: &Row, preds: &[BoundPredicate], params: &[Datum]) -> StoreRe
 type Candidates =
     std::iter::Chain<std::option::IntoIter<(Row, u64)>, std::vec::IntoIter<(Row, u64)>>;
 
-/// Fetch candidate rows for an access path, updating stats.
+/// Fetch candidate rows for an access path, updating stats. A point get
+/// decodes into `spare`'s buffer, which stays in `spare` on a miss.
 fn fetch(
     store: &mut dyn RowStore,
     table: &str,
     access: &Access,
     params: &[Datum],
     stats: &mut ExecStats,
+    spare: &mut Row,
 ) -> StoreResult<Candidates> {
     let (point, rows) = match access {
         Access::PointGet { value } => {
             stats.used_index = true;
             let pk = resolve(value, params)?;
-            (store.point_get(table, pk)?, Vec::new())
+            let mut row = std::mem::take(spare);
+            match store.point_get(table, pk, &mut row)? {
+                Some(version) => (Some((row, version)), Vec::new()),
+                None => {
+                    *spare = row;
+                    (None, Vec::new())
+                }
+            }
         }
         Access::IndexEq { column, value } => {
             stats.used_index = true;
@@ -173,30 +185,49 @@ fn fetch(
     Ok(point.into_iter().chain(rows))
 }
 
-/// Execute a plan. See module docs for the read/write split.
+/// Execute a plan into `out`, replacing its contents but keeping its
+/// buffers. See module docs for the read/write split.
+///
+/// `spare` lends the executor a row buffer: point gets (a point SELECT,
+/// REPLACE's duplicate-key check, an UPDATE or DELETE by primary key)
+/// decode into it, and a fetched row that no result keeps goes back to it.
+/// The first row of `out`'s previous result becomes the spare before the
+/// plan runs, so a caller that keeps `out` and `spare` across statements
+/// reads a row of fixed-width datums without allocating.
 pub fn execute(
     catalog: &Catalog,
     plan: &PhysicalPlan,
     params: &[Datum],
     store: &mut dyn RowStore,
-) -> StoreResult<ExecOutcome> {
-    match plan {
-        PhysicalPlan::Select(s) => execute_select(catalog, s, params, store),
+    out: &mut ExecOutcome,
+    spare: &mut Row,
+) -> StoreResult<()> {
+    if let Some(row) = out.rows.drain(..).next() {
+        *spare = row;
+    }
+    out.versions.clear();
+    out.stats = ExecStats::default();
+    out.write = None;
+    let (stats, batch) = match plan {
+        PhysicalPlan::Select(s) => return execute_select(catalog, s, params, store, out, spare),
         PhysicalPlan::Insert { table, values, replace } => {
-            execute_insert(catalog, table, values, *replace, params, store)
+            execute_insert(catalog, table, values, *replace, params, store, spare)?
         }
         PhysicalPlan::Update {
             table,
             access,
             residual,
             assignments,
-        } => execute_update(catalog, table, access, residual, assignments, params, store),
+        } => execute_update(catalog, table, access, residual, assignments, params, store, spare)?,
         PhysicalPlan::Delete {
             table,
             access,
             residual,
-        } => execute_delete(catalog, table, access, residual, params, store),
-    }
+        } => execute_delete(catalog, table, access, residual, params, store, spare)?,
+    };
+    out.stats = stats;
+    out.write = Some(batch);
+    Ok(())
 }
 
 /// A left row, its version, and the right row it joined with.
@@ -207,10 +238,11 @@ fn execute_select(
     s: &SelectPlan,
     params: &[Datum],
     store: &mut dyn RowStore,
-) -> StoreResult<ExecOutcome> {
+    out: &mut ExecOutcome,
+    spare: &mut Row,
+) -> StoreResult<()> {
     let mut stats = ExecStats::default();
-    let candidates = fetch(store, &s.table, &s.access, params, &mut stats)?;
-    let mut out = ExecOutcome::default();
+    let candidates = fetch(store, &s.table, &s.access, params, &mut stats, spare)?;
     let mut returned = 0u64;
     if s.join.is_none() && s.order_by.is_none() {
         // Nothing reorders or multiplies rows: project each surviving row
@@ -221,7 +253,7 @@ fn execute_select(
             }
             if s.limit.is_none_or(|limit| returned < limit) {
                 returned += 1;
-                emit(&mut out, &s.projection, (row, version, None));
+                emit(out, &s.projection, (row, version, None));
             }
             if s.limit.is_some_and(|limit| returned >= limit) {
                 break;
@@ -231,7 +263,7 @@ fn execute_select(
         let joined = join_and_sort(s, params, candidates, store, &mut stats)?;
         returned = joined.len() as u64;
         for j in joined {
-            emit(&mut out, &s.projection, j);
+            emit(out, &s.projection, j);
         }
     }
     if matches!(s.projection, BoundProjection::CountStar) {
@@ -242,7 +274,7 @@ fn execute_select(
     // Validate plan-time arity assumptions eagerly (catalog may be stale).
     catalog.get(&s.table)?;
     out.stats = stats;
-    Ok(out)
+    Ok(())
 }
 
 /// Filter, join, sort and limit the candidates into one buffer: the path
@@ -275,8 +307,9 @@ fn join_and_sort(
                 let right_rows: Vec<(Row, u64)> = match j.access {
                     JoinAccess::ByPk => {
                         stats.used_index = true;
-                        let r = store.point_get(&j.table, &key)?;
-                        r.into_iter().collect()
+                        let mut rrow = Row::default();
+                        let found = store.point_get(&j.table, &key, &mut rrow)?;
+                        found.map(|version| (rrow, version)).into_iter().collect()
                     }
                     JoinAccess::ByIndex => {
                         stats.used_index = true;
@@ -428,6 +461,21 @@ fn index_puts<'a>(schema: &'a TableSchema, row: &'a Row) -> impl Iterator<Item =
     })
 }
 
+/// Index-maintenance mutations for replacing `old` by `new` under the same
+/// primary key: a delete and a put for each entry whose key changed. An
+/// unchanged entry is left alone, as a delete and a put of one key in one
+/// batch would apply twice at one commit version.
+fn index_rewrites<'a>(
+    schema: &'a TableSchema,
+    old: &'a Row,
+    new: &'a Row,
+) -> impl Iterator<Item = Mutation> + 'a {
+    index_deletes(schema, old)
+        .zip(index_puts(schema, new))
+        .filter(|(del, put)| del.key != put.key)
+        .flat_map(|(del, put)| [del, put])
+}
+
 fn execute_insert(
     catalog: &Catalog,
     table: &str,
@@ -435,7 +483,8 @@ fn execute_insert(
     replace: bool,
     params: &[Datum],
     store: &mut dyn RowStore,
-) -> StoreResult<ExecOutcome> {
+    spare: &mut Row,
+) -> StoreResult<(ExecStats, WriteBatch)> {
     let schema = catalog.get(table)?;
     let row = Row(values
         .iter()
@@ -444,18 +493,19 @@ fn execute_insert(
     schema.validate(&row)?;
     let pk = schema.pk_of(&row).clone();
 
-    let mut stats = ExecStats::default();
-    let existing = {
-        stats.used_index = true;
-        let got = store.point_get(table, &pk)?;
-        if let Some((r, _)) = &got {
-            stats.rows_visited += 1;
-            stats.bytes_read += r.encoded_size();
-        }
-        got
+    let mut stats = ExecStats {
+        used_index: true,
+        ..ExecStats::default()
     };
-    if existing.is_some() && !replace {
-        return Err(StoreError::DuplicateKey(pk.to_string()));
+    let mut old = std::mem::take(spare);
+    let existing = store.point_get(table, &pk, &mut old)?.is_some();
+    if existing {
+        stats.rows_visited += 1;
+        stats.bytes_read += old.encoded_size();
+        if !replace {
+            *spare = old;
+            return Err(StoreError::DuplicateKey(pk.to_string()));
+        }
     }
     let mut batch = WriteBatch {
         mutations: Vec::with_capacity(1 + 2 * schema.indexes.len()),
@@ -464,18 +514,16 @@ fn execute_insert(
     batch
         .mutations
         .push(record_put(store.scratch(), table, &pk, &row));
-    if let Some((old, _)) = &existing {
-        batch.mutations.extend(index_deletes(schema, old));
+    if existing {
+        batch.mutations.extend(index_rewrites(schema, &old, &row));
+    } else {
+        batch.mutations.extend(index_puts(schema, &row));
     }
-    batch.mutations.extend(index_puts(schema, &row));
-
-    Ok(ExecOutcome {
-        stats,
-        write: Some(batch),
-        ..Default::default()
-    })
+    *spare = old;
+    Ok((stats, batch))
 }
 
+#[allow(clippy::too_many_arguments)]
 fn execute_update(
     catalog: &Catalog,
     table: &str,
@@ -484,10 +532,11 @@ fn execute_update(
     assignments: &[(usize, Literal)],
     params: &[Datum],
     store: &mut dyn RowStore,
-) -> StoreResult<ExecOutcome> {
+    spare: &mut Row,
+) -> StoreResult<(ExecStats, WriteBatch)> {
     let schema = catalog.get(table)?;
     let mut stats = ExecStats::default();
-    let candidates = fetch(store, table, access, params, &mut stats)?;
+    let candidates = fetch(store, table, access, params, &mut stats, spare)?;
     let mut batch = WriteBatch::default();
     for (old, _ver) in candidates {
         if !matches_all(&old, residual, params)? {
@@ -499,24 +548,14 @@ fn execute_update(
         }
         schema.validate(&new)?;
         let pk = schema.pk_of(&new).clone();
-        // Only rewrite index entries for columns that changed.
-        for m in index_deletes(schema, &old)
-            .zip(index_puts(schema, &new))
-            .filter(|(del, put)| del.key != put.key)
-            .flat_map(|(del, put)| [del, put])
-        {
-            batch.mutations.push(m);
-        }
+        batch.mutations.extend(index_rewrites(schema, &old, &new));
         batch.logical_bytes += new.encoded_size();
         batch
             .mutations
             .insert(0, record_put(store.scratch(), table, &pk, &new));
+        *spare = old;
     }
-    Ok(ExecOutcome {
-        stats,
-        write: Some(batch),
-        ..Default::default()
-    })
+    Ok((stats, batch))
 }
 
 fn execute_delete(
@@ -526,10 +565,11 @@ fn execute_delete(
     residual: &[BoundPredicate],
     params: &[Datum],
     store: &mut dyn RowStore,
-) -> StoreResult<ExecOutcome> {
+    spare: &mut Row,
+) -> StoreResult<(ExecStats, WriteBatch)> {
     let schema = catalog.get(table)?;
     let mut stats = ExecStats::default();
-    let candidates = fetch(store, table, access, params, &mut stats)?;
+    let candidates = fetch(store, table, access, params, &mut stats, spare)?;
     let mut batch = WriteBatch::default();
     for (old, _ver) in candidates {
         if !matches_all(&old, residual, params)? {
@@ -542,12 +582,9 @@ fn execute_delete(
             value: None,
         });
         batch.mutations.extend(index_deletes(schema, &old));
+        *spare = old;
     }
-    Ok(ExecOutcome {
-        stats,
-        write: Some(batch),
-        ..Default::default()
-    })
+    Ok((stats, batch))
 }
 
 // ---------------------------------------------------------------------------
@@ -591,7 +628,8 @@ impl MemStore {
         let stmt = crate::sql::parser::parse(sql)?;
         let plan = crate::sql::plan::plan(&self.catalog, &stmt)?;
         let catalog = self.catalog.clone();
-        let mut outcome = execute(&catalog, &plan, params, self)?;
+        let mut outcome = ExecOutcome::default();
+        execute(&catalog, &plan, params, self, &mut outcome, &mut Row::default())?;
         if let Some(batch) = &outcome.write {
             let v = self.apply(batch);
             outcome.versions.push(v);
@@ -601,11 +639,14 @@ impl MemStore {
 }
 
 impl RowStore for MemStore {
-    fn point_get(&mut self, table: &str, pk: &Datum) -> StoreResult<Option<(Row, u64)>> {
-        let key = record_key(table, pk);
-        match self.kv.get_latest(&key) {
+    fn point_get(&mut self, table: &str, pk: &Datum, row: &mut Row) -> StoreResult<Option<u64>> {
+        record_key_into(&mut self.scratch, table, pk);
+        match self.kv.get_latest(&self.scratch) {
             None => Ok(None),
-            Some(v) => Ok(Some((Row::decode(v.value)?, v.version))),
+            Some(v) => {
+                Row::decode_into(v.value, row)?;
+                Ok(Some(v.version))
+            }
         }
     }
 
@@ -861,6 +902,17 @@ mod tests {
         // old index entry must be gone, new one present
         assert!(s.run("SELECT * FROM users WHERE org = 10", &[]).unwrap().rows.len() == 1);
         assert!(s.run("SELECT * FROM users WHERE org = 30", &[]).unwrap().rows.len() == 1);
+    }
+
+    #[test]
+    fn replace_rewrites_only_changed_index_entries() {
+        let mut s = store();
+        // Same org: the index entry stays, only the record is written.
+        let same = s.run("REPLACE INTO users VALUES (1, 'new', 10)", &[]).unwrap();
+        assert_eq!(same.write.unwrap().mutations.len(), 1);
+        let moved = s.run("REPLACE INTO users VALUES (1, 'new', 20)", &[]).unwrap();
+        assert_eq!(moved.write.unwrap().mutations.len(), 3);
+        assert_eq!(s.run("SELECT * FROM users WHERE org = 20", &[]).unwrap().rows.len(), 2);
     }
 
     #[test]

@@ -105,7 +105,6 @@ pub struct Cache<K, V> {
     slab: Vec<Option<Entry<K, V>>>,
     free: Vec<usize>,
     policy: PolicyImpl,
-    kind: PolicyKind,
     capacity_bytes: u64,
     used_bytes: u64,
     default_ttl_nanos: Option<u64>,
@@ -126,7 +125,6 @@ impl<K: CacheKeyHash + Eq + Clone, V> Cache<K, V> {
             slab: Vec::new(),
             free: Vec::new(),
             policy: kind.build(),
-            kind,
             capacity_bytes,
             used_bytes: 0,
             default_ttl_nanos: None,
@@ -166,10 +164,6 @@ impl<K: CacheKeyHash + Eq + Clone, V> Cache<K, V> {
     pub fn with_tinylfu(mut self, expected_entries: usize) -> Self {
         self.admission = Some(TinyLfu::new(expected_entries));
         self
-    }
-
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.kind
     }
 
     pub fn capacity_bytes(&self) -> u64 {

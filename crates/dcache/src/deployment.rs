@@ -25,6 +25,7 @@ use simnet::{CpuCategory, CpuMeter, Delivery, MetricSet, Network, NodeId, SimDur
 use std::collections::HashMap;
 use storekit::cluster::{CachedStatement, QueryReceipt, SqlCluster};
 use storekit::error::{StoreError, StoreResult};
+use storekit::row::Row;
 use storekit::schema::Catalog;
 use storekit::value::Datum;
 use telemetry::{SpanStatus, Tracer};
@@ -1660,6 +1661,141 @@ impl Deployment {
         Ok(out)
     }
 
+    /// Prewarm `table` with one read of each key at [`SimTime::ZERO`], as
+    /// a load: the deployment ends in the state that
+    /// `serve_kv_read(table, k, SimTime::ZERO)` per key leaves (cache
+    /// contents and policy order, TinyLFU sketches, L0 tiers, block caches,
+    /// the front-end and app round-robin pointers, sharder leases, the
+    /// elastic profiler and interned key ids, and the hit, miss and insert
+    /// counters), except that nothing is billed: no CPU meter is charged
+    /// and no latency or span is computed. The meters differ from a served
+    /// prewarm's until the next [`Deployment::reset_metrics`], so a prewarm
+    /// belongs before one, as in the experiment runners.
+    ///
+    /// Each key runs the cold-miss branch of its architecture's read path:
+    /// intern, route, feed the elastic profiler, probe the L0 tier and the
+    /// cache, fill from storage ([`SqlCluster::warm_point_read`]) and
+    /// insert. A probe that hits (a repeated key, or a deployment that has
+    /// already served) or a cache shard that is down or unreachable is an
+    /// error, since serving would take a path this load does not mirror;
+    /// keys before it stay warmed.
+    ///
+    /// With single-flight or batching on, a read's effects depend on its
+    /// simulated latency (a fill's completion time, a frame's admission
+    /// time), so prewarm is the per-key `serve_kv_read` loop itself.
+    pub fn prewarm_kv(
+        &mut self,
+        table: &str,
+        keys: impl IntoIterator<Item = i64>,
+    ) -> StoreResult<()> {
+        let now = SimTime::ZERO;
+        if self.config.fault_tolerance.single_flight || self.config.batching.enabled() {
+            for key in keys {
+                self.serve_kv_read(table, key, now)?;
+            }
+            return Ok(());
+        }
+        let value_col = self.cluster.catalog.get(table)?.column_index("v")?;
+        let mut row = Row::default();
+        let t = now.as_nanos();
+        for key in keys {
+            let ckey = self.intern_kv_key(table, key);
+            let app = self.route_app(ckey);
+            self.elastic.observe_hashed(ckey.route_hash());
+            if self.config.arch.has_linked_cache() && !self.linked_shard_up(app) {
+                return Err(shard_down(table, key));
+            }
+            match self.config.arch {
+                ArchKind::Base => {
+                    self.warm_fill(table, key, value_col, &mut row)?;
+                }
+                ArchKind::Remote => {
+                    must_miss(self.warm_l0_probe(app, ckey), table, key)?;
+                    let node = self.remote_node_for(ckey);
+                    if !self.cache_rpc_attempt(app, node) {
+                        return Err(shard_down(table, key));
+                    }
+                    must_miss(self.remote[node].get(&ckey, t).is_some(), table, key)?;
+                    if let Some(v) = self.warm_fill(table, key, value_col, &mut row)? {
+                        let _ = self.cache_rpc_attempt(app, node);
+                        self.remote[node].insert(ckey, v, v.bytes, t);
+                        self.warm_l0_admit(app, ckey, v);
+                    }
+                }
+                ArchKind::Linked => {
+                    must_miss(self.warm_l0_probe(app, ckey), table, key)?;
+                    must_miss(self.linked[app].get(&ckey, t).is_some(), table, key)?;
+                    if let Some(v) = self.warm_fill(table, key, value_col, &mut row)? {
+                        self.linked[app].insert(ckey, v, v.bytes, t);
+                        self.warm_l0_admit(app, ckey, v);
+                    }
+                }
+                ArchKind::LinkedTtl => {
+                    must_miss(self.linked[app].get(&ckey, t).is_some(), table, key)?;
+                    if let Some(v) = self.warm_fill(table, key, value_col, &mut row)? {
+                        let ttl = self.config.linked_ttl.as_nanos();
+                        self.linked[app].insert_with_ttl(ckey, v, v.bytes, t, ttl);
+                    }
+                }
+                ArchKind::LinkedVersion => {
+                    must_miss(self.linked[app].get(&ckey, t).is_some(), table, key)?;
+                    if let Some(v) = self.warm_fill(table, key, value_col, &mut row)? {
+                        self.linked[app].insert(ckey, v, v.bytes, t);
+                    }
+                }
+                ArchKind::LeaseOwned => {
+                    let shard = self.sharder.owner_hashed(ckey.route_hash());
+                    let lease_ok = self.sharder.lease_valid(shard, now);
+                    must_miss(self.linked[app].get(&ckey, t).is_some(), table, key)?;
+                    let val = self.warm_fill(table, key, value_col, &mut row)?;
+                    if !lease_ok {
+                        self.sharder.renew(shard, now);
+                    }
+                    if let Some(v) = val {
+                        self.linked[app].insert(ckey, v, v.bytes, t);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The storage half of a prewarm fill: `(table, key)`'s row as the
+    /// cache would hold it, read without billing. `value_col` is the
+    /// table's `v` column.
+    fn warm_fill(
+        &mut self,
+        table: &str,
+        key: i64,
+        value_col: usize,
+        row: &mut Row,
+    ) -> StoreResult<Option<CachedVal>> {
+        let version = self.cluster.warm_point_read(table, &Datum::Int(key), row)?;
+        Ok(version.map(|version| {
+            let (bytes, seed) = payload_identity(row.get(value_col).unwrap_or(&Datum::Null));
+            CachedVal {
+                version,
+                bytes,
+                seed,
+            }
+        }))
+    }
+
+    /// [`Deployment::l0_lookup`] without the charge: whether `app`'s L0
+    /// holds `ckey` at time zero (false when the tier is off).
+    fn warm_l0_probe(&mut self, app: usize, ckey: InternedKey) -> bool {
+        let t = SimTime::ZERO.as_nanos();
+        self.l0.get_mut(app).is_some_and(|l0| l0.get(&ckey, t).is_some())
+    }
+
+    /// [`Deployment::l0_admit`] without the charge: offer a prewarm fill to
+    /// `app`'s L0 (no-op when the tier is off).
+    fn warm_l0_admit(&mut self, app: usize, ckey: InternedKey, v: CachedVal) {
+        if let Some(l0) = self.l0.get_mut(app) {
+            l0.admit(ckey, v, v.version, v.bytes, SimTime::ZERO.as_nanos());
+        }
+    }
+
     /// Serve a multi-key read as one client request (the app-side analogue
     /// of netrpc's `MGET`). With the Remote architecture and batching
     /// enabled, keys are grouped per owning cache node into frames of at
@@ -2149,6 +2285,23 @@ impl Deployment {
         self.metrics
             .counter(elastic_counters::MIGRATED_BYTES)
             .add(bytes);
+    }
+}
+
+/// A prewarm probe must miss: a hit (a repeated key, or one the deployment
+/// has served) would take a hit branch of `serve_kv_read`.
+fn must_miss(hit: bool, table: &str, key: i64) -> StoreResult<()> {
+    if hit {
+        return Err(StoreError::DuplicateKey(format!("{table}/{key} is already cached")));
+    }
+    Ok(())
+}
+
+/// A prewarm read whose cache shard is down or unreachable would take the
+/// degraded path of `serve_kv_read`.
+fn shard_down(table: &str, key: i64) -> StoreError {
+    StoreError::Unavailable {
+        what: format!("cache shard for {table}/{key} is down"),
     }
 }
 

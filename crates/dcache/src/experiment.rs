@@ -19,8 +19,7 @@ use crate::deployment::{
 use costmodel::{CostBreakdown, Pricing, ResourceUsage};
 use serde::Serialize;
 use simnet::{
-    CpuCategory, CpuMeter, FaultDriver, FaultEvent, FaultKind, FaultSchedule, Histogram,
-    SimDuration, SimTime,
+    CpuMeter, FaultDriver, FaultEvent, FaultKind, FaultSchedule, Histogram, SimDuration, SimTime,
 };
 use storekit::error::{StoreError, StoreResult};
 use storekit::value::Datum;
@@ -1307,19 +1306,15 @@ fn run_kv_experiment_core(cfg: &KvExperimentConfig) -> StoreResult<(ExperimentRe
 
     if cfg.prewarm {
         // One pass over the keyspace fills the external caches and heats
-        // the storage block caches; none of it is billed (meters reset at
-        // the measurement boundary below).
+        // the storage block caches. `prewarm_kv` loads that state without
+        // billing it (single-flight and batching runs serve each read, and
+        // the meters reset at the measurement boundary below).
         match &cfg.tenants {
-            None => {
-                for k in 0..wl_cfg.keys {
-                    dep.serve_kv_read("kv", k as i64, SimTime::ZERO)?;
-                }
-            }
+            None => dep.prewarm_kv("kv", (0..wl_cfg.keys).map(|k| k as i64))?,
             Some(mix) => {
                 for (t, spec) in mix.tenants.iter().enumerate() {
-                    for k in 0..spec.workload.keys {
-                        dep.serve_kv_read("kv", namespaced_key(t, k) as i64, SimTime::ZERO)?;
-                    }
+                    let keys = (0..spec.workload.keys).map(|k| namespaced_key(t, k) as i64);
+                    dep.prewarm_kv("kv", keys)?;
                 }
             }
         }
@@ -1851,9 +1846,7 @@ pub fn run_kv_shard(
         }),
     )?;
     if cfg.prewarm {
-        for k in (0..wl_cfg.keys).filter(|&k| owns(k)) {
-            dep.serve_kv_read("kv", k as i64, SimTime::ZERO)?;
-        }
+        dep.prewarm_kv("kv", (0..wl_cfg.keys).filter(|&k| owns(k)).map(|k| k as i64))?;
     }
 
     let mut workload = wl_cfg.build();
@@ -2295,19 +2288,6 @@ pub fn compare_architectures(
         out.push(run_kv_experiment(&base_cfg)?);
     }
     Ok(out)
-}
-
-/// §5.3-style CPU category fractions at a tier, for the Figure 6 breakdown.
-pub fn category_fraction(report: &ExperimentReport, tier: &str, category: CpuCategory) -> f64 {
-    report
-        .tier(tier)
-        .and_then(|t| {
-            t.cpu_fractions
-                .iter()
-                .find(|(name, _)| name == category.label())
-                .map(|(_, f)| *f)
-        })
-        .unwrap_or(0.0)
 }
 
 #[cfg(test)]

@@ -1,0 +1,315 @@
+//! `Deployment::prewarm_kv` against its definition: one
+//! `serve_kv_read(table, k, SimTime::ZERO)` per key.
+//!
+//! Per configuration, two deployments load the same rows. One is warmed by
+//! `prewarm_kv`, the other by the per-key serve loop, and both reset their
+//! metrics at the measurement boundary. The prewarm bills nothing, so from
+//! there on they must be indistinguishable: one splitmix64 stream of reads,
+//! writes and deletes at advancing times drives both, and after every
+//! request the oracle compares the `ServeOutcome`, every app, cache-node,
+//! front-end and storage-pod meter, the cache, L0, block-cache and
+//! durability counters and the resident cache bytes. Any state the fast
+//! path leaves differently (cache order, TinyLFU sketches, L0 residency,
+//! block caches, round-robin pointers, leases, the elastic profiler, interned
+//! ids) shows up there as soon as the stream touches it.
+//!
+//! The prewarm covers most loaded keys, a few keys that were never loaded,
+//! and leaves some loaded keys cold for the stream, so admission gates see
+//! warmed and cold keys compete.
+
+use costmodel::Pricing;
+use dcache::deployment::{kv_catalog, Deployment};
+use dcache::{ArchKind, BatchingConfig, DeploymentConfig, L0Config};
+use simnet::{SimDuration, SimTime};
+use storekit::error::StoreError;
+use storekit::value::Datum;
+use storekit::{DurabilityConfig, FsyncPolicy};
+use workloads::tenants::namespaced_key;
+
+/// Keys loaded into storage.
+const LOADED: u64 = 400;
+/// Loaded keys the prewarm covers; the rest stay cold.
+const PREWARMED: u64 = 320;
+/// Never-loaded keys the prewarm reads (negative lookups).
+const MISSING: u64 = 6;
+/// Requests in each stream.
+const REQUESTS: usize = 2_400;
+/// Simulated time between requests: the stream spans 12 s, past the
+/// LinkedTtl expiry and through a dozen heartbeats.
+const STEP: SimDuration = SimDuration::from_millis(5);
+/// Requests between heartbeats (raft tick, lease renewal, elastic check).
+const HEARTBEAT: usize = 200;
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One configuration of the matrix.
+struct Case {
+    label: &'static str,
+    cfg: DeploymentConfig,
+    /// Keys namespaced over two tenants, prewarmed tenant by tenant.
+    tenants: bool,
+    /// Whether `prewarm_kv` must take the per-key serve loop.
+    serves: bool,
+}
+
+impl Case {
+    fn new(label: &'static str, arch: ArchKind, tweak: impl FnOnce(&mut DeploymentConfig)) -> Case {
+        let mut cfg = DeploymentConfig::test_small(arch);
+        tweak(&mut cfg);
+        let serves = cfg.fault_tolerance.single_flight || cfg.batching.enabled();
+        Case {
+            label,
+            cfg,
+            tenants: false,
+            serves,
+        }
+    }
+
+    /// The storage key of key index `i`.
+    fn key(&self, i: u64) -> i64 {
+        if self.tenants {
+            namespaced_key((i % 2) as usize, i / 2) as i64
+        } else {
+            i as i64
+        }
+    }
+
+    /// The prewarm's key batches: one, or one per tenant.
+    fn prewarm_batches(&self) -> Vec<Vec<i64>> {
+        let indices = (0..PREWARMED).chain(LOADED..LOADED + MISSING);
+        if self.tenants {
+            (0..2)
+                .map(|t| indices.clone().filter(|i| i % 2 == t).map(|i| self.key(i)).collect())
+                .collect()
+        } else {
+            vec![indices.map(|i| self.key(i)).collect()]
+        }
+    }
+
+    fn deployment(&self) -> Deployment {
+        let mut d = Deployment::new(self.cfg.clone(), kv_catalog("kv"));
+        d.cluster
+            .bulk_load(
+                "kv",
+                (0..LOADED).map(|i| vec![Datum::Int(self.key(i)), payload(i, 0)]),
+            )
+            .unwrap();
+        d
+    }
+}
+
+/// Value sizes vary from 200 B to 2 KB, so evicting caches churn unevenly.
+fn payload(i: u64, seed: u64) -> Datum {
+    Datum::Payload {
+        len: 200 + (i * 37 + seed) % 1_800,
+        seed,
+    }
+}
+
+/// Caches of 64 KB per shard: the prewarm itself evicts.
+fn evicting(cfg: &mut DeploymentConfig) {
+    cfg.linked_cache_bytes_per_server = 64 << 10;
+    cfg.remote_cache_bytes_per_node = 64 << 10;
+}
+
+fn small_l0() -> Option<L0Config> {
+    Some(L0Config {
+        bytes_per_server: 32 << 10,
+        ..L0Config::default()
+    })
+}
+
+fn cases() -> Vec<Case> {
+    let mut cases: Vec<Case> = ArchKind::ALL
+        .into_iter()
+        .map(|arch| Case::new(arch.label(), arch, |_| {}))
+        .collect();
+    cases.extend([
+        Case::new("linked, SLRU, evicting", ArchKind::Linked, |c| {
+            evicting(c);
+            c.cache_policy = cachekit::PolicyKind::Slru;
+        }),
+        Case::new("remote, FIFO, evicting", ArchKind::Remote, |c| {
+            evicting(c);
+            c.cache_policy = cachekit::PolicyKind::Fifo;
+        }),
+        Case::new("linked, TinyLFU, evicting", ArchKind::Linked, |c| {
+            evicting(c);
+            c.cache_admission = true;
+        }),
+        Case::new("remote, TinyLFU, evicting", ArchKind::Remote, |c| {
+            evicting(c);
+            c.cache_admission = true;
+        }),
+        Case::new("remote + L0", ArchKind::Remote, |c| c.l0 = small_l0()),
+        Case::new("linked + L0, evicting", ArchKind::Linked, |c| {
+            evicting(c);
+            c.l0 = small_l0();
+        }),
+        Case::new("remote, elastic", ArchKind::Remote, |c| {
+            c.elastic = elastic::ElasticConfig::with_interval(1.0);
+        }),
+        Case::new("linked, elastic", ArchKind::Linked, |c| {
+            c.elastic = elastic::ElasticConfig::with_interval(1.0);
+        }),
+        Case::new("linked, durable", ArchKind::Linked, |c| {
+            c.cluster.durability = DurabilityConfig {
+                enabled: true,
+                fsync: FsyncPolicy::Group(4),
+                snapshot_every_entries: 64,
+            };
+        }),
+        Case::new("remote, single-flight", ArchKind::Remote, |c| {
+            c.fault_tolerance.single_flight = true;
+        }),
+        Case::new("linked, single-flight", ArchKind::Linked, |c| {
+            c.fault_tolerance.single_flight = true;
+        }),
+        Case::new("remote, batching", ArchKind::Remote, |c| {
+            c.batching = BatchingConfig {
+                batch_window_us: 50.0,
+                max_batch: 8,
+            };
+        }),
+    ]);
+    for arch in [ArchKind::Remote, ArchKind::LeaseOwned] {
+        let mut case = Case::new("tenant keys", arch, |_| {});
+        case.tenants = true;
+        cases.push(case);
+    }
+    cases
+}
+
+/// Every meter and counter the oracle compares, in one string.
+fn snapshot(d: &Deployment) -> String {
+    let meter = |m: &simnet::CpuMeter| format!("{:?}", m.breakdown().collect::<Vec<_>>());
+    let mut s = String::new();
+    for m in d.app_cpu.iter().chain(&d.cache_cpu) {
+        s += &meter(m);
+    }
+    for f in &d.cluster.frontends {
+        s += &meter(&f.cpu);
+    }
+    for p in &d.cluster.storages {
+        s += &meter(&p.cpu);
+    }
+    s += &format!(
+        "\nlinked {:?}\nremote {:?}\nl0 {:?}\nblocks {:?}\nresident {}\ndurable {:?}\nelastic {:?} {}",
+        d.linked_stats(),
+        d.remote_stats(),
+        d.l0_stats_total(),
+        d.cluster.block_cache_counts(),
+        d.cache_resident_bytes(),
+        d.cluster.durability_stats(),
+        d.elastic.current_plan(),
+        d.elastic.profiler().sampled_accesses(),
+    );
+    s
+}
+
+/// Sum of every CPU meter in the deployment.
+fn billed(d: &Deployment) -> SimDuration {
+    d.app_cpu_total().total()
+        + d.cache_cpu_total().total()
+        + d.cluster.frontend_cpu_total().total()
+        + d.cluster.storage_cpu_total().total()
+}
+
+/// One request of the stream, on one deployment.
+fn serve(d: &mut Deployment, op: u64, key: i64, value: Datum, now: SimTime) -> String {
+    let out = match op % 10 {
+        0..=6 => d.serve_kv_read("kv", key, now),
+        7..=8 => d.serve_kv_write("kv", key, value, now),
+        _ => d.serve_kv_delete("kv", key, now),
+    };
+    format!("{out:?}")
+}
+
+fn heartbeat(d: &mut Deployment, now: SimTime, pricing: &Pricing) {
+    d.cluster.tick(now);
+    d.sharder.renew_all(now);
+    if let Some(plan) = d.elastic.maybe_decide(now.as_secs_f64(), pricing) {
+        d.apply_elastic_plan(plan, now);
+    }
+}
+
+fn check(case: &Case) {
+    let label = format!("{} ({:?})", case.label, case.cfg.arch);
+    let mut fast = case.deployment();
+    let mut served = case.deployment();
+    for keys in case.prewarm_batches() {
+        for &k in &keys {
+            served.serve_kv_read("kv", k, SimTime::ZERO).unwrap();
+        }
+        fast.prewarm_kv("kv", keys).unwrap();
+    }
+    // Only the opt-in tiers fall back to serving, and so bill the prewarm.
+    assert_eq!(billed(&fast) > SimDuration::ZERO, case.serves, "{label}: prewarm billing");
+    fast.reset_metrics();
+    served.reset_metrics();
+    assert_eq!(snapshot(&fast), snapshot(&served), "{label}: after prewarm");
+
+    let pricing = Pricing::default();
+    let mut rng = 0x5eed ^ case.cfg.arch as u64;
+    let mut now = SimTime::ZERO;
+    for i in 0..REQUESTS {
+        now += STEP;
+        if i % HEARTBEAT == 0 {
+            heartbeat(&mut fast, now, &pricing);
+            heartbeat(&mut served, now, &pricing);
+        }
+        let key = case.key(splitmix64(&mut rng) % (LOADED + MISSING + 2));
+        let op = splitmix64(&mut rng);
+        let value = payload(key as u64, splitmix64(&mut rng) % 1_000 + 1);
+        let a = serve(&mut fast, op, key, value.clone(), now);
+        let b = serve(&mut served, op, key, value, now);
+        assert_eq!(a, b, "{label}: outcome of request {i} (key {key})");
+        assert_eq!(
+            snapshot(&fast),
+            snapshot(&served),
+            "{label}: state after request {i} (key {key})"
+        );
+    }
+}
+
+#[test]
+fn prewarm_kv_leaves_what_serving_each_key_leaves() {
+    let cases = cases();
+    for case in &cases {
+        check(case);
+    }
+    println!(
+        "prewarm oracle: {} cases, {REQUESTS} requests each, after {} prewarmed keys",
+        cases.len(),
+        PREWARMED + MISSING
+    );
+}
+
+#[test]
+fn prewarm_kv_refuses_what_it_cannot_mirror() {
+    for arch in [ArchKind::Remote, ArchKind::Linked, ArchKind::LinkedVersion] {
+        let case = Case::new("refusals", arch, |_| {});
+        // A repeated key would hit.
+        let mut d = case.deployment();
+        let err = d.prewarm_kv("kv", [1, 2, 1]).unwrap_err();
+        assert!(matches!(err, StoreError::DuplicateKey(_)), "{arch:?}: {err}");
+        // So would a key the deployment has already served.
+        let mut d = case.deployment();
+        d.serve_kv_read("kv", 5, SimTime::ZERO).unwrap();
+        assert!(d.prewarm_kv("kv", [5]).is_err(), "{arch:?}: served key");
+        // A down shard would take the degraded path.
+        let mut d = case.deployment();
+        d.crash_cache_shard(0);
+        let err = d.prewarm_kv("kv", 0..50).unwrap_err();
+        assert!(matches!(err, StoreError::Unavailable { .. }), "{arch:?}: {err}");
+    }
+    // An unknown table fails before any key is touched.
+    let mut d = Case::new("refusals", ArchKind::Linked, |_| {}).deployment();
+    assert!(d.prewarm_kv("ghost", [1]).is_err());
+}

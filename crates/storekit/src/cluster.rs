@@ -141,6 +141,47 @@ fn durable_apply(
     total
 }
 
+/// What one point read touched in the storage tier: the leader pod that
+/// served it, the row's logical bytes (0 when the key is absent), the
+/// block-cache `(hits, misses)` of its access, and the row's MVCC version.
+struct PointRead {
+    pod: usize,
+    logical: u64,
+    blocks: (u64, u64),
+    version: Option<u64>,
+}
+
+/// The storage-state effects of one point read by record key, billed or
+/// not: the region leader's latest version is decoded into `row`, and that
+/// pod's block cache is accessed for the row's bytes (one byte for a
+/// negative lookup). The key is hashed once, for both the region and the
+/// block cache. Nothing is charged.
+fn point_read(
+    storages: &mut [StoragePod],
+    regions: &[RaftGroup],
+    key: &[u8],
+    row: &mut Row,
+) -> StoreResult<PointRead> {
+    let key_hash = stable_hash(key);
+    let pod = regions[region_of_hash(key_hash, regions.len())].leader()?;
+    let storage = &mut storages[pod];
+    let version = match storage.kv.get_latest(key) {
+        Some(v) => {
+            Row::decode_into(v.value, row)?;
+            Some(v.version)
+        }
+        None => None,
+    };
+    let logical = version.map_or(0, |_| row.encoded_size());
+    let blocks = storage.block_cache.access_hashed(key_hash, logical.max(1));
+    Ok(PointRead {
+        pod,
+        logical,
+        blocks,
+        version,
+    })
+}
+
 /// One SQL front-end pod.
 #[derive(Debug, Default)]
 pub struct FrontendPod {
@@ -859,6 +900,28 @@ impl SqlCluster {
         m
     }
 
+    /// A point read of `table`'s row with primary key `pk` into `row`, as
+    /// a load rather than a statement: it leaves the state that a billed
+    /// point SELECT of the row leaves (one front-end round-robin turn, the
+    /// region leader's block-cache access) and returns the row's MVCC
+    /// version, but charges no meter and builds no receipt. `row` holds
+    /// the full stored row when the key exists. Cache prewarming uses it
+    /// to heat storage without billing work that is discarded anyway.
+    pub fn warm_point_read(
+        &mut self,
+        table: &str,
+        pk: &Datum,
+        row: &mut Row,
+    ) -> StoreResult<Option<u64>> {
+        self.catalog.get(table)?;
+        self.next_frontend = self.next_frontend.wrapping_add(1);
+        let mut key = std::mem::take(&mut self.point_key);
+        record_key_into(&mut key, table, pk);
+        let read = point_read(&mut self.storages, &self.regions, &key, row);
+        self.point_key = key;
+        Ok(read?.version)
+    }
+
     /// Mean block-cache hit ratio over pods (0 when unused).
     pub fn block_cache_hit_ratio(&self) -> f64 {
         let n = self.storages.len().max(1) as f64;
@@ -896,9 +959,21 @@ impl ClusterRowStore<'_> {
     /// Charge a storage-side row read (block cache + KV) on `pod` for the
     /// row whose key hashes to `key_hash`.
     fn charge_row_read(&mut self, pod: usize, key_hash: u64, bytes: u64, rows_scanned: u64) {
-        let (hits, misses) = self.storages[pod]
+        let blocks = self.storages[pod]
             .block_cache
             .access_hashed(key_hash, bytes.max(1));
+        self.bill_row_read(pod, bytes, rows_scanned, blocks);
+    }
+
+    /// Charge a storage-side row read whose block-cache access on `pod`
+    /// came out as `(hits, misses)`.
+    fn bill_row_read(
+        &mut self,
+        pod: usize,
+        bytes: u64,
+        rows_scanned: u64,
+        (hits, misses): (u64, u64),
+    ) {
         self.receipt.block_hits += hits;
         self.receipt.block_misses += misses;
         let kv = self.cost.kv_read_cost(bytes, rows_scanned);
@@ -934,24 +1009,14 @@ impl ClusterRowStore<'_> {
         self.regions[region_of_hash(key_hash, self.region_count)].leader()
     }
 
-    /// Fetch one row by record key from its home region into `row`, with
-    /// charges. The key is hashed once, for both the region and the block
-    /// cache.
+    /// Fetch one row by record key from its home region into `row`: the
+    /// [`point_read`] plus its charges.
     fn point_get_key(&mut self, key: &[u8], row: &mut Row) -> StoreResult<Option<u64>> {
-        let key_hash = stable_hash(key);
-        let pod = self.leader_for_hash(key_hash)?;
-        let found = match self.storages[pod].kv.get_latest(key) {
-            Some(v) => {
-                Row::decode_into(v.value, row)?;
-                Some(v.version)
-            }
-            None => None,
-        };
+        let read = point_read(self.storages, self.regions, key, row)?;
         // Negative lookups still pay lookup + RPC.
-        let logical = found.map_or(0, |_| row.encoded_size());
-        self.charge_row_read(pod, key_hash, logical, 1);
-        self.charge_fetch_rpc(pod, logical);
-        Ok(found)
+        self.bill_row_read(read.pod, read.logical, 1, read.blocks);
+        self.charge_fetch_rpc(read.pod, read.logical);
+        Ok(read.version)
     }
 
     /// Point-fetch each record key from its home region, with charges.
@@ -1257,6 +1322,63 @@ mod tests {
         assert_eq!(r.storage_rpcs, 1);
         assert_eq!(c.frontend_cpu_total().total() + fetch_fe, r.frontend_cpu);
         assert_eq!(c.storage_cpu_total().total(), r.storage_cpu);
+    }
+
+    /// Every front-end and storage meter, by category.
+    fn meters(c: &SqlCluster) -> Vec<Vec<(CpuCategory, SimDuration)>> {
+        let fe = c.frontends.iter().map(|f| f.cpu.breakdown().collect());
+        fe.chain(c.storages.iter().map(|s| s.cpu.breakdown().collect()))
+            .collect()
+    }
+
+    #[test]
+    fn warm_point_read_matches_point_select() {
+        // Block caches of a few blocks, so some reads hit and some evict.
+        let cfg = ClusterConfig {
+            block_cache_bytes: 4 * 33_000,
+            ..ClusterConfig::default()
+        };
+        let value = |i: i64| Datum::Payload { len: 500 + 700 * (i as u64 % 5), seed: i as u64 };
+        let load = || {
+            let mut c = SqlCluster::new(catalog(), cfg.clone());
+            c.bulk_load("kv", (0..40i64).map(|i| vec![Datum::Int(i), value(i)]))
+                .unwrap();
+            c
+        };
+        let (mut billed, mut warmed) = (load(), load());
+        let stmt = billed.prepare_cached("SELECT v, _version FROM kv WHERE k = ?").unwrap();
+        // Repeats, and 404 is missing.
+        let keys: Vec<i64> = (0..40).chain([3, 17, 404, 3, 39]).collect();
+        let mut row = Row::default();
+        for &k in &keys {
+            let r = billed.execute_cached(&stmt, &[k.into()], t(0)).unwrap();
+            let version = warmed.warm_point_read("kv", &Datum::Int(k), &mut row).unwrap();
+            match r.rows.first() {
+                Some(got) => {
+                    assert_eq!(version.map(|v| v as i64), got.get(1).and_then(|d| d.as_int()));
+                    assert_eq!(row.get(1), got.get(0), "key {k}");
+                }
+                None => assert_eq!(version, None, "key {k}"),
+            }
+        }
+        assert!(
+            meters(&warmed).iter().flatten().all(|&(_, d)| d == SimDuration::ZERO),
+            "warm_point_read charged a meter"
+        );
+        assert!(warmed.warm_point_read("ghost", &Datum::Int(1), &mut row).is_err());
+        // Both clusters now answer every key alike: block hits and misses,
+        // latency, and which front-end pays.
+        billed.reset_metrics();
+        warmed.reset_metrics();
+        for &k in &keys {
+            let a = billed.execute_cached(&stmt, &[k.into()], t(1)).unwrap();
+            let b = warmed.execute_cached(&stmt, &[k.into()], t(1)).unwrap();
+            assert_eq!(a, b, "key {k}");
+            assert_eq!(meters(&billed), meters(&warmed), "key {k}");
+        }
+        let (hits, misses) = billed.block_cache_counts();
+        assert!(hits > 0 && misses > 0, "blocks {hits} hit, {misses} missed");
+        assert_eq!(billed.block_cache_counts(), warmed.block_cache_counts());
     }
 
     #[test]

@@ -141,6 +141,27 @@ fn durable_apply(
     total
 }
 
+/// The CPU one replica spends applying log entry `index`: `(kv, replication)`.
+/// It is the same on every replica, and the ops applying one entry are
+/// usually adjacent, so the last entry priced is kept in `last` and reused.
+fn entry_cost(
+    last: &mut Option<(usize, SimDuration, SimDuration)>,
+    cost: &StorageCostConfig,
+    index: usize,
+    entry: &LogEntry,
+) -> (SimDuration, SimDuration) {
+    match *last {
+        Some((priced, kv, repl)) if priced == index => (kv, repl),
+        _ => {
+            let kv =
+                SimDuration::from_micros_f64(cost.kv_write_us * entry.batch.mutations.len() as f64);
+            let repl = cost.raft_follower_cost(entry.bytes);
+            *last = Some((index, kv, repl));
+            (kv, repl)
+        }
+    }
+}
+
 /// What one point read touched in the storage tier: the leader pod that
 /// served it, the row's logical bytes (0 when the key is absent), the
 /// block-cache `(hits, misses)` of its access, and the row's MVCC version.
@@ -330,7 +351,10 @@ impl SqlCluster {
         self.config.block_cache_bytes + self.config.base_mem_bytes
     }
 
-    /// Live logical bytes across one copy of the data (disk billing basis).
+    /// Logical bytes ever written to one copy of the data: every pod's
+    /// lifetime `bytes_written`, divided by the replica count. This is the
+    /// disk billing basis. It counts every write, superseded ones included,
+    /// so it grows with rewrites while the live dataset stays flat.
     pub fn primary_data_bytes(&self) -> u64 {
         // Every pod holds a replica subset; sum one pod set / replicas.
         let total: u64 = self.storages.iter().map(|s| s.kv.bytes_written()).sum();
@@ -359,13 +383,14 @@ impl SqlCluster {
             // Apply straight from the log: `regions` and `storages` are
             // disjoint fields, so no entry is cloned.
             let region = &self.regions[r];
+            let mut priced = None;
             for op in &self.apply_ops {
                 let entry = region.entry(op.index);
                 let pod = region.replicas[op.slot];
                 let storage = &mut self.storages[pod];
                 storage.apply(entry);
-                let cost = self.config.cost.raft_follower_cost(entry.bytes);
-                storage.cpu.charge(CpuCategory::Replication, cost);
+                let (_, repl_cost) = entry_cost(&mut priced, &self.config.cost, op.index, entry);
+                storage.cpu.charge(CpuCategory::Replication, repl_cost);
                 durable_apply(&mut self.durable[pod], storage, &self.config, r, entry);
             }
         }
@@ -801,15 +826,13 @@ impl SqlCluster {
         // Apply straight from the log, as in `tick`.
         let region = &self.regions[region_idx];
         let mut max_follower = SimDuration::ZERO;
+        let mut priced = None;
         for op in &self.apply_ops {
             let entry = region.entry(op.index);
             let pod = region.replicas[op.slot];
             let storage = &mut self.storages[pod];
             storage.apply(entry);
-            let kv_cost = SimDuration::from_micros_f64(
-                self.config.cost.kv_write_us * entry.batch.mutations.len() as f64,
-            );
-            let repl_cost = self.config.cost.raft_follower_cost(entry.bytes);
+            let (kv_cost, repl_cost) = entry_cost(&mut priced, &self.config.cost, op.index, entry);
             storage.cpu.charge(CpuCategory::KvExec, kv_cost);
             storage.cpu.charge(CpuCategory::Replication, repl_cost);
             receipt.storage_cpu += kv_cost + repl_cost;
@@ -1053,7 +1076,7 @@ impl ClusterRowStore<'_> {
             let region_count = self.region_count;
             let hits: Vec<(u64, Vec<u8>, u64)> = self.storages[pod]
                 .kv
-                .scan_between(start, end, u64::MAX)
+                .scan_between(start, end)
                 .filter_map(|(k, v)| {
                     let key_hash = stable_hash(k);
                     (region_of_hash(key_hash, region_count) == region_idx)
@@ -1098,7 +1121,7 @@ impl RowStore for ClusterRowStore<'_> {
         let pod = self.leader_for_hash(prefix_hash)?;
         let record_keys: Vec<Vec<u8>> = self.storages[pod]
             .kv
-            .scan_prefix(&prefix, u64::MAX)
+            .scan_prefix(&prefix)
             .map(|(_, v)| v.value.to_vec())
             .collect();
         // Index scan: one block access over the index range, rows = entries.
@@ -1124,7 +1147,7 @@ impl RowStore for ClusterRowStore<'_> {
             let pod = self.regions[region_idx].leader()?;
             let hits: Vec<Vec<u8>> = self.storages[pod]
                 .kv
-                .scan_between(&start, end.as_deref(), u64::MAX)
+                .scan_between(&start, end.as_deref())
                 .filter(|(k, _)| {
                     region_index(k, self.region_count) == region_idx
                 })
@@ -1442,7 +1465,7 @@ mod tests {
     }
 
     #[test]
-    fn bulk_load_reload_extends_version_chains() {
+    fn bulk_load_reload_replaces_values() {
         let mut c = cluster();
         let row = |i: i64, b: u8| vec![Datum::Int(i), Datum::Bytes(vec![b])];
         c.bulk_load("kv", (0..10i64).map(|i| row(i, 1))).unwrap();
@@ -1451,10 +1474,32 @@ mod tests {
         // Re-load key 3 (twice in one load) beside new keys.
         c.bulk_load("kv", [row(3, 2), row(20, 2), row(3, 3)]).unwrap();
         for pod in &c.storages {
-            assert_eq!(pod.kv.get_latest(&key).unwrap().value, Row(row(3, 3)).encode());
-            assert_eq!(pod.kv.get_at(&key, first).unwrap().value, Row(row(3, 1)).encode());
-            assert_eq!(pod.kv.version_entries(), 13);
+            let latest = pod.kv.get_latest(&key).unwrap();
+            assert_eq!(latest.value, Row(row(3, 3)).encode());
+            // Key 3's second reload is the load's last write.
+            assert_eq!(latest.version, pod.kv.next_version() - 1);
+            assert!(latest.version > first);
+            assert_eq!(pod.kv.live_keys(), 11);
         }
+    }
+
+    #[test]
+    fn primary_data_bytes_bills_every_rewrite() {
+        let mut c = cluster();
+        let row = |b: u8| vec![Datum::Int(7), Datum::Bytes(vec![b; 40])];
+        c.bulk_load("kv", [row(0)]).unwrap();
+        let row_bytes = Row(row(0)).encode().len() as u64;
+        let live = |c: &SqlCluster| c.storages.iter().map(|s| s.kv.live_bytes()).collect::<Vec<_>>();
+        let (billed, resident) = (c.primary_data_bytes(), live(&c));
+        assert_eq!(billed, row_bytes);
+        const REWRITES: u64 = 5;
+        for i in 1..=REWRITES {
+            c.execute("UPDATE kv SET v = ? WHERE k = 7", &[Datum::Bytes(vec![i as u8; 40])], t(i))
+                .unwrap();
+        }
+        // Disk bills every write; the stored dataset is one row per pod.
+        assert_eq!(c.primary_data_bytes(), billed + REWRITES * row_bytes);
+        assert_eq!(live(&c), resident);
     }
 
     #[test]

@@ -1,27 +1,29 @@
-//! MVCC key-value engine — the TiKV analogue.
+//! Versioned key-value engine — the TiKV analogue.
 //!
-//! Every write is assigned a monotonically increasing commit version; reads
-//! see the latest version at or below their snapshot. Deletes write
-//! tombstones. This versioning is exactly what the paper's §5.5 version
-//! check reads: "returning the row's 8-byte version column".
+//! Every write is assigned a monotonically increasing commit version, and
+//! deletes write tombstones. The engine keeps one version per key, the
+//! latest: TiKV discards superseded versions below its GC safe point, and
+//! nothing here reads at an older snapshot. The latest version is exactly
+//! what the paper's §5.5 version check reads: "returning the row's 8-byte
+//! version column".
 //!
 //! # Layout: a flat memtable
 //!
-//! The engine is one `BTreeMap` from key to version chain, laid out so a
-//! typical row owns no heap allocation of its own:
+//! The engine is one `BTreeMap` from key to its latest version, laid out so
+//! a typical row owns no heap allocation of its own:
 //!
 //! - keys and values are [`InlineBytes`]: up to [`INLINE_BYTES`] bytes sit
 //!   inside the B-tree node, longer strings in a boxed slice. The `kv`
 //!   table's 14-byte record keys and 28-byte encoded rows stay inline, so a
 //!   lookup compares keys without following a pointer;
-//! - a key's newest version sits inline in its chain. Older versions spill
-//!   to a `Vec` on the key's second write;
-//! - [`KvEngine::bulk_load`] sorts a batch of writes, folds repeated keys
-//!   into chains and builds the tree from the sorted run, so a loaded
-//!   dataset lives in full B-tree nodes and nothing else. Replicas that
-//!   start empty, as [`KvEngine::new`] builds them, and receive the same
-//!   run end up equal, so `SqlCluster::bulk_load` builds one tree per
-//!   replica set and `clone`s it into the set's other pods.
+//! - a write to a stored key overwrites its version in place, so rewriting
+//!   an inline row allocates nothing;
+//! - [`KvEngine::bulk_load`] sorts a batch of writes, keeps each key's last
+//!   write and builds the tree from the sorted run, so a loaded dataset
+//!   lives in full B-tree nodes and nothing else. Replicas that start
+//!   empty, as [`KvEngine::new`] builds them, and receive the same run end
+//!   up equal, so `SqlCluster::bulk_load` builds one tree per replica set
+//!   and `clone`s it into the set's other pods.
 //!
 //! Keys are raw byte strings produced by the order-preserving encoders in
 //! this module, so prefix and range scans work for both primary-key and
@@ -172,7 +174,7 @@ impl std::fmt::Debug for InlineBytes {
     }
 }
 
-/// One MVCC version: the commit version and the value (`None` = tombstone).
+/// A key's latest write: its commit version and value (`None` = tombstone).
 #[derive(Debug, Clone)]
 struct Version {
     version: u64,
@@ -187,49 +189,12 @@ impl Version {
             version: self.version,
         })
     }
-}
 
-/// Every retained version of one key: the newest inline, older ones in
-/// ascending version order.
-#[derive(Debug, Clone)]
-struct Chain {
-    newest: Version,
-    older: Vec<Version>,
-}
-
-impl Chain {
-    fn new(newest: Version) -> Self {
-        Chain {
-            newest,
-            older: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.older.len() + 1
-    }
-
-    /// Make `v` the newest version. Versions must arrive in increasing order.
-    fn push(&mut self, v: Version) {
-        debug_assert!(self.newest.version < v.version, "out-of-order MVCC apply");
-        self.older.push(std::mem::replace(&mut self.newest, v));
-    }
-
-    /// Append every version of `later`, which must all follow this chain's.
-    fn extend(&mut self, later: Chain) {
-        for v in later.older {
-            self.push(v);
-        }
-        self.push(later.newest);
-    }
-
-    /// The newest version ≤ `snapshot`, tombstones included.
-    fn at(&self, snapshot: u64) -> Option<&Version> {
-        if self.newest.version <= snapshot {
-            return Some(&self.newest);
-        }
-        let idx = self.older.partition_point(|v| v.version <= snapshot);
-        idx.checked_sub(1).map(|i| &self.older[i])
+    /// Replace this version with a later write of the same key. Versions
+    /// must arrive in increasing order.
+    fn overwrite(&mut self, later: Version) {
+        debug_assert!(self.version < later.version, "out-of-order MVCC apply");
+        *self = later;
     }
 }
 
@@ -240,11 +205,12 @@ pub struct VersionedValue<'a> {
     pub version: u64,
 }
 
-/// The MVCC store. Single-threaded by design: concurrency in the simulation
-/// is modeled in virtual time by the experiment runner, not by host threads.
+/// The versioned store. Single-threaded by design: concurrency in the
+/// simulation is modeled in virtual time by the experiment runner, not by
+/// host threads.
 #[derive(Debug, Clone, Default)]
 pub struct KvEngine {
-    data: BTreeMap<InlineBytes, Chain>,
+    data: BTreeMap<InlineBytes, Version>,
     next_version: u64,
     /// Logical bytes written over the engine's lifetime (cost accounting).
     bytes_written: u64,
@@ -268,12 +234,7 @@ impl KvEngine {
 
     /// Number of live keys (latest version is not a tombstone).
     pub fn live_keys(&self) -> usize {
-        self.data.values().filter(|c| c.newest.value.is_some()).count()
-    }
-
-    /// Total version entries retained (for GC tests).
-    pub fn version_entries(&self) -> usize {
-        self.data.values().map(Chain::len).sum()
+        self.data.values().filter(|v| v.value.is_some()).count()
     }
 
     /// Logical bytes of the live dataset: key plus latest non-tombstone
@@ -281,7 +242,7 @@ impl KvEngine {
     pub fn live_bytes(&self) -> u64 {
         self.data
             .iter()
-            .filter_map(|(k, c)| Some(k.len() as u64 + c.newest.value.as_ref()?.len() as u64))
+            .filter_map(|(k, v)| Some(k.len() as u64 + v.value.as_ref()?.len() as u64))
             .sum()
     }
 
@@ -333,18 +294,18 @@ impl KvEngine {
         // already present is dropped again.
         match self.data.entry(InlineBytes::from(key)) {
             Entry::Vacant(e) => {
-                e.insert(Chain::new(v));
+                e.insert(v);
             }
-            Entry::Occupied(mut e) => e.get_mut().push(v),
+            Entry::Occupied(mut e) => e.get_mut().overwrite(v),
         }
     }
 
     /// Apply a batch of `(key, value, version)` writes in one pass. The end
     /// state is that of [`KvEngine::put_at`] on each write in version order:
-    /// the writes are sorted by key and version, repeated keys fold into one
-    /// chain, and the tree is built from the sorted run. Keys already in the
-    /// engine extend their chain, so every loaded version must follow that
-    /// key's versions already stored.
+    /// the writes are sorted by key and version, each key keeps its last
+    /// write, and the tree is built from the sorted run. A key already in
+    /// the engine takes the loaded write, which must follow its stored
+    /// version.
     pub fn bulk_load(&mut self, mut writes: Vec<(InlineBytes, Option<InlineBytes>, u64)>) {
         writes.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.2.cmp(&b.2)));
         for (_, value, version) in &writes {
@@ -353,11 +314,11 @@ impl KvEngine {
         let mut writes = writes.into_iter().peekable();
         let run = std::iter::from_fn(move || {
             let (key, value, version) = writes.next()?;
-            let mut chain = Chain::new(Version { version, value });
+            let mut last = Version { version, value };
             while let Some((_, value, version)) = writes.next_if(|w| w.0 == key) {
-                chain.push(Version { version, value });
+                last.overwrite(Version { version, value });
             }
-            Some((key, chain))
+            Some((key, last))
         });
         if self.data.is_empty() {
             self.data = run.collect();
@@ -371,9 +332,9 @@ impl KvEngine {
                 Ordering::Less => old.next(),
                 Ordering::Greater => run.next(),
                 Ordering::Equal => {
-                    let (key, mut chain) = old.next()?;
-                    chain.extend(run.next()?.1);
-                    Some((key, chain))
+                    let (key, mut stored) = old.next()?;
+                    stored.overwrite(run.next()?.1);
+                    Some((key, stored))
                 }
             },
             (Some(_), None) => old.next(),
@@ -382,10 +343,10 @@ impl KvEngine {
         self.data = merged.collect();
     }
 
-    /// The chain of `key`. A key that fits inline is searched for as an
-    /// inline probe, so every comparison with an inline key is a word
+    /// The latest version of `key`. A key that fits inline is searched for
+    /// as an inline probe, so every comparison with an inline key is a word
     /// compare rather than a `memcmp`.
-    fn chain(&self, key: &[u8]) -> Option<&Chain> {
+    fn latest(&self, key: &[u8]) -> Option<&Version> {
         if key.len() <= INLINE_BYTES {
             self.data.get(&InlineBytes::inline(key))
         } else {
@@ -395,69 +356,38 @@ impl KvEngine {
 
     /// Read the latest committed version of `key`.
     pub fn get_latest(&self, key: &[u8]) -> Option<VersionedValue<'_>> {
-        self.chain(key)?.newest.visible()
-    }
-
-    /// Read `key` at `snapshot`: the newest version ≤ snapshot. Tombstones
-    /// return `None`.
-    pub fn get_at(&self, key: &[u8], snapshot: u64) -> Option<VersionedValue<'_>> {
-        self.chain(key)?.at(snapshot)?.visible()
+        self.latest(key)?.visible()
     }
 
     /// The latest version number recorded for `key`, even if a tombstone —
     /// this is what a version check compares against.
     pub fn latest_version(&self, key: &[u8]) -> Option<u64> {
-        self.chain(key).map(|c| c.newest.version)
+        self.latest(key).map(|v| v.version)
     }
 
-    /// Scan live entries whose key starts with `prefix`, at `snapshot`, in
-    /// key order. Returns (key, value, version) triples.
+    /// Scan live entries whose key starts with `prefix`, in key order.
+    /// Returns (key, value, version) triples.
     pub fn scan_prefix<'a>(
         &'a self,
         prefix: &'a [u8],
-        snapshot: u64,
     ) -> impl Iterator<Item = (&'a [u8], VersionedValue<'a>)> + 'a {
         self.data
             .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(move |(k, _)| k.starts_with(prefix))
-            .filter_map(move |(k, c)| Some((k.as_slice(), c.at(snapshot)?.visible()?)))
+            .filter_map(|(k, v)| Some((k.as_slice(), v.visible()?)))
     }
 
     /// Scan live entries with keys in `[start, end_exclusive)` (unbounded
-    /// above when `end_exclusive` is `None`), at `snapshot`, in key order.
+    /// above when `end_exclusive` is `None`), in key order.
     pub fn scan_between<'a>(
         &'a self,
         start: &[u8],
         end_exclusive: Option<&'a [u8]>,
-        snapshot: u64,
     ) -> impl Iterator<Item = (&'a [u8], VersionedValue<'a>)> + 'a {
         self.data
             .range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
             .take_while(move |(k, _)| end_exclusive.is_none_or(|end| k.as_slice() < end))
-            .filter_map(move |(k, c)| Some((k.as_slice(), c.at(snapshot)?.visible()?)))
-    }
-
-    /// Garbage-collect versions strictly older than `keep_after`, always
-    /// retaining the newest version of each key. Fully-dead keys (tombstone
-    /// older than the horizon) are dropped. Returns entries reclaimed.
-    pub fn gc(&mut self, keep_after: u64) -> usize {
-        let mut reclaimed = 0;
-        self.data.retain(|_, chain| {
-            let old = chain.older.partition_point(|v| v.version < keep_after);
-            chain.older.drain(..old);
-            if chain.older.is_empty() {
-                chain.older = Vec::new();
-            }
-            reclaimed += old;
-            // Drop the key entirely if all that remains is an old tombstone.
-            if chain.newest.value.is_none() && chain.newest.version < keep_after {
-                reclaimed += chain.len();
-                false
-            } else {
-                true
-            }
-        });
-        reclaimed
+            .filter_map(|(k, v)| Some((k.as_slice(), v.visible()?)))
     }
 }
 
@@ -655,15 +585,18 @@ mod tests {
     }
 
     #[test]
-    fn versions_are_monotonic_and_snapshot_reads_work() {
+    fn versions_are_monotonic_and_a_rewrite_replaces_the_value() {
         let mut kv = KvEngine::new();
         let v1 = kv.put(key("a"), b"one".to_vec());
         let v2 = kv.put(key("a"), b"two".to_vec());
         assert!(v2 > v1);
-        assert_eq!(kv.get_at(b"a", v1).unwrap().value, b"one");
-        assert_eq!(kv.get_at(b"a", v2).unwrap().value, b"two");
-        assert_eq!(kv.get_at(b"a", v1 - 1), None);
-        assert_eq!(kv.get_latest(b"a").unwrap().value, b"two");
+        let got = kv.get_latest(b"a").unwrap();
+        assert_eq!((got.value, got.version), (&b"two"[..], v2));
+        assert_eq!(kv.latest_version(b"a"), Some(v2));
+        assert_eq!(kv.live_keys(), 1);
+        assert_eq!(kv.live_bytes(), 1 + 3);
+        // Both writes are billed, though only the latest is kept.
+        assert_eq!(kv.bytes_written(), 6);
     }
 
     #[test]
@@ -671,10 +604,16 @@ mod tests {
         let mut kv = KvEngine::new();
         let v1 = kv.put(key("a"), b"x".to_vec());
         let v2 = kv.delete(key("a"));
+        assert!(v2 > v1);
         assert_eq!(kv.get_latest(b"a"), None);
-        assert_eq!(kv.get_at(b"a", v1).unwrap().value, b"x");
         assert_eq!(kv.latest_version(b"a"), Some(v2));
         assert_eq!(kv.live_keys(), 0);
+        assert_eq!(kv.live_bytes(), 0);
+        // A write after the tombstone revives the key at a later version.
+        let v3 = kv.put(key("a"), b"y".to_vec());
+        assert!(v3 > v2);
+        assert_eq!(kv.get_latest(b"a").unwrap().value, b"y");
+        assert_eq!(kv.live_keys(), 1);
     }
 
     #[test]
@@ -697,7 +636,7 @@ mod tests {
         kv.put(key("t/orders/z"), b"9".to_vec());
         kv.delete(key("t/users/b"));
         let hits: Vec<_> = kv
-            .scan_prefix(b"t/users/", u64::MAX)
+            .scan_prefix(b"t/users/")
             .map(|(k, v)| (k.to_vec(), v.value.to_vec()))
             .collect();
         assert_eq!(hits, vec![(key("t/users/a"), b"1".to_vec())]);
@@ -730,7 +669,7 @@ mod tests {
             (key("b"), None, 5),
             (key("a"), Some(b"a2".to_vec()), 4),
         ];
-        // Both engines already hold a version of "a": the load extends it.
+        // Both engines already hold a version of "a": the load replaces it.
         let mut by_put = KvEngine::new();
         by_put.put_at(b"a", Some(b"a0"), 0);
         let mut loaded = by_put.clone();
@@ -745,49 +684,30 @@ mod tests {
                 .map(|(k, v, ver)| (InlineBytes::from(k.as_slice()), v.clone().map(InlineBytes::from), *ver))
                 .collect(),
         );
-        assert_eq!(loaded.version_entries(), 5);
         assert_eq!(loaded.next_version(), by_put.next_version());
         assert_eq!(loaded.bytes_written(), by_put.bytes_written());
-        for snapshot in 0..6 {
-            for k in [&b"a"[..], b"b"] {
-                assert_eq!(loaded.get_at(k, snapshot), by_put.get_at(k, snapshot));
-            }
+        assert_eq!(loaded.live_keys(), by_put.live_keys());
+        assert_eq!(loaded.live_bytes(), by_put.live_bytes());
+        for k in [&b"a"[..], b"b"] {
+            assert_eq!(loaded.get_latest(k), by_put.get_latest(k));
+            assert_eq!(loaded.latest_version(k), by_put.latest_version(k));
         }
+        assert_eq!(loaded.get_latest(b"a").unwrap().value, b"a2");
+        assert_eq!(loaded.latest_version(b"a"), Some(4));
         assert_eq!(loaded.latest_version(b"b"), Some(5));
     }
 
     #[test]
-    fn scan_respects_snapshot() {
+    fn scan_sees_only_the_latest_write() {
         let mut kv = KvEngine::new();
-        let v1 = kv.put(key("p/a"), b"old".to_vec());
-        kv.put(key("p/a"), b"new".to_vec());
-        kv.put(key("p/b"), b"later".to_vec());
-        let at_v1: Vec<_> = kv.scan_prefix(b"p/", v1).map(|(_, v)| v.value.to_vec()).collect();
-        assert_eq!(at_v1, vec![b"old".to_vec()]);
-    }
-
-    #[test]
-    fn gc_keeps_latest_and_reclaims_old() {
-        let mut kv = KvEngine::new();
-        for i in 0..10 {
-            kv.put(key("a"), vec![i]);
-        }
-        let horizon = kv.next_version();
-        assert_eq!(kv.version_entries(), 10);
-        let reclaimed = kv.gc(horizon);
-        assert_eq!(reclaimed, 9);
-        assert_eq!(kv.version_entries(), 1);
-        assert_eq!(kv.get_latest(b"a").unwrap().value, &[9]);
-    }
-
-    #[test]
-    fn gc_drops_dead_keys_entirely() {
-        let mut kv = KvEngine::new();
-        kv.put(key("a"), b"x".to_vec());
-        kv.delete(key("a"));
-        kv.gc(kv.next_version());
-        assert_eq!(kv.version_entries(), 0);
-        assert_eq!(kv.latest_version(b"a"), None);
+        kv.put(key("p/a"), b"old".to_vec());
+        let v2 = kv.put(key("p/a"), b"new".to_vec());
+        let v3 = kv.put(key("p/b"), b"later".to_vec());
+        let hits: Vec<_> = kv
+            .scan_prefix(b"p/")
+            .map(|(_, v)| (v.value.to_vec(), v.version))
+            .collect();
+        assert_eq!(hits, vec![(b"new".to_vec(), v2), (b"later".to_vec(), v3)]);
     }
 
     #[test]
@@ -834,12 +754,12 @@ mod tests {
             kv.put(vec![b'k', i], vec![i]);
         }
         let hits: Vec<u8> = kv
-            .scan_between(&[b'k', 3], Some(&[b'k', 7]), u64::MAX)
+            .scan_between(&[b'k', 3], Some(&[b'k', 7]))
             .map(|(_, v)| v.value[0])
             .collect();
         assert_eq!(hits, vec![3, 4, 5, 6]);
         let open_ended: Vec<u8> = kv
-            .scan_between(&[b'k', 8], None, u64::MAX)
+            .scan_between(&[b'k', 8], None)
             .map(|(_, v)| v.value[0])
             .collect();
         assert_eq!(open_ended, vec![8, 9]);

@@ -659,7 +659,7 @@ impl RowStore for MemStore {
         let prefix = crate::kv::index_prefix(table, column, value);
         let record_keys: Vec<Vec<u8>> = self
             .kv
-            .scan_prefix(&prefix, u64::MAX)
+            .scan_prefix(&prefix)
             .map(|(_, v)| v.value.to_vec())
             .collect();
         let mut rows = Vec::new();
@@ -681,7 +681,7 @@ impl RowStore for MemStore {
         let (start, end) = crate::kv::index_range_bounds(table, column, lo, hi);
         let record_keys: Vec<Vec<u8>> = self
             .kv
-            .scan_between(&start, end.as_deref(), u64::MAX)
+            .scan_between(&start, end.as_deref())
             .map(|(_, v)| v.value.to_vec())
             .collect();
         let mut rows = Vec::new();
@@ -701,7 +701,7 @@ impl RowStore for MemStore {
     ) -> StoreResult<Vec<(Row, u64)>> {
         let (start, end) = crate::kv::record_range_bounds(table, lo, hi);
         self.kv
-            .scan_between(&start, end.as_deref(), u64::MAX)
+            .scan_between(&start, end.as_deref())
             .map(|(_, v)| Ok((Row::decode(v.value)?, v.version)))
             .collect()
     }
@@ -709,7 +709,7 @@ impl RowStore for MemStore {
     fn full_scan(&mut self, table: &str) -> StoreResult<Vec<(Row, u64)>> {
         let prefix = crate::kv::record_prefix(table);
         self.kv
-            .scan_prefix(&prefix, u64::MAX)
+            .scan_prefix(&prefix)
             .map(|(_, v)| Ok((Row::decode(v.value)?, v.version)))
             .collect()
     }

@@ -7,8 +7,8 @@
 //! every pod's engine must equal a reference engine that received each of
 //! its writes through `put_at`, one at a time, in version order.
 //!
-//! Engines are compared by full scans at the newest and at intermediate
-//! snapshots, and by their version count, live bytes, bytes written and
+//! Engines are compared by a full scan of every key's latest value and
+//! version, and by their live key count, live bytes, bytes written and
 //! next version. The cases cover the paper's 3 pods / 3 replicas (one
 //! shared set), 5 pods / 3 replicas (no two pods alike), a single pod, a
 //! second load onto loaded pods, a pod wiped between two loads, an invalid
@@ -136,30 +136,24 @@ impl Reference {
     }
 }
 
-/// Every live `(key, value, version)` at `snapshot`, in key order.
-fn scan(kv: &KvEngine, snapshot: u64) -> Vec<(Vec<u8>, Vec<u8>, u64)> {
-    kv.scan_prefix(b"", snapshot)
+/// Every live `(key, value, version)`, in key order.
+fn scan(kv: &KvEngine) -> Vec<(Vec<u8>, Vec<u8>, u64)> {
+    kv.scan_prefix(b"")
         .map(|(k, v)| (k.to_vec(), v.value.to_vec(), v.version))
         .collect()
 }
 
-fn assert_engine_matches(got: &KvEngine, want: &KvEngine, tso: u64, what: &str) {
-    for snapshot in [u64::MAX, tso, tso / 2, tso / 3, 1] {
-        let (got, want) = (scan(got, snapshot), scan(want, snapshot));
-        let first_difference = got.iter().zip(&want).position(|(g, w)| g != w);
-        assert!(
-            got == want,
-            "{what}: scan at snapshot {snapshot} holds {} entries, reference {}; \
-             first difference at entry {first_difference:?}",
-            got.len(),
-            want.len()
-        );
-    }
-    assert_eq!(
-        got.version_entries(),
-        want.version_entries(),
-        "{what}: version entries"
+fn assert_engine_matches(got: &KvEngine, want: &KvEngine, what: &str) {
+    let (got_rows, want_rows) = (scan(got), scan(want));
+    let first_difference = got_rows.iter().zip(&want_rows).position(|(g, w)| g != w);
+    assert!(
+        got_rows == want_rows,
+        "{what}: scan holds {} entries, reference {}; \
+         first difference at entry {first_difference:?}",
+        got_rows.len(),
+        want_rows.len()
     );
+    assert_eq!(got.live_keys(), want.live_keys(), "{what}: live keys");
     assert_eq!(got.live_bytes(), want.live_bytes(), "{what}: live bytes");
     assert_eq!(
         got.bytes_written(),
@@ -176,12 +170,7 @@ fn assert_engine_matches(got: &KvEngine, want: &KvEngine, tso: u64, what: &str) 
 fn assert_pods_match(c: &SqlCluster, reference: &Reference, case: &str) {
     assert_eq!(c.storages.len(), reference.pods.len());
     for (pod, (storage, want)) in c.storages.iter().zip(&reference.pods).enumerate() {
-        assert_engine_matches(
-            &storage.kv,
-            want,
-            reference.tso,
-            &format!("{case}, pod {pod}"),
-        );
+        assert_engine_matches(&storage.kv, want, &format!("{case}, pod {pod}"));
     }
 }
 
@@ -286,7 +275,7 @@ fn wiped_pod_loads_only_the_new_rows() {
         );
         assert!(c.storages[1]
             .kv
-            .get_at(&record_key("kv", &Datum::Int(50)), u64::MAX)
+            .get_latest(&record_key("kv", &Datum::Int(50)))
             .is_none());
     }
 }
@@ -349,7 +338,6 @@ fn durable_pods_snapshot_the_loaded_engine() {
             assert_engine_matches(
                 &c.storages[pod].kv,
                 &reference.pods[pod],
-                reference.tso,
                 &format!("{case}, pod {pod} recovered from its snapshot"),
             );
         }

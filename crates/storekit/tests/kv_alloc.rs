@@ -1,13 +1,16 @@
-//! Allocation gate for the flat MVCC memtable.
+//! Allocation gate for the flat memtable.
 //!
-//! A counting `#[global_allocator]` pins two properties of `KvEngine`'s
+//! A counting `#[global_allocator]` pins three properties of `KvEngine`'s
 //! layout:
 //!
 //! - a bulk-loaded `kv` row (14-byte record key, 28-byte encoded row) owns
 //!   no heap allocation: the engine's only live allocations are B-tree
 //!   nodes, a small fraction of the row count. A layout that boxes keys,
 //!   values or version lists costs at least one allocation per row each;
-//! - `get_latest` allocates nothing.
+//! - `get_latest` allocates nothing;
+//! - rewriting a stored row with `put_at` overwrites it in place: no
+//!   allocation, where keeping superseded versions would spill them to the
+//!   heap.
 //!
 //! The test binary holds this one test, so no sibling thread can move the
 //! counters.
@@ -124,7 +127,47 @@ fn bulk_loaded_rows_live_in_btree_nodes_only() {
         allocs, 0,
         "get_latest allocated {allocs} times over {ROWS} reads"
     );
-    drop((kv, keys));
+
+    // Rewrites overwrite in place: every row, three times over.
+    const REWRITES: u64 = 3;
+    let rewrites: Vec<Vec<Vec<u8>>> = (1..=REWRITES)
+        .map(|pass| {
+            (0..ROWS)
+                .map(|k| {
+                    let mut row = kv_row(k);
+                    row[1] = Datum::Payload {
+                        len: 1_024,
+                        seed: pass,
+                    };
+                    Row(row).encode()
+                })
+                .collect()
+        })
+        .collect();
+    let version = |pass: u64, k: usize| ROWS as u64 * (pass + 1) + k as u64 + 1;
+    let (base, before) = (live(), ALLOCS.load(Ordering::SeqCst));
+    for (pass, rows) in (0..).zip(&rewrites) {
+        for (k, (key, row)) in keys.iter().zip(rows).enumerate() {
+            kv.put_at(key, Some(row), version(pass, k));
+        }
+    }
+    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    let held = live() - base;
+    println!("rewrites: {allocs} allocations, {held} new live, over {REWRITES} x {ROWS} put_at");
+    assert_eq!(
+        held, 0,
+        "{REWRITES} x {ROWS} rewrites left {held} new live allocations"
+    );
+    assert_eq!(
+        allocs, 0,
+        "{REWRITES} x {ROWS} rewrites allocated {allocs} times"
+    );
+    let last = REWRITES - 1;
+    for (k, (key, row)) in keys.iter().zip(&rewrites[last as usize]).enumerate() {
+        let got = kv.get_latest(key).expect("rewritten row");
+        assert_eq!((got.value, got.version), (row.as_slice(), version(last, k)));
+    }
+    drop((kv, keys, rewrites));
 
     // Through the cluster: three replicas of every row, still nodes only.
     let mut cluster = SqlCluster::new(kv_catalog(), ClusterConfig::default());

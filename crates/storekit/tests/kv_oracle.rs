@@ -1,8 +1,8 @@
-//! Differential test: the flat MVCC memtable (`KvEngine`) vs a naive
-//! oracle, a `BTreeMap` from owned key to its full version list.
+//! Differential test: the flat memtable (`KvEngine`) vs a naive oracle, a
+//! `BTreeMap` from owned key to its latest version and value.
 //!
 //! A splitmix64-driven operation stream drives both: `put`, `put_at`,
-//! `delete`, point reads at random snapshots, prefix and range scans, GC,
+//! `delete`, point reads, prefix and range scans, full-state checks,
 //! clones, and bulk loads into fresh and populated engines (including keys
 //! the engine already holds and keys repeated within one load). Key and
 //! value lengths sit on the inline-storage boundary (0, `INLINE_BYTES - 1`,
@@ -54,12 +54,13 @@ impl Rng {
     }
 }
 
-type Versions = Vec<(u64, Option<Vec<u8>>)>;
+/// A key's latest write: its version and value (`None` = tombstone).
+type Latest = (u64, Option<Vec<u8>>);
 
-/// The reference model: every version of every key, ascending.
+/// The reference model: each key's latest write.
 #[derive(Clone, Default)]
 struct Oracle {
-    data: BTreeMap<Vec<u8>, Versions>,
+    data: BTreeMap<Vec<u8>, Latest>,
     next_version: u64,
     bytes_written: u64,
 }
@@ -75,55 +76,33 @@ impl Oracle {
     fn put_at(&mut self, key: &[u8], value: Option<&[u8]>, version: u64) {
         self.next_version = self.next_version.max(version + 1);
         self.bytes_written += value.map_or(0, |v| v.len() as u64);
-        let versions = self.data.entry(key.to_vec()).or_default();
+        let previous = self
+            .data
+            .insert(key.to_vec(), (version, value.map(<[u8]>::to_vec)));
         assert!(
-            versions.last().is_none_or(|l| l.0 < version),
+            previous.is_none_or(|p| p.0 < version),
             "test drove versions backwards"
         );
-        versions.push((version, value.map(<[u8]>::to_vec)));
     }
 
-    fn at(versions: &Versions, snapshot: u64) -> Option<(u64, Vec<u8>)> {
-        let (version, value) = versions.iter().rev().find(|v| v.0 <= snapshot)?;
+    fn visible((version, value): &Latest) -> Option<(u64, Vec<u8>)> {
         Some((*version, value.clone()?))
     }
 
-    fn get_at(&self, key: &[u8], snapshot: u64) -> Option<(u64, Vec<u8>)> {
-        Self::at(self.data.get(key)?, snapshot)
+    fn get_latest(&self, key: &[u8]) -> Option<(u64, Vec<u8>)> {
+        Self::visible(self.data.get(key)?)
     }
 
-    fn scan(
-        &self,
-        start: &[u8],
-        keep: impl Fn(&[u8]) -> bool,
-        snapshot: u64,
-    ) -> Vec<(Vec<u8>, u64, Vec<u8>)> {
+    fn latest_version(&self, key: &[u8]) -> Option<u64> {
+        self.data.get(key).map(|l| l.0)
+    }
+
+    fn scan(&self, start: &[u8], keep: impl Fn(&[u8]) -> bool) -> Vec<(Vec<u8>, u64, Vec<u8>)> {
         self.data
             .range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
             .take_while(|(k, _)| keep(k))
-            .filter_map(|(k, vs)| Self::at(vs, snapshot).map(|(ver, val)| (k.clone(), ver, val)))
+            .filter_map(|(k, l)| Self::visible(l).map(|(ver, val)| (k.clone(), ver, val)))
             .collect()
-    }
-
-    fn gc(&mut self, keep_after: u64) -> usize {
-        let mut reclaimed = 0;
-        self.data.retain(|_, versions| {
-            let keep_from = versions
-                .iter()
-                .take_while(|v| v.0 < keep_after)
-                .count()
-                .min(versions.len() - 1);
-            reclaimed += keep_from;
-            versions.drain(..keep_from);
-            let last = versions.last().expect("newest version is kept");
-            if last.1.is_none() && last.0 < keep_after {
-                reclaimed += versions.len();
-                false
-            } else {
-                true
-            }
-        });
-        reclaimed
     }
 }
 
@@ -134,7 +113,8 @@ fn engine_scan<'a>(
         .collect()
 }
 
-/// Full-state agreement: counters, and every key at every snapshot.
+/// Full-state agreement: counters, scans, and every key's latest version
+/// and value, tombstones included.
 fn check_state(kv: &KvEngine, oracle: &Oracle, ctx: &str) {
     assert_eq!(
         kv.next_version(),
@@ -146,43 +126,24 @@ fn check_state(kv: &KvEngine, oracle: &Oracle, ctx: &str) {
         oracle.bytes_written,
         "{ctx}: bytes_written"
     );
-    let entries: usize = oracle.data.values().map(Vec::len).sum();
-    assert_eq!(kv.version_entries(), entries, "{ctx}: version_entries");
-    let live = oracle
-        .data
-        .values()
-        .filter(|vs| vs.last().is_some_and(|v| v.1.is_some()));
+    let live = oracle.data.values().filter(|l| l.1.is_some());
     assert_eq!(kv.live_keys(), live.count(), "{ctx}: live_keys");
     let live_bytes: u64 = oracle
         .data
         .iter()
-        .filter_map(|(k, vs)| Some((k.len() + vs.last()?.1.as_ref()?.len()) as u64))
+        .filter_map(|(k, l)| Some((k.len() + l.1.as_ref()?.len()) as u64))
         .sum();
     assert_eq!(kv.live_bytes(), live_bytes, "{ctx}: live_bytes");
-    let all = engine_scan(kv.scan_between(&[], None, u64::MAX));
-    assert_eq!(
-        all,
-        oracle.scan(&[], |_| true, u64::MAX),
-        "{ctx}: full scan"
-    );
-    for (key, versions) in &oracle.data {
+    let all = engine_scan(kv.scan_between(&[], None));
+    assert_eq!(all, oracle.scan(&[], |_| true), "{ctx}: full scan");
+    for key in oracle.data.keys() {
         assert_eq!(
             kv.latest_version(key),
-            versions.last().map(|v| v.0),
-            "{ctx}: latest_version"
+            oracle.latest_version(key),
+            "{ctx}: {key:?} latest_version"
         );
-        for &(version, _) in versions {
-            for snapshot in [version - 1, version] {
-                let got = kv
-                    .get_at(key, snapshot)
-                    .map(|v| (v.version, v.value.to_vec()));
-                assert_eq!(
-                    got,
-                    oracle.get_at(key, snapshot),
-                    "{ctx}: {key:?} at {snapshot}"
-                );
-            }
-        }
+        let got = kv.get_latest(key).map(|v| (v.version, v.value.to_vec()));
+        assert_eq!(got, oracle.get_latest(key), "{ctx}: {key:?} get_latest");
     }
 }
 
@@ -226,7 +187,6 @@ fn differential_run(seed: u64, ops: usize) {
     for step in 0..ops {
         let ctx = format!("seed {seed} step {step}");
         let key = rng.pick(&pool).clone();
-        let snapshot = rng.below(oracle.next_version + 2);
         match rng.below(16) {
             0..=3 => {
                 let value = rng.bytes();
@@ -250,40 +210,27 @@ fn differential_run(seed: u64, ops: usize) {
                 oracle.put_at(&key, None, version);
             }
             6..=8 => {
-                let got = kv
-                    .get_at(&key, snapshot)
-                    .map(|v| (v.version, v.value.to_vec()));
-                assert_eq!(
-                    got,
-                    oracle.get_at(&key, snapshot),
-                    "{ctx}: get_at {snapshot}"
-                );
                 let got = kv.get_latest(&key).map(|v| (v.version, v.value.to_vec()));
-                assert_eq!(got, oracle.get_at(&key, u64::MAX), "{ctx}: get_latest");
-                let latest = oracle.data.get(&key).and_then(|vs| vs.last()).map(|v| v.0);
-                assert_eq!(kv.latest_version(&key), latest, "{ctx}: latest_version");
+                assert_eq!(got, oracle.get_latest(&key), "{ctx}: get_latest");
+                assert_eq!(
+                    kv.latest_version(&key),
+                    oracle.latest_version(&key),
+                    "{ctx}: latest_version"
+                );
             }
             9 => {
                 let prefix = &key[..rng.below(key.len() as u64 + 1) as usize];
-                let got = engine_scan(kv.scan_prefix(prefix, snapshot));
-                let want = oracle.scan(prefix, |k| k.starts_with(prefix), snapshot);
+                let got = engine_scan(kv.scan_prefix(prefix));
+                let want = oracle.scan(prefix, |k| k.starts_with(prefix));
                 assert_eq!(got, want, "{ctx}: scan_prefix {prefix:?}");
             }
             10 => {
                 let end = (rng.below(3) != 0).then(|| rng.pick(&pool).clone());
-                let got = engine_scan(kv.scan_between(&key, end.as_deref(), snapshot));
-                let want = oracle.scan(&key, |k| end.as_deref().is_none_or(|e| k < e), snapshot);
+                let got = engine_scan(kv.scan_between(&key, end.as_deref()));
+                let want = oracle.scan(&key, |k| end.as_deref().is_none_or(|e| k < e));
                 assert_eq!(got, want, "{ctx}: scan_between {key:?}..{end:?}");
             }
-            11 => {
-                let keep_after = rng.below(oracle.next_version + 1);
-                assert_eq!(
-                    kv.gc(keep_after),
-                    oracle.gc(keep_after),
-                    "{ctx}: gc reclaimed"
-                );
-                check_state(&kv, &oracle, &ctx);
-            }
+            11 => check_state(&kv, &oracle, &ctx),
             12 => {
                 let copy = kv.clone();
                 check_state(&copy, &oracle, &ctx);
@@ -307,7 +254,7 @@ fn differential_run(seed: u64, ops: usize) {
 }
 
 #[test]
-fn kv_engine_matches_naive_mvcc_oracle() {
+fn kv_engine_matches_latest_only_oracle() {
     const SEEDS: u64 = 64;
     const OPS: usize = 400;
     let mut cases = 0;
@@ -320,16 +267,22 @@ fn kv_engine_matches_naive_mvcc_oracle() {
 }
 
 #[test]
-fn reloading_a_key_extends_its_chain() {
+fn reloading_a_key_replaces_its_value() {
     let mut kv = KvEngine::new();
     let key = vec![0xFF; INLINE_BYTES + 1];
     let load =
         |value: &[u8], version| vec![(InlineBytes::from(key.clone()), Some(value.into()), version)];
     kv.bulk_load(load(b"first", 1));
     kv.bulk_load(load(b"second", 2));
-    assert_eq!(kv.version_entries(), 2);
-    assert_eq!(kv.get_at(&key, 1).unwrap().value, b"first");
-    assert_eq!(kv.get_latest(&key).unwrap().value, b"second");
+    let latest = kv.get_latest(&key).unwrap();
+    assert_eq!((latest.value, latest.version), (&b"second"[..], 2));
+    assert_eq!(kv.live_keys(), 1);
+    assert_eq!(kv.live_bytes(), (key.len() + b"second".len()) as u64);
+    assert_eq!(
+        kv.bytes_written(),
+        (b"first".len() + b"second".len()) as u64
+    );
+    assert_eq!(kv.next_version(), 3);
 }
 
 /// `InlineBytes` orders and compares exactly like its `[u8]` contents: its

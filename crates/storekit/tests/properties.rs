@@ -1,4 +1,4 @@
-//! Property-based tests for the storage substrate: MVCC visibility,
+//! Property-based tests for the storage substrate: latest-version reads,
 //! key-encoding order preservation, row codec totality, and SQL engine
 //! equivalence against a naive reference implementation.
 
@@ -63,35 +63,32 @@ proptest! {
         prop_assert_eq!(a.as_bytes().cmp(b.as_bytes()), enc(&a).cmp(&enc(&b)));
     }
 
-    /// MVCC: a snapshot taken at version v always sees exactly the state as
-    /// of v, regardless of later writes or deletes.
+    /// Versioned writes: after every write or delete, each key reads its
+    /// newest value and reports its newest version, tombstones included,
+    /// and commit versions only increase.
     #[test]
-    fn mvcc_snapshots_are_stable(ops in proptest::collection::vec(
+    fn latest_reads_track_the_newest_write(ops in proptest::collection::vec(
         (0u8..16, proptest::option::of(proptest::collection::vec(any::<u8>(), 0..8))), 1..60))
     {
         let mut kv = KvEngine::new();
-        // Apply ops, remembering (version, full state) after each.
-        let mut state: HashMap<u8, Vec<u8>> = HashMap::new();
-        let mut checkpoints: Vec<(u64, HashMap<u8, Vec<u8>>)> = Vec::new();
+        // The reference: each key's newest (version, value).
+        let mut latest: HashMap<u8, (u64, Option<Vec<u8>>)> = HashMap::new();
+        let mut last_version = 0;
         for (key, val) in &ops {
             let k = vec![*key];
             let version = match val {
-                Some(v) => {
-                    state.insert(*key, v.clone());
-                    kv.put(k, v.clone())
-                }
-                None => {
-                    state.remove(key);
-                    kv.delete(k)
-                }
+                Some(v) => kv.put(k, v.clone()),
+                None => kv.delete(k),
             };
-            checkpoints.push((version, state.clone()));
-        }
-        // Every historical snapshot must still read exactly its state.
-        for (version, snapshot) in &checkpoints {
+            prop_assert!(version > last_version, "version {} after {}", version, last_version);
+            last_version = version;
+            latest.insert(*key, (version, val.clone()));
             for key in 0u8..16 {
-                let got = kv.get_at(&[key], *version).map(|v| v.value.to_vec());
-                prop_assert_eq!(got.as_ref(), snapshot.get(&key), "key {} at v{}", key, version);
+                let want = latest.get(&key);
+                let got = kv.get_latest(&[key]).map(|v| (v.version, v.value.to_vec()));
+                let visible = want.and_then(|(ver, val)| Some((*ver, val.clone()?)));
+                prop_assert_eq!(got, visible, "key {} after v{}", key, version);
+                prop_assert_eq!(kv.latest_version(&[key]), want.map(|w| w.0), "key {}", key);
             }
         }
     }

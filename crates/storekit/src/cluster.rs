@@ -393,7 +393,27 @@ impl SqlCluster {
                 storage.cpu.charge(CpuCategory::Replication, repl_cost);
                 durable_apply(&mut self.durable[pod], storage, &self.config, r, entry);
             }
+            self.compact_log(r);
         }
+    }
+
+    /// Drop region `r`'s log prefix that every replica has applied and,
+    /// with durability on, that every hosting pod's durable prefix covers:
+    /// a recovering pod rejoins at its durable prefix and is re-replicated
+    /// from there.
+    fn compact_log(&mut self, r: usize) {
+        let region = &mut self.regions[r];
+        let upto = if self.config.durability.enabled() {
+            region
+                .replicas
+                .iter()
+                .map(|&pod| self.durable[pod].durable_applied(r))
+                .min()
+                .unwrap_or(0)
+        } else {
+            usize::MAX
+        };
+        region.compact(upto);
     }
 
     /// Simulated machine crash of one storage pod (durability on): all
@@ -840,6 +860,7 @@ impl SqlCluster {
                 durable_apply(&mut self.durable[pod], storage, &self.config, region_idx, entry);
             max_follower = max_follower.max(repl_cost);
         }
+        self.compact_log(region_idx);
         // Quorum round trip: leader → follower → ack.
         receipt.latency += self.config.link.delivery_time(bytes) * 2 + max_follower;
         Ok(())
@@ -1653,6 +1674,72 @@ mod tests {
         c.recover_pod(1, t(1));
         let key = record_key("kv", &Datum::Int(42));
         assert!(c.storages[1].kv.get_latest(&key).is_some());
+    }
+
+    /// Retained log entries per region.
+    fn retained(c: &SqlCluster) -> Vec<usize> {
+        c.regions.iter().map(|g| g.log_len() - g.log_start()).collect()
+    }
+
+    fn replace(c: &mut SqlCluster, k: i64, v: u8, now: SimTime) {
+        c.execute("REPLACE INTO kv VALUES (?, ?)", &[k.into(), Datum::Bytes(vec![v])], now)
+            .unwrap();
+    }
+
+    #[test]
+    fn raft_log_holds_only_entries_a_replica_still_needs() {
+        const WRITES: i64 = 10_000;
+        let mut c = cluster();
+        for i in 0..WRITES {
+            replace(&mut c, i % 500, i as u8, t(i as u64));
+        }
+        let appended: usize = c.regions.iter().map(RaftGroup::log_len).sum();
+        assert_eq!(appended, WRITES as usize, "indices stay absolute");
+        assert!(
+            retained(&c).iter().all(|&n| n == 0),
+            "healthy writes leave {:?} entries",
+            retained(&c)
+        );
+
+        // A crashed follower pins every entry past its applied prefix.
+        let key = record_key("kv", &Datum::Int(7));
+        let r = c.region_of(&key);
+        let follower = (c.regions[r].leader_slot().unwrap() + 1) % c.regions[r].replicas.len();
+        let pod = c.regions[r].replicas[follower];
+        let applied = c.regions[r].log_len();
+        c.region_mut(r).crash(follower);
+        for i in 0..300 {
+            replace(&mut c, 7, i as u8, t((WRITES + i) as u64));
+        }
+        let g = &c.regions[r];
+        assert_eq!(g.log_start(), applied, "nothing past the follower's prefix dropped");
+        assert_eq!(g.log_len() - applied, 300);
+        assert!(c.storages[pod].kv.latest_version(&key) < c.storages[g.leader().unwrap()].kv.latest_version(&key));
+
+        // Once it rejoins and catches up, the log compacts again.
+        c.region_mut(r).restart(follower);
+        c.tick(t(20_000));
+        assert_eq!(retained(&c)[r], 0);
+        let leader = c.regions[r].leader().unwrap();
+        assert_eq!(
+            c.storages[pod].kv.get_latest(&key),
+            c.storages[leader].kv.get_latest(&key)
+        );
+    }
+
+    #[test]
+    fn durable_log_compacts_only_below_every_durable_prefix() {
+        use crate::durability::FsyncPolicy;
+        // Group(64) with no snapshot: most applied entries are not durable.
+        let mut c = durable_cluster(FsyncPolicy::Group(64), 1_000_000);
+        for i in 0..100i64 {
+            replace(&mut c, i, i as u8, t(i as u64));
+        }
+        for (r, g) in c.regions.iter().enumerate() {
+            let durable = g.replicas.iter().map(|&p| c.durable[p].durable_applied(r)).min();
+            assert_eq!(Some(g.log_start()), durable, "region {r}");
+        }
+        assert!(retained(&c).iter().sum::<usize>() > 0, "the un-fsynced tail stays");
     }
 
     #[test]

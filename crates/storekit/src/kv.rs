@@ -7,23 +7,45 @@
 //! what the paper's §5.5 version check reads: "returning the row's 8-byte
 //! version column".
 //!
-//! # Layout: a flat memtable
+//! # Layout: a hash-indexed run and tail
 //!
-//! The engine is one `BTreeMap` from key to its latest version, laid out so
-//! a typical row owns no heap allocation of its own:
+//! Every stored key's latest write is one entry (key, version, value) in
+//! an arena of fixed-size pages. The arena holds two parts:
 //!
-//! - keys and values are [`InlineBytes`]: up to [`INLINE_BYTES`] bytes sit
-//!   inside the B-tree node, longer strings in a boxed slice. The `kv`
-//!   table's 14-byte record keys and 28-byte encoded rows stay inline, so a
-//!   lookup compares keys without following a pointer;
-//! - a write to a stored key overwrites its version in place, so rewriting
-//!   an inline row allocates nothing;
-//! - [`KvEngine::bulk_load`] sorts a batch of writes, keeps each key's last
-//!   write and builds the tree from the sorted run, so a loaded dataset
-//!   lives in full B-tree nodes and nothing else. Replicas that start
-//!   empty, as [`KvEngine::new`] builds them, and receive the same run end
-//!   up equal, so `SqlCluster::bulk_load` builds one tree per replica set
-//!   and `clone`s it into the set's other pods.
+//! - the *run*: entries in key order, built by [`KvEngine::bulk_load`];
+//! - the *tail*: keys first written after that, in arrival order, with a
+//!   small `BTreeMap` from key to arena position that orders them for
+//!   scans.
+//!
+//! An open-addressing hash index (linear probing, a fixed hash, so runs are
+//! deterministic) maps every stored key to its arena position. So
+//! `get_latest`, `latest_version` and a `put_at` to a stored key cost one
+//! hash and one or two probes, where an ordered tree walks ~5 levels with
+//! key compares at each. A new key goes into the tail and the index.
+//! Scans binary-search the run and merge its range with the tail's range,
+//! in key order. Once the tail holds more than an eighth of the run, one
+//! linear pass merges it back into the run and the index is rebuilt.
+//!
+//! An entry is one 64-byte cache line: the version, then the key and its
+//! value sharing 52 bytes, or boxed together when longer. The `kv` table's
+//! 14-byte record keys and 28-byte encoded rows stay inline, so a row owns
+//! no heap allocation of its own, a write to a stored key overwrites its
+//! entry in place without allocating, and a point read touches one line of
+//! the arena. An entry and a slot cost ~72-75 bytes per key, about what a
+//! B-tree node spent per key.
+//!
+//! Every allocation stays under 64 KiB: an entry page holds 512 entries
+//! (32 KiB) and an index page 8,192 slots (32 KiB). Once glibc frees a
+//! multi-megabyte buffer it raises its mmap threshold, so later buffers of
+//! that size land on the brk heap instead of their own mappings, and
+//! freeing them there does not always return the memory: the peak RSS
+//! rises. Small pages keep the peak near the steady state.
+//!
+//! [`KvEngine::bulk_load`] sorts a batch of writes, keeps each key's last
+//! write in place and merges the batch with what is stored into a new run.
+//! Replicas that start empty, as [`KvEngine::new`] builds them, and receive
+//! the same batch end up equal, so `SqlCluster::bulk_load` builds one
+//! engine per replica set and `clone`s it into the set's other pods.
 //!
 //! Keys are raw byte strings produced by the order-preserving encoders in
 //! this module, so prefix and range scans work for both primary-key and
@@ -37,7 +59,6 @@
 use crate::value::Datum;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::{Bound, Deref};
 
@@ -174,28 +195,385 @@ impl std::fmt::Debug for InlineBytes {
     }
 }
 
-/// A key's latest write: its commit version and value (`None` = tombstone).
-#[derive(Debug, Clone)]
-struct Version {
-    version: u64,
-    value: Option<InlineBytes>,
+/// Bytes a key and its value share inside an [`Entry`]; a longer pair is
+/// boxed. A `kv` row (14-byte key, 28-byte value) fits.
+const PAIR_INLINE: usize = 52;
+/// An inline value length that marks a tombstone.
+const TOMBSTONE: u8 = u8::MAX;
+const _: () = assert!(PAIR_INLINE < TOMBSTONE as usize);
+
+/// A key and its latest value (`None` = tombstone), stored together.
+#[derive(Clone)]
+enum Pair {
+    /// The key is `buf[..key_len]` and the value the `value_len` bytes
+    /// after it.
+    Inline {
+        key_len: u8,
+        value_len: u8,
+        buf: [u8; PAIR_INLINE],
+    },
+    /// The key then the value, in one box.
+    Heap {
+        key_len: u32,
+        tombstone: bool,
+        bytes: Box<[u8]>,
+    },
 }
 
-impl Version {
-    /// The version as a read sees it: `None` for a tombstone.
+impl Pair {
+    fn new(key: &[u8], value: Option<&[u8]>) -> Self {
+        let v = value.unwrap_or_default();
+        if key.len() + v.len() <= PAIR_INLINE {
+            let mut buf = [0; PAIR_INLINE];
+            buf[..key.len()].copy_from_slice(key);
+            buf[key.len()..key.len() + v.len()].copy_from_slice(v);
+            Pair::Inline {
+                key_len: key.len() as u8,
+                value_len: value.map_or(TOMBSTONE, |v| v.len() as u8),
+                buf,
+            }
+        } else {
+            Pair::Heap {
+                key_len: u32::try_from(key.len()).expect("keys under 4 GiB"),
+                tombstone: value.is_none(),
+                bytes: [key, v].concat().into_boxed_slice(),
+            }
+        }
+    }
+
+    fn key(&self) -> &[u8] {
+        match self {
+            Pair::Inline { key_len, buf, .. } => &buf[..*key_len as usize],
+            Pair::Heap { key_len, bytes, .. } => &bytes[..*key_len as usize],
+        }
+    }
+
+    fn value(&self) -> Option<&[u8]> {
+        match self {
+            Pair::Inline {
+                value_len: TOMBSTONE,
+                ..
+            }
+            | Pair::Heap {
+                tombstone: true, ..
+            } => None,
+            Pair::Inline {
+                key_len,
+                value_len,
+                buf,
+            } => {
+                let at = *key_len as usize;
+                Some(&buf[at..at + *value_len as usize])
+            }
+            Pair::Heap { key_len, bytes, .. } => Some(&bytes[*key_len as usize..]),
+        }
+    }
+
+    /// Replace the value, in place when the new one fits beside the key.
+    fn set_value(&mut self, value: Option<&[u8]>) {
+        if let Pair::Inline {
+            key_len,
+            value_len,
+            buf,
+        } = self
+        {
+            let (at, v) = (*key_len as usize, value.unwrap_or_default());
+            if at + v.len() <= PAIR_INLINE {
+                buf[at..at + v.len()].copy_from_slice(v);
+                *value_len = value.map_or(TOMBSTONE, |v| v.len() as u8);
+                return;
+            }
+        }
+        *self = Pair::new(self.key(), value);
+    }
+}
+
+impl std::fmt::Debug for Pair {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Pair")
+            .field(&self.key())
+            .field(&self.value())
+            .finish()
+    }
+}
+
+/// A key's latest write: its commit version, key and value. One entry is
+/// one 64-byte cache line, so a point read touches one line of the arena.
+#[derive(Debug, Clone)]
+#[repr(align(64))]
+struct Entry {
+    version: u64,
+    pair: Pair,
+}
+const _: () = assert!(std::mem::size_of::<Entry>() == 64);
+
+impl Entry {
+    fn new(key: &[u8], value: Option<&[u8]>, version: u64) -> Self {
+        Entry {
+            version,
+            pair: Pair::new(key, value),
+        }
+    }
+
+    fn key(&self) -> &[u8] {
+        self.pair.key()
+    }
+
+    /// The entry as a read sees it: `None` for a tombstone.
     fn visible(&self) -> Option<VersionedValue<'_>> {
-        self.value.as_deref().map(|value| VersionedValue {
+        self.pair.value().map(|value| VersionedValue {
             value,
             version: self.version,
         })
     }
 
-    /// Replace this version with a later write of the same key. Versions
-    /// must arrive in increasing order.
-    fn overwrite(&mut self, later: Version) {
-        debug_assert!(self.version < later.version, "out-of-order MVCC apply");
-        *self = later;
+    /// Replace this entry's write with a later one. Versions must arrive
+    /// in increasing order.
+    fn overwrite(&mut self, version: u64, value: Option<&[u8]>) {
+        debug_assert!(self.version < version, "out-of-order MVCC apply");
+        self.version = version;
+        self.pair.set_value(value);
     }
+}
+
+/// Entries per arena page: 512 x 64 bytes = 32 KiB.
+const ENTRY_PAGE: usize = 512;
+/// Index slots per page: 8,192 x 4 bytes = 32 KiB.
+const SLOT_PAGE: usize = 8_192;
+/// The tail merges into the run once it holds more than a
+/// `1 / TAIL_FRACTION` share of the run's keys, or more than `MIN_TAIL`
+/// keys when the run is small.
+const TAIL_FRACTION: usize = 8;
+const MIN_TAIL: usize = 64;
+const _: () = assert!(ENTRY_PAGE * std::mem::size_of::<Entry>() < 64 << 10);
+const _: () = assert!(SLOT_PAGE * std::mem::size_of::<u32>() < 64 << 10);
+
+/// Entries in pages of [`ENTRY_PAGE`], addressed by arena position.
+#[derive(Debug, Default)]
+struct Pages {
+    pages: Vec<Vec<Entry>>,
+    len: usize,
+}
+
+impl Pages {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn get(&self, pos: usize) -> &Entry {
+        &self.pages[pos / ENTRY_PAGE][pos % ENTRY_PAGE]
+    }
+
+    fn get_mut(&mut self, pos: usize) -> &mut Entry {
+        &mut self.pages[pos / ENTRY_PAGE][pos % ENTRY_PAGE]
+    }
+
+    fn push(&mut self, entry: Entry) {
+        if self.len.is_multiple_of(ENTRY_PAGE) {
+            self.pages.push(Vec::with_capacity(ENTRY_PAGE));
+        }
+        self.pages.last_mut().expect("a page with room").push(entry);
+        self.len += 1;
+    }
+
+    /// Move the entry at `pos` out, leaving an empty key in its place.
+    fn take(&mut self, pos: usize) -> Entry {
+        std::mem::replace(self.get_mut(pos), Entry::new(&[], None, 0))
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.pages.truncate(len.div_ceil(ENTRY_PAGE));
+        if let Some(last) = self.pages.last_mut() {
+            last.truncate(len - (len - 1) / ENTRY_PAGE * ENTRY_PAGE);
+        }
+        self.len = len;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Entry> {
+        self.pages.iter().flatten()
+    }
+
+    /// The entries in position order; each page is freed once passed.
+    fn into_entries(self) -> impl Iterator<Item = Entry> {
+        self.pages.into_iter().flatten()
+    }
+}
+
+impl FromIterator<Entry> for Pages {
+    fn from_iter<I: IntoIterator<Item = Entry>>(entries: I) -> Self {
+        let mut entries = entries.into_iter().peekable();
+        let mut pages = Pages::default();
+        while entries.peek().is_some() {
+            let mut page = Vec::with_capacity(ENTRY_PAGE);
+            page.extend(entries.by_ref().take(ENTRY_PAGE));
+            pages.len += page.len();
+            pages.pages.push(page);
+        }
+        pages
+    }
+}
+
+impl Clone for Pages {
+    /// Page by page, each copy with a full page's capacity, so pushes onto
+    /// a cloned engine never reallocate a page.
+    fn clone(&self) -> Self {
+        let pages = self
+            .pages
+            .iter()
+            .map(|page| {
+                let mut copy = Vec::with_capacity(ENTRY_PAGE);
+                copy.extend_from_slice(page);
+                copy
+            })
+            .collect();
+        Pages {
+            pages,
+            len: self.len,
+        }
+    }
+}
+
+/// The index's hash. The key's 8-byte words are mixed in with a multiply
+/// each; the last word overlaps the one before it, so a 14-byte record key
+/// costs two words and no padding copy. A shorter key is read as two
+/// overlapping halves, or three of its bytes. SplitMix64's finalizer then
+/// spreads every byte over the high bits the index probes from. Equal keys
+/// hash equally, which is all the index needs: a probe compares keys.
+fn hash_key(key: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
+    let len = key.len();
+    let mut h = (len as u64).wrapping_mul(K);
+    if len >= 8 {
+        let word = |at: usize| u64::from_le_bytes(key[at..at + 8].try_into().expect("8 bytes"));
+        let mut at = 0;
+        while at + 8 < len {
+            h = mix(h, word(at));
+            at += 8;
+        }
+        h = mix(h, word(len - 8));
+    } else if len >= 4 {
+        let half = |at: usize| u32::from_le_bytes(key[at..at + 4].try_into().expect("4 bytes"));
+        h = mix(h, u64::from(half(0)) | u64::from(half(len - 4)) << 32);
+    } else if len > 0 {
+        h = mix(
+            h,
+            u64::from(key[0]) | u64::from(key[len / 2]) << 8 | u64::from(key[len - 1]) << 16,
+        );
+    }
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
+}
+
+/// Open-addressing hash index from a key's hash to its arena position:
+/// linear probing over `1 << bits` slots in pages of at most
+/// [`SLOT_PAGE`]. A slot holds `position + 1`, or 0 when empty. The index
+/// does not store keys; callers confirm a candidate position by comparing
+/// the entry's key.
+#[derive(Debug, Clone, Default)]
+struct HashIndex {
+    slots: Vec<Box<[u32]>>,
+    bits: u32,
+    len: usize,
+}
+
+impl HashIndex {
+    /// An empty index for `keys` keys, at most half full.
+    fn with_capacity(keys: usize) -> Self {
+        let slots = (keys * 2).next_power_of_two().max(16);
+        let page = slots.min(SLOT_PAGE);
+        HashIndex {
+            slots: (0..slots / page)
+                .map(|_| vec![0; page].into_boxed_slice())
+                .collect(),
+            bits: slots.trailing_zeros(),
+            len: 0,
+        }
+    }
+
+    fn capacity(&self) -> usize {
+        if self.slots.is_empty() {
+            0
+        } else {
+            1 << self.bits
+        }
+    }
+
+    /// Whether one more key would fill more than three quarters of the
+    /// slots.
+    fn is_full(&self) -> bool {
+        (self.len + 1) * 4 > self.capacity() * 3
+    }
+
+    fn slot(&self, i: usize) -> u32 {
+        self.slots[i / SLOT_PAGE][i % SLOT_PAGE]
+    }
+
+    /// The first position, probing from `hash`'s home slot, that `is_key`
+    /// accepts; `None` at the first empty slot.
+    fn find(&self, hash: u64, is_key: impl Fn(usize) -> bool) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let mask = self.capacity() - 1;
+        let mut i = (hash >> (64 - self.bits)) as usize;
+        loop {
+            match self.slot(i) {
+                0 => return None,
+                slot if is_key(slot as usize - 1) => return Some(slot as usize - 1),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Index a key that is not in the index yet. The caller grows a full
+    /// index first.
+    fn insert(&mut self, hash: u64, pos: usize) {
+        debug_assert!(!self.is_full(), "insert into a full index");
+        let slot = u32::try_from(pos + 1).expect("fewer than 2^32 keys");
+        let mask = self.capacity() - 1;
+        let mut i = (hash >> (64 - self.bits)) as usize;
+        while self.slot(i) != 0 {
+            i = (i + 1) & mask;
+        }
+        self.slots[i / SLOT_PAGE][i % SLOT_PAGE] = slot;
+        self.len += 1;
+    }
+}
+
+/// Merge two key-ordered entry streams, each with distinct keys; a key in
+/// both takes `later`'s write.
+fn merge(
+    earlier: impl Iterator<Item = Entry>,
+    later: impl Iterator<Item = Entry>,
+) -> impl Iterator<Item = Entry> {
+    let (mut earlier, mut later) = (earlier.peekable(), later.peekable());
+    std::iter::from_fn(move || match (earlier.peek(), later.peek()) {
+        (Some(a), Some(b)) => match a.key().cmp(b.key()) {
+            Ordering::Less => earlier.next(),
+            Ordering::Greater => later.next(),
+            Ordering::Equal => {
+                let stored = earlier.next()?;
+                let write = later.next()?;
+                debug_assert!(stored.version < write.version, "out-of-order MVCC apply");
+                Some(write)
+            }
+        },
+        (Some(_), None) => earlier.next(),
+        (None, _) => later.next(),
+    })
+}
+
+/// How an engine holds its keys; see [`KvEngine::layout`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KvLayout {
+    /// Keys in the key-ordered run.
+    pub run: usize,
+    /// Keys written since the last load or merge, not yet in the run.
+    pub tail: usize,
+    /// Hash index slots.
+    pub index_slots: usize,
 }
 
 /// Result of a successful versioned read.
@@ -210,7 +588,14 @@ pub struct VersionedValue<'a> {
 /// host threads.
 #[derive(Debug, Clone, Default)]
 pub struct KvEngine {
-    data: BTreeMap<InlineBytes, Version>,
+    /// Every stored key's latest write: the key-ordered run
+    /// `entries[..run_len]`, then the tail in arrival order.
+    entries: Pages,
+    run_len: usize,
+    /// The tail's keys in key order, with their positions in `entries`.
+    tail: BTreeMap<InlineBytes, u32>,
+    /// Every stored key's position in `entries`.
+    index: HashIndex,
     next_version: u64,
     /// Logical bytes written over the engine's lifetime (cost accounting).
     bytes_written: u64,
@@ -219,9 +604,8 @@ pub struct KvEngine {
 impl KvEngine {
     pub fn new() -> Self {
         KvEngine {
-            data: BTreeMap::new(),
             next_version: 1,
-            bytes_written: 0,
+            ..Default::default()
         }
     }
 
@@ -229,21 +613,35 @@ impl KvEngine {
     /// and no byte ever written. Two new engines given the same writes end
     /// in the same state, so one can be a clone of the other.
     pub(crate) fn is_new(&self) -> bool {
-        self.data.is_empty() && self.next_version == 1 && self.bytes_written == 0
+        self.entries.len() == 0 && self.next_version == 1 && self.bytes_written == 0
     }
 
     /// Number of live keys (latest version is not a tombstone).
     pub fn live_keys(&self) -> usize {
-        self.data.values().filter(|v| v.value.is_some()).count()
+        self.entries
+            .iter()
+            .filter(|e| e.pair.value().is_some())
+            .count()
     }
 
     /// Logical bytes of the live dataset: key plus latest non-tombstone
     /// value per key. This is the size a full snapshot persists.
     pub fn live_bytes(&self) -> u64 {
-        self.data
+        self.entries
             .iter()
-            .filter_map(|(k, v)| Some(k.len() as u64 + v.value.as_ref()?.len() as u64))
+            .filter_map(|e| Some((e.key().len() + e.pair.value()?.len()) as u64))
             .sum()
+    }
+
+    /// How the engine holds its keys: the run, the tail and the index
+    /// size. Reads and writes do not depend on it; tests use it to check
+    /// that they drove the engine through a merge or an index growth.
+    pub fn layout(&self) -> KvLayout {
+        KvLayout {
+            run: self.run_len,
+            tail: self.tail.len(),
+            index_slots: self.index.capacity(),
+        }
     }
 
     pub fn bytes_written(&self) -> u64 {
@@ -286,72 +684,86 @@ impl KvEngine {
     /// Versions must be applied in increasing order per key.
     pub fn put_at(&mut self, key: &[u8], value: Option<&[u8]>, version: u64) {
         self.record_write(value, version);
-        let v = Version {
-            version,
-            value: value.map(InlineBytes::from),
-        };
-        // One tree walk: inline keys cost nothing to build, and a heap key
-        // already present is dropped again.
-        match self.data.entry(InlineBytes::from(key)) {
-            Entry::Vacant(e) => {
-                e.insert(v);
-            }
-            Entry::Occupied(mut e) => e.get_mut().overwrite(v),
+        let hash = hash_key(key);
+        if let Some(pos) = self.position(key, hash) {
+            self.entries.get_mut(pos).overwrite(version, value);
+            return;
+        }
+        if self.index.is_full() {
+            self.reindex();
+        }
+        let pos = self.entries.len();
+        self.tail.insert(
+            InlineBytes::from(key),
+            u32::try_from(pos).expect("fewer than 2^32 keys"),
+        );
+        self.index.insert(hash, pos);
+        self.entries.push(Entry::new(key, value, version));
+        if self.tail.len() > (self.run_len / TAIL_FRACTION).max(MIN_TAIL) {
+            self.rebuild(std::iter::empty());
         }
     }
 
     /// Apply a batch of `(key, value, version)` writes in one pass. The end
     /// state is that of [`KvEngine::put_at`] on each write in version order:
     /// the writes are sorted by key and version, each key keeps its last
-    /// write, and the tree is built from the sorted run. A key already in
-    /// the engine takes the loaded write, which must follow its stored
-    /// version.
+    /// write, and the batch is merged with the stored keys into a new run.
+    /// A key already in the engine takes the loaded write, which must follow
+    /// its stored version.
     pub fn bulk_load(&mut self, mut writes: Vec<(InlineBytes, Option<InlineBytes>, u64)>) {
         writes.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.2.cmp(&b.2)));
         for (_, value, version) in &writes {
             self.record_write(value.as_deref(), *version);
         }
-        let mut writes = writes.into_iter().peekable();
-        let run = std::iter::from_fn(move || {
-            let (key, value, version) = writes.next()?;
-            let mut last = Version { version, value };
-            while let Some((_, value, version)) = writes.next_if(|w| w.0 == key) {
-                last.overwrite(Version { version, value });
+        // `dedup_by` passes each write with the kept write before it; a
+        // later write of the same key takes the kept slot.
+        writes.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                debug_assert!(kept.2 < later.2, "out-of-order MVCC apply");
+                std::mem::swap(later, kept);
             }
-            Some((key, last))
+            same
         });
-        if self.data.is_empty() {
-            self.data = run.collect();
-            return;
-        }
-        // Merge the two sorted runs and rebuild: linear in both sizes.
-        let mut old = std::mem::take(&mut self.data).into_iter().peekable();
-        let mut run = run.peekable();
-        let merged = std::iter::from_fn(|| match (old.peek(), run.peek()) {
-            (Some((a, _)), Some((b, _))) => match a.cmp(b) {
-                Ordering::Less => old.next(),
-                Ordering::Greater => run.next(),
-                Ordering::Equal => {
-                    let (key, mut stored) = old.next()?;
-                    stored.overwrite(run.next()?.1);
-                    Some((key, stored))
-                }
-            },
-            (Some(_), None) => old.next(),
-            (None, _) => run.next(),
-        });
-        self.data = merged.collect();
+        self.rebuild(
+            writes
+                .into_iter()
+                .map(|(key, value, version)| Entry::new(&key, value.as_deref(), version)),
+        );
     }
 
-    /// The latest version of `key`. A key that fits inline is searched for
-    /// as an inline probe, so every comparison with an inline key is a word
-    /// compare rather than a `memcmp`.
-    fn latest(&self, key: &[u8]) -> Option<&Version> {
-        if key.len() <= INLINE_BYTES {
-            self.data.get(&InlineBytes::inline(key))
-        } else {
-            self.data.get(key)
+    /// Merge the run, the tail and the key-ordered `loaded` entries (which
+    /// win over stored ones) into a new run, and index it.
+    fn rebuild(&mut self, loaded: impl Iterator<Item = Entry>) {
+        let mut stored = std::mem::take(&mut self.entries);
+        let tail: Pages = std::mem::take(&mut self.tail)
+            .into_values()
+            .map(|pos| stored.take(pos as usize))
+            .collect();
+        stored.truncate(self.run_len);
+        self.entries = merge(merge(stored.into_entries(), tail.into_entries()), loaded).collect();
+        self.run_len = self.entries.len();
+        self.reindex();
+    }
+
+    /// Rebuild the index over every entry, with room for new keys.
+    fn reindex(&mut self) {
+        let mut index = HashIndex::with_capacity(self.entries.len() + 1);
+        for (pos, entry) in self.entries.iter().enumerate() {
+            index.insert(hash_key(entry.key()), pos);
         }
+        self.index = index;
+    }
+
+    /// The arena position of `key`, whose [`hash_key`] is `hash`.
+    fn position(&self, key: &[u8], hash: u64) -> Option<usize> {
+        self.index
+            .find(hash, |pos| self.entries.get(pos).key() == key)
+    }
+
+    /// The latest write of `key`.
+    fn latest(&self, key: &[u8]) -> Option<&Entry> {
+        Some(self.entries.get(self.position(key, hash_key(key))?))
     }
 
     /// Read the latest committed version of `key`.
@@ -362,7 +774,35 @@ impl KvEngine {
     /// The latest version number recorded for `key`, even if a tombstone —
     /// this is what a version check compares against.
     pub fn latest_version(&self, key: &[u8]) -> Option<u64> {
-        self.latest(key).map(|v| v.version)
+        self.latest(key).map(|e| e.version)
+    }
+
+    /// Stored entries with keys from `start` on, in key order: the run's
+    /// range merged with the tail's.
+    fn entries_from<'a>(&'a self, start: &[u8]) -> impl Iterator<Item = &'a Entry> + 'a {
+        // Binary search for the run's first key at or after `start`.
+        let (mut lo, mut hi) = (0, self.run_len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.entries.get(mid).key() < start {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let mut run = (lo..self.run_len)
+            .map(|pos| self.entries.get(pos))
+            .peekable();
+        let mut tail = self
+            .tail
+            .range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
+            .map(|(_, &pos)| self.entries.get(pos as usize))
+            .peekable();
+        std::iter::from_fn(move || match (run.peek(), tail.peek()) {
+            (Some(r), Some(t)) if t.key() < r.key() => tail.next(),
+            (Some(_), _) => run.next(),
+            (None, _) => tail.next(),
+        })
     }
 
     /// Scan live entries whose key starts with `prefix`, in key order.
@@ -371,10 +811,9 @@ impl KvEngine {
         &'a self,
         prefix: &'a [u8],
     ) -> impl Iterator<Item = (&'a [u8], VersionedValue<'a>)> + 'a {
-        self.data
-            .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(move |(k, _)| k.starts_with(prefix))
-            .filter_map(|(k, v)| Some((k.as_slice(), v.visible()?)))
+        self.entries_from(prefix)
+            .take_while(move |e| e.key().starts_with(prefix))
+            .filter_map(|e| Some((e.key(), e.visible()?)))
     }
 
     /// Scan live entries with keys in `[start, end_exclusive)` (unbounded
@@ -384,10 +823,9 @@ impl KvEngine {
         start: &[u8],
         end_exclusive: Option<&'a [u8]>,
     ) -> impl Iterator<Item = (&'a [u8], VersionedValue<'a>)> + 'a {
-        self.data
-            .range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
-            .take_while(move |(k, _)| end_exclusive.is_none_or(|end| k.as_slice() < end))
-            .filter_map(|(k, v)| Some((k.as_slice(), v.visible()?)))
+        self.entries_from(start)
+            .take_while(move |e| end_exclusive.is_none_or(|end| e.key() < end))
+            .filter_map(|e| Some((e.key(), e.visible()?)))
     }
 }
 
@@ -659,6 +1097,28 @@ mod tests {
         let long = InlineBytes::from(&[0x00; 40][..]);
         assert!(long < short);
         assert!(InlineBytes::from(&[1u8; 30][..]) < InlineBytes::from(&[1u8; 31][..]));
+    }
+
+    #[test]
+    fn pair_moves_between_inline_and_boxed() {
+        let key = [7u8; 24];
+        let mut pair = Pair::new(&key, Some(&[1; 28]));
+        assert!(matches!(pair, Pair::Inline { .. }));
+        for value in [
+            Some(&[2u8; 29][..]),
+            Some(&[]),
+            None,
+            Some(&[3; 28]),
+            None,
+            Some(&[4; 100]),
+        ] {
+            pair.set_value(value);
+            let inline = key.len() + value.map_or(0, <[u8]>::len) <= PAIR_INLINE;
+            assert_eq!(matches!(pair, Pair::Inline { .. }), inline, "{value:?}");
+            assert_eq!((pair.key(), pair.value()), (&key[..], value));
+        }
+        let long = Pair::new(&[9; 60], None);
+        assert_eq!((long.key(), long.value()), (&[9u8; 60][..], None));
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! bookkeeping*: per-replica match indices, quorum commit, lease expiry, and
 //! failover that truncates uncommitted entries and never loses committed
 //! ones. Tests exercise crash/elect schedules directly.
+//!
+//! Log indices are absolute. [`RaftGroup::compact`] drops the prefix every
+//! replica has applied, and the group keeps the index of its first
+//! retained entry, so a long run holds only the entries some replica
+//! still needs.
 
 use crate::error::{StoreError, StoreResult};
 use crate::sql::exec::WriteBatch;
@@ -45,8 +50,10 @@ pub struct RaftGroup {
     pub replicas: Vec<usize>,
     term: u64,
     leader_slot: Option<usize>,
+    /// Entries from index `first` on; the ones before it were compacted.
     log: Vec<LogEntry>,
-    /// Entries committed (quorum-replicated): `log[..commit]`.
+    first: usize,
+    /// Entries committed (quorum-replicated): indices `..commit`.
     commit: usize,
     /// Per-slot: entries present in that replica's log.
     match_len: Vec<usize>,
@@ -68,6 +75,7 @@ impl RaftGroup {
             term: 1,
             leader_slot: Some(0),
             log: Vec::new(),
+            first: 0,
             commit: 0,
             match_len: vec![0; n],
             applied: vec![0; n],
@@ -96,12 +104,20 @@ impl RaftGroup {
         self.commit
     }
 
+    /// Entries ever appended and not truncated, compacted ones included:
+    /// one past the last log index.
     pub fn log_len(&self) -> usize {
-        self.log.len()
+        self.first + self.log.len()
     }
 
+    /// The first index still held: entries before it were compacted.
+    pub fn log_start(&self) -> usize {
+        self.first
+    }
+
+    /// The entry at absolute `index`, which must not be compacted.
     pub fn entry(&self, index: usize) -> &LogEntry {
-        &self.log[index]
+        &self.log[index - self.first]
     }
 
     pub fn alive_count(&self) -> usize {
@@ -148,7 +164,7 @@ impl RaftGroup {
             bytes,
             version,
         });
-        self.match_len[leader] = self.log.len();
+        self.match_len[leader] = self.log_len();
         self.renew_lease(now);
         self.replicate(ops);
         Ok(())
@@ -160,7 +176,7 @@ impl RaftGroup {
         ops.clear();
         for slot in 0..self.replicas.len() {
             if self.alive[slot] {
-                self.match_len[slot] = self.log.len();
+                self.match_len[slot] = self.log_len();
             }
         }
         // Quorum commit: the largest index replicated on a majority, i.e.
@@ -213,7 +229,12 @@ impl RaftGroup {
     /// re-replicates everything beyond it. `durable_len` is capped by what
     /// the replica had ever acknowledged — recovery cannot mint entries.
     pub fn restart_recovered(&mut self, slot: usize, durable_len: usize) {
-        let durable = durable_len.min(self.match_len[slot]).min(self.log.len());
+        let durable = durable_len.min(self.match_len[slot]).min(self.log_len());
+        assert!(
+            durable >= self.first,
+            "recovered prefix {durable} misses compacted entries below {}",
+            self.first
+        );
         self.alive[slot] = true;
         self.match_len[slot] = durable;
         self.applied[slot] = self.applied[slot].min(durable);
@@ -237,13 +258,28 @@ impl RaftGroup {
         self.term += 1;
         self.leader_slot = Some(candidate);
         // Truncate uncommitted entries not on the new leader.
-        self.log.truncate(self.match_len[candidate]);
+        self.log.truncate(self.match_len[candidate] - self.first);
+        let len = self.log_len();
         for slot in 0..self.replicas.len() {
-            self.match_len[slot] = self.match_len[slot].min(self.log.len());
-            self.applied[slot] = self.applied[slot].min(self.log.len());
+            self.match_len[slot] = self.match_len[slot].min(len);
+            self.applied[slot] = self.applied[slot].min(len);
         }
         self.lease_until = now + self.lease;
         Ok(self.replicas[candidate])
+    }
+
+    /// Drop the log prefix below `upto` that every replica, crashed ones
+    /// included, has applied. A crashed replica keeps every entry past its
+    /// applied prefix in the log until it rejoins and catches up. Callers
+    /// whose replicas recover from durable state pass the smallest durable
+    /// prefix as `upto`, so a recovery can still be re-replicated from it.
+    pub fn compact(&mut self, upto: usize) {
+        let applied = self.applied.iter().copied().min().unwrap_or(0);
+        let upto = upto.min(applied);
+        if upto > self.first {
+            self.log.drain(..upto - self.first);
+            self.first = upto;
+        }
     }
 
     /// Heartbeat: re-replicates to stragglers (e.g. restarted replicas) and
@@ -463,6 +499,39 @@ mod tests {
         assert_eq!(new_leader, 12);
         assert_eq!(g.committed(), 3);
         assert_eq!(g.log_len(), 3);
+    }
+
+    #[test]
+    fn compaction_keeps_indices_absolute_and_spares_a_crashed_replica() {
+        let mut g = group();
+        for v in 1..=3 {
+            propose(&mut g, 1, v, SimTime::ZERO).unwrap();
+        }
+        g.compact(usize::MAX);
+        assert_eq!((g.log_start(), g.log_len()), (3, 3));
+        g.crash(2);
+        for v in 4..=5 {
+            propose(&mut g, 1, v, SimTime::ZERO).unwrap();
+        }
+        g.compact(usize::MAX);
+        assert_eq!(g.log_start(), 3, "replica 2 still needs entries 3 and 4");
+        assert_eq!(g.entry(4).version, 5);
+        // A caller's bound (a durable prefix, say) caps compaction too.
+        g.restart(2);
+        let slot2: Vec<usize> = tick(&mut g)
+            .iter()
+            .filter(|o| o.slot == 2)
+            .map(|o| o.index)
+            .collect();
+        assert_eq!(slot2, vec![3, 4]);
+        g.compact(4);
+        assert_eq!(g.log_start(), 4);
+        // Failover after compaction keeps the committed log.
+        g.crash(0);
+        g.elect(SimTime::ZERO).unwrap();
+        assert_eq!((g.committed(), g.log_len()), (5, 5));
+        propose(&mut g, 1, 6, SimTime::ZERO).unwrap();
+        assert_eq!(g.entry(5).version, 6);
     }
 
     #[test]

@@ -1,22 +1,28 @@
-//! Allocation gate for the flat memtable.
+//! Allocation gate for the hash-indexed engine.
 //!
-//! A counting `#[global_allocator]` pins three properties of `KvEngine`'s
+//! A counting `#[global_allocator]` pins four properties of `KvEngine`'s
 //! layout:
 //!
 //! - a bulk-loaded `kv` row (14-byte record key, 28-byte encoded row) owns
-//!   no heap allocation: the engine's only live allocations are B-tree
-//!   nodes, a small fraction of the row count. A layout that boxes keys,
-//!   values or version lists costs at least one allocation per row each;
+//!   no heap allocation: the engine's only live allocations are entry and
+//!   index pages, a small fraction of the row count. A layout that boxes
+//!   keys, values or version lists costs at least one allocation per row
+//!   each;
 //! - `get_latest` allocates nothing;
 //! - rewriting a stored row with `put_at` overwrites it in place: no
 //!   allocation, where keeping superseded versions would spill them to the
-//!   heap.
+//!   heap;
+//! - no allocation made by `bulk_load`, `clone` or a `put_at` of a new key
+//!   (tail merges and index growth included) is larger than 64 KiB. Once
+//!   glibc frees a multi-megabyte buffer it moves later large ones onto
+//!   its brk heap, whose freed memory is not returned, so one flat buffer
+//!   per engine raises the process's peak RSS.
 //!
 //! The test binary holds this one test, so no sibling thread can move the
 //! counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use storekit::cluster::{ClusterConfig, SqlCluster};
 use storekit::kv::{record_key, InlineBytes, KvEngine};
 use storekit::row::Row;
@@ -25,25 +31,30 @@ use storekit::value::Datum;
 
 struct CountingAlloc;
 
-/// Allocations made, and allocations made less those freed.
+/// Allocations made, allocations made less those freed, and the largest
+/// allocation since the last [`largest_since`] reset.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicI64 = AtomicI64::new(0);
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         LIVE.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         LIVE.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(new_size, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -58,8 +69,18 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const ROWS: i64 = 20_000;
 
+/// The allocation-size ceiling for the engine's own buffers.
+const MAX_ALLOCATION: usize = 64 << 10;
+
 fn live() -> i64 {
     LIVE.load(Ordering::SeqCst)
+}
+
+/// The largest allocation `f` makes, and its result.
+fn largest_in<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    LARGEST.store(0, Ordering::SeqCst);
+    let out = f();
+    (LARGEST.load(Ordering::SeqCst), out)
 }
 
 fn kv_row(k: i64) -> Vec<Datum> {
@@ -90,7 +111,7 @@ fn kv_catalog() -> Catalog {
 }
 
 #[test]
-fn bulk_loaded_rows_live_in_btree_nodes_only() {
+fn bulk_loaded_rows_live_in_pages_of_at_most_64_kib() {
     // One engine, loaded directly.
     let base = live();
     let writes: Vec<_> = (0..ROWS)
@@ -106,8 +127,13 @@ fn bulk_loaded_rows_live_in_btree_nodes_only() {
         })
         .collect();
     let mut kv = KvEngine::new();
-    kv.bulk_load(writes);
+    let (largest, ()) = largest_in(|| kv.bulk_load(writes));
     let held = live() - base;
+    println!("engine: largest bulk_load allocation {largest} bytes");
+    assert!(
+        largest < MAX_ALLOCATION,
+        "bulk_load made a {largest}-byte allocation"
+    );
     println!("engine: {held} live allocations for {ROWS} rows");
     assert!(
         held > 0 && held < ROWS / 8,
@@ -167,9 +193,41 @@ fn bulk_loaded_rows_live_in_btree_nodes_only() {
         let got = kv.get_latest(key).expect("rewritten row");
         assert_eq!((got.value, got.version), (row.as_slice(), version(last, k)));
     }
-    drop((kv, keys, rewrites));
 
-    // Through the cluster: three replicas of every row, still nodes only.
+    // Clones and new keys stay in small pages too: the new keys fill the
+    // tail past its merge point and grow the index.
+    let (largest, copy) = largest_in(|| kv.clone());
+    println!("clone: largest allocation {largest} bytes");
+    assert!(
+        largest < MAX_ALLOCATION,
+        "clone made a {largest}-byte allocation"
+    );
+    drop(copy);
+    let before = kv.layout();
+    let fresh: Vec<Vec<u8>> = (ROWS..3 * ROWS)
+        .map(|k| record_key("kv", &Datum::Int(k)))
+        .collect();
+    let row = Row(kv_row(0)).encode();
+    let next = version(REWRITES, 0);
+    let (largest, ()) = largest_in(|| {
+        for (v, key) in (next..).zip(&fresh) {
+            kv.put_at(key, Some(&row), v);
+        }
+    });
+    let after = kv.layout();
+    println!("new keys: largest allocation {largest} bytes, layout {before:?} -> {after:?}");
+    assert!(
+        after.run > before.run && after.index_slots > before.index_slots,
+        "{} new keys neither merged the tail nor grew the index",
+        fresh.len()
+    );
+    assert!(
+        largest < MAX_ALLOCATION,
+        "a new-key put_at made a {largest}-byte allocation"
+    );
+    drop((kv, keys, rewrites, fresh));
+
+    // Through the cluster: three replicas of every row, still pages only.
     let mut cluster = SqlCluster::new(kv_catalog(), ClusterConfig::default());
     let base = live();
     cluster

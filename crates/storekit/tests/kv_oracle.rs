@@ -1,13 +1,22 @@
-//! Differential test: the flat memtable (`KvEngine`) vs a naive oracle, a
-//! `BTreeMap` from owned key to its latest version and value.
+//! Differential test: the hash-indexed engine (`KvEngine`) vs a naive
+//! oracle, a `BTreeMap` from owned key to its latest version and value.
 //!
 //! A splitmix64-driven operation stream drives both: `put`, `put_at`,
 //! `delete`, point reads, prefix and range scans, full-state checks,
 //! clones, and bulk loads into fresh and populated engines (including keys
 //! the engine already holds and keys repeated within one load). Key and
-//! value lengths sit on the inline-storage boundary (0, `INLINE_BYTES - 1`,
-//! `INLINE_BYTES`, `INLINE_BYTES + 1`) and use embedded `0x00`/`0xFF` bytes.
+//! value lengths sit on the inline-storage boundaries: 0, `INLINE_BYTES - 1`,
+//! `INLINE_BYTES` and `INLINE_BYTES + 1` for `InlineBytes`, and key plus
+//! value just under and over the 52 bytes an entry holds inline (24 + 28,
+//! 24 + 29). They use embedded `0x00`/`0xFF` bytes.
 //! Every read and counter must agree exactly.
+//!
+//! A second stream writes a steady supply of new keys, so it drives the
+//! engine's run/tail layout through its edges: new keys after a bulk load,
+//! past the point where the tail merges into the run; index growth;
+//! tombstones in the tail; scans that span the run and the tail; and
+//! clones of, and bulk loads into, engines whose tail is not empty. It
+//! counts each edge it reached and requires every count to be non-zero.
 //!
 //! Run with `cargo test -p storekit --test kv_oracle -- --nocapture` to see
 //! the executed case count.
@@ -42,6 +51,7 @@ impl Rng {
             0,
             1,
             14,
+            24,
             28,
             INLINE_BYTES - 1,
             INLINE_BYTES,
@@ -264,6 +274,188 @@ fn kv_engine_matches_latest_only_oracle() {
     }
     println!("kv_oracle: {cases} cases x {OPS} operations executed");
     assert_eq!(cases, SEEDS);
+}
+
+/// How often the layout stream reached each edge of the run/tail layout.
+#[derive(Debug, Default)]
+struct Edges {
+    tail_merges: u64,
+    index_growths: u64,
+    tail_tombstones: u64,
+    spanning_scans: u64,
+    tail_clones: u64,
+    loads_over_tail: u64,
+}
+
+/// Keys the engine holds in its tail, mirrored from the outside: a key
+/// first written by `put_at` joins the tail, and a bulk load or a merge
+/// (seen as the tail emptying) moves every key into the run.
+#[derive(Default)]
+struct TailMirror(std::collections::BTreeSet<Vec<u8>>);
+
+impl TailMirror {
+    fn check(&self, kv: &KvEngine, ctx: &str) {
+        let layout = kv.layout();
+        assert_eq!(layout.tail, self.0.len(), "{ctx}: tail size");
+        assert!(
+            layout.run + layout.tail <= layout.index_slots * 3 / 4,
+            "{ctx}: index over-full {layout:?}"
+        );
+    }
+}
+
+/// A key that is almost surely new: random bytes of a boundary length over
+/// a wide alphabet, behind one of two shared prefixes.
+fn fresh_key(rng: &mut Rng) -> Vec<u8> {
+    let mut key = rng.pick(&[&b"t/"[..], b"t/x"]).to_vec();
+    let len = *rng.pick(&[12, INLINE_BYTES - 3, INLINE_BYTES - 2, 40]);
+    key.extend((0..len).map(|_| rng.below(256) as u8));
+    key
+}
+
+fn layout_run(seed: u64, ops: usize, edges: &mut Edges) {
+    let mut rng = Rng(seed);
+    let mut kv = KvEngine::new();
+    let mut oracle = Oracle::new();
+    let mut tail = TailMirror::default();
+    let mut keys: Vec<Vec<u8>> = Vec::new();
+    for step in 0..ops {
+        let ctx = format!("layout seed {seed} step {step}");
+        match rng.below(20) {
+            // New keys, most of the stream: the tail fills and merges.
+            0..=7 => {
+                let key = fresh_key(&mut rng);
+                let value = (rng.below(6) != 0).then(|| rng.bytes());
+                let version = oracle.next_version + rng.below(2);
+                let before = kv.layout();
+                let new = !oracle.data.contains_key(&key);
+                kv.put_at(&key, value.as_deref(), version);
+                oracle.put_at(&key, value.as_deref(), version);
+                let after = kv.layout();
+                if new {
+                    keys.push(key.clone());
+                    tail.0.insert(key);
+                    if after.tail == 0 {
+                        edges.tail_merges += 1;
+                        tail.0.clear();
+                        assert_eq!(after.run, before.run + before.tail + 1, "{ctx}: merge");
+                    }
+                    edges.index_growths += u64::from(after.index_slots > before.index_slots);
+                }
+                tail.check(&kv, &ctx);
+            }
+            // Rewrites and deletes of stored keys, tail keys included.
+            8..=10 if !keys.is_empty() => {
+                let key = rng.pick(&keys).clone();
+                let value = (rng.below(3) != 0).then(|| rng.bytes());
+                let version = oracle.next_version;
+                if value.is_none() && tail.0.contains(&key) {
+                    edges.tail_tombstones += 1;
+                }
+                kv.put_at(&key, value.as_deref(), version);
+                oracle.put_at(&key, value.as_deref(), version);
+                tail.check(&kv, &ctx);
+            }
+            11..=13 if !keys.is_empty() => {
+                let key = rng.pick(&keys).clone();
+                let got = kv.get_latest(&key).map(|v| (v.version, v.value.to_vec()));
+                assert_eq!(got, oracle.get_latest(&key), "{ctx}: get_latest");
+                assert_eq!(
+                    kv.latest_version(&key),
+                    oracle.latest_version(&key),
+                    "{ctx}"
+                );
+                let absent = fresh_key(&mut rng);
+                assert_eq!(
+                    kv.latest_version(&absent),
+                    oracle.latest_version(&absent),
+                    "{ctx}"
+                );
+            }
+            14..=16 => {
+                let start = if keys.is_empty() || rng.below(4) == 0 {
+                    fresh_key(&mut rng)
+                } else {
+                    let key = rng.pick(&keys);
+                    key[..rng.below(key.len() as u64 + 1) as usize].to_vec()
+                };
+                let got = if rng.below(2) == 0 {
+                    let want = oracle.scan(&start, |k| k.starts_with(&start));
+                    let got = engine_scan(kv.scan_prefix(&start));
+                    assert_eq!(got, want, "{ctx}: scan_prefix {start:?}");
+                    got
+                } else {
+                    let end = fresh_key(&mut rng);
+                    let want = oracle.scan(&start, |k| k < end.as_slice());
+                    let got = engine_scan(kv.scan_between(&start, Some(&end)));
+                    assert_eq!(got, want, "{ctx}: scan_between {start:?}..{end:?}");
+                    got
+                };
+                let in_tail = got.iter().filter(|(k, ..)| tail.0.contains(k)).count();
+                edges.spanning_scans += u64::from(in_tail > 0 && in_tail < got.len());
+            }
+            17 => {
+                edges.tail_clones += u64::from(!tail.0.is_empty());
+                let copy = kv.clone();
+                assert_eq!(copy.layout(), kv.layout(), "{ctx}: clone layout");
+                check_state(&copy, &oracle, &ctx);
+                kv = copy;
+            }
+            // Rare, so the tail fills past its merge point between loads.
+            18 if rng.below(16) == 0 => {
+                // Bulk load over the current engine: stored and new keys.
+                edges.loads_over_tail += u64::from(!tail.0.is_empty());
+                let pool: Vec<Vec<u8>> = (0..8)
+                    .map(|_| {
+                        if keys.is_empty() || rng.below(2) == 0 {
+                            fresh_key(&mut rng)
+                        } else {
+                            rng.pick(&keys).clone()
+                        }
+                    })
+                    .collect();
+                let batch = bulk_batch(&mut rng, &pool, &mut oracle);
+                keys.extend(batch.iter().map(|w| w.0.to_vec()));
+                keys.sort();
+                keys.dedup();
+                kv.bulk_load(batch);
+                tail.0.clear();
+                tail.check(&kv, &ctx);
+                check_state(&kv, &oracle, &ctx);
+            }
+            _ => check_state(&kv, &oracle, &ctx),
+        }
+    }
+    check_state(&kv, &oracle, &format!("layout seed {seed} end"));
+}
+
+#[test]
+fn layout_edges_match_the_oracle() {
+    const SEEDS: u64 = 16;
+    const OPS: usize = 1_500;
+    let mut edges = Edges::default();
+    for seed in 0..SEEDS {
+        layout_run(0x7A11_0000 + seed, OPS, &mut edges);
+    }
+    println!("kv_oracle layout: {SEEDS} cases x {OPS} operations, edges reached: {edges:?}");
+    let Edges {
+        tail_merges,
+        index_growths,
+        tail_tombstones,
+        spanning_scans,
+        tail_clones,
+        loads_over_tail,
+    } = edges;
+    for (edge, count) in [
+        ("tail merges", tail_merges),
+        ("index growths", index_growths),
+        ("tail tombstones", tail_tombstones),
+        ("scans spanning run and tail", spanning_scans),
+        ("clones with a tail", tail_clones),
+        ("bulk loads over a tail", loads_over_tail),
+    ] {
+        assert!(count > 0, "the stream never reached {edge}");
+    }
 }
 
 #[test]

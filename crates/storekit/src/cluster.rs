@@ -12,6 +12,18 @@
 //! region leader → block-cache/KV row fetch → full row shipped back →
 //! front-end projection. A version check runs the *whole* path and returns
 //! 8 bytes — which is exactly why it erases the cache's savings.
+//!
+//! The cluster owns its [`KvEngine`]s, and each storage pod points at one.
+//! Pods that host the same regions and have applied the same log share one
+//! engine: in the paper's deployment (3 pods, replication 3) the host holds
+//! the dataset once, and each committed entry is put into it once, while
+//! every replica's meters and durable WAL are charged as if it had applied
+//! the entry alone. A pod gets its own copy of the engine at the first
+//! apply batch in which it would apply entries that a pod sharing its
+//! engine does not (a crashed or lagging Raft replica), or when its engine
+//! is replaced (a crash wipe or a recovery), and stays private from then on.
+//! Sharing is a host-side representation only: versions, per-pod
+//! `bytes_written`, charges and latencies are those of one engine per pod.
 
 use crate::block::{BlockCache, BlockConfig};
 use crate::cost::StorageCostConfig;
@@ -81,21 +93,33 @@ impl Default for ClusterConfig {
     }
 }
 
-/// One storage pod: CPU meter, KV engine, block cache.
+/// One storage pod: CPU meter, block cache, and which of the cluster's
+/// engines holds its replica data ([`SqlCluster::engine`]).
 #[derive(Debug)]
 pub struct StoragePod {
     pub cpu: CpuMeter,
-    pub kv: KvEngine,
     pub block_cache: BlockCache,
+    /// Index into `SqlCluster::engines`.
+    engine: usize,
 }
 
-impl StoragePod {
-    /// Apply one committed raft entry to this replica's KV engine.
-    fn apply(&mut self, entry: &LogEntry) {
-        for m in &entry.batch.mutations {
-            self.kv.put_at(&m.key, m.value.as_deref(), entry.version);
-        }
+/// Apply one committed raft entry to a KV engine.
+fn apply(kv: &mut KvEngine, entry: &LogEntry) {
+    for m in &entry.batch.mutations {
+        kv.put_at(&m.key, m.value.as_deref(), entry.version);
     }
+}
+
+/// How the storage pods share engines.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineSharing {
+    /// Distinct engines the cluster holds.
+    pub engines: usize,
+    /// Engine copies made because pods sharing an engine diverged.
+    pub splits: u64,
+    /// Replica applies of an entry that an engine shared with another
+    /// replica had already taken: puts saved by sharing.
+    pub shared_applies: u64,
 }
 
 /// Which of `regions` regions a raw key belongs to.
@@ -111,13 +135,34 @@ fn region_of_hash(key_hash: u64, regions: usize) -> usize {
 /// One replica set's bulk-load writes: `(key, value, version)`.
 type Run = Vec<(InlineBytes, Option<InlineBytes>, u64)>;
 
+/// Storage pods grouped by the regions they host: `(regions, pods)` per
+/// distinct set, both ascending.
+fn replica_sets(regions: &[RaftGroup], pods: usize) -> Vec<(Vec<usize>, Vec<usize>)> {
+    let mut hosted = vec![Vec::new(); pods];
+    for (r, region) in regions.iter().enumerate() {
+        for &pod in &region.replicas {
+            hosted[pod].push(r);
+        }
+    }
+    let mut sets: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
+    for (pod, regions) in hosted.into_iter().enumerate() {
+        match sets.iter_mut().find(|(r, _)| *r == regions) {
+            Some((_, pods)) => pods.push(pod),
+            None => sets.push((regions, vec![pod])),
+        }
+    }
+    sets
+}
+
 /// Mirror one applied raft entry into the pod's durable store: WAL append
 /// (+ group-commit fsync when due, + snapshot when the cadence fires).
 /// Charges the pod's meter and returns the total CPU so write paths can also
 /// bill it to the statement's receipt. No-op (and zero) with durability off.
+/// `kv` is the pod's engine with `entry` applied; a snapshot copies it.
 fn durable_apply(
     durable: &mut DurableStore,
-    pod: &mut StoragePod,
+    kv: &KvEngine,
+    cpu: &mut CpuMeter,
     config: &ClusterConfig,
     region: usize,
     entry: &LogEntry,
@@ -132,34 +177,13 @@ fn durable_apply(
         entry.bytes,
         &config.cost,
     );
-    pod.cpu.charge(CpuCategory::Replication, wal_cpu);
+    cpu.charge(CpuCategory::Replication, wal_cpu);
     let mut total = wal_cpu;
-    if let Some(snap_cpu) = durable.maybe_snapshot(&pod.kv, &config.cost) {
-        pod.cpu.charge(CpuCategory::KvExec, snap_cpu);
+    if let Some(snap_cpu) = durable.maybe_snapshot(kv, &config.cost) {
+        cpu.charge(CpuCategory::KvExec, snap_cpu);
         total += snap_cpu;
     }
     total
-}
-
-/// The CPU one replica spends applying log entry `index`: `(kv, replication)`.
-/// It is the same on every replica, and the ops applying one entry are
-/// usually adjacent, so the last entry priced is kept in `last` and reused.
-fn entry_cost(
-    last: &mut Option<(usize, SimDuration, SimDuration)>,
-    cost: &StorageCostConfig,
-    index: usize,
-    entry: &LogEntry,
-) -> (SimDuration, SimDuration) {
-    match *last {
-        Some((priced, kv, repl)) if priced == index => (kv, repl),
-        _ => {
-            let kv =
-                SimDuration::from_micros_f64(cost.kv_write_us * entry.batch.mutations.len() as f64);
-            let repl = cost.raft_follower_cost(entry.bytes);
-            *last = Some((index, kv, repl));
-            (kv, repl)
-        }
-    }
 }
 
 /// What one point read touched in the storage tier: the leader pod that
@@ -179,6 +203,7 @@ struct PointRead {
 /// block cache. Nothing is charged.
 fn point_read(
     storages: &mut [StoragePod],
+    engines: &[KvEngine],
     regions: &[RaftGroup],
     key: &[u8],
     row: &mut Row,
@@ -186,7 +211,7 @@ fn point_read(
     let key_hash = stable_hash(key);
     let pod = regions[region_of_hash(key_hash, regions.len())].leader()?;
     let storage = &mut storages[pod];
-    let version = match storage.kv.get_latest(key) {
+    let version = match engines[storage.engine].get_latest(key) {
         Some(v) => {
             Row::decode_into(v.value, row)?;
             Some(v.version)
@@ -250,6 +275,10 @@ pub struct SqlCluster {
     pub catalog: Catalog,
     pub frontends: Vec<FrontendPod>,
     pub storages: Vec<StoragePod>,
+    /// The distinct engines the pods point at; every one is some pod's.
+    engines: Vec<KvEngine>,
+    /// Splits and shared applies so far.
+    sharing: EngineSharing,
     regions: Vec<RaftGroup>,
     /// Per-pod durable state (WAL + snapshot); inert when durability is off.
     durable: Vec<DurableStore>,
@@ -273,6 +302,8 @@ pub struct SqlCluster {
     spare_row: Row,
     /// Scratch buffer for the apply work of one raft proposal or heartbeat.
     apply_ops: Vec<ApplyOp>,
+    /// Scratch buffer for that work per pod: `(pod, first, end)` log indices.
+    apply_ranges: Vec<(usize, usize, usize)>,
 }
 
 /// Distinct statement shapes worth remembering per cluster; beyond this the
@@ -293,20 +324,30 @@ impl SqlCluster {
     pub fn new(catalog: Catalog, config: ClusterConfig) -> Self {
         assert!(config.frontends > 0 && config.storage_nodes > 0);
         let replicas = config.replicas.min(config.storage_nodes).max(1);
-        let storages = (0..config.storage_nodes)
-            .map(|_| StoragePod {
-                cpu: CpuMeter::new(),
-                kv: KvEngine::new(),
-                block_cache: BlockCache::new(config.block_cache_bytes, config.block),
-            })
-            .collect();
-        let regions = (0..config.regions.max(1))
+        let regions: Vec<RaftGroup> = (0..config.regions.max(1))
             .map(|r| {
                 // Spread replica sets and leadership round-robin over pods.
                 let members: Vec<usize> = (0..replicas)
                     .map(|i| ((r as usize) + i) % config.storage_nodes)
                     .collect();
                 RaftGroup::new(r, members, SimTime::ZERO, config.lease)
+            })
+            .collect();
+        // The pods of one replica set receive the same writes: they start on
+        // one engine.
+        let mut engine_of = vec![0; config.storage_nodes];
+        let sets = replica_sets(&regions, config.storage_nodes);
+        for (engine, (_, pods)) in sets.iter().enumerate() {
+            for &pod in pods {
+                engine_of[pod] = engine;
+            }
+        }
+        let storages = engine_of
+            .into_iter()
+            .map(|engine| StoragePod {
+                cpu: CpuMeter::new(),
+                block_cache: BlockCache::new(config.block_cache_bytes, config.block),
+                engine,
             })
             .collect();
         let region_count = config.regions.max(1) as usize;
@@ -317,6 +358,8 @@ impl SqlCluster {
             catalog,
             frontends: (0..config.frontends).map(|_| FrontendPod::default()).collect(),
             storages,
+            engines: sets.iter().map(|_| KvEngine::new()).collect(),
+            sharing: EngineSharing::default(),
             regions,
             durable,
             next_frontend: 0,
@@ -325,6 +368,7 @@ impl SqlCluster {
             point_key: Vec::new(),
             spare_row: Row::default(),
             apply_ops: Vec::new(),
+            apply_ranges: Vec::new(),
             config,
         }
     }
@@ -346,6 +390,34 @@ impl SqlCluster {
         &mut self.regions[idx]
     }
 
+    /// The KV engine holding storage pod `pod`'s replica data. Pods that
+    /// share an engine return the same one.
+    pub fn engine(&self, pod: usize) -> &KvEngine {
+        &self.engines[self.storages[pod].engine]
+    }
+
+    /// Give storage pod `pod` the engine `kv`. A pod that shares its engine
+    /// leaves the others on it and holds `kv` alone from then on; a pod that
+    /// holds its engine alone drops it.
+    pub fn replace_engine(&mut self, pod: usize, kv: KvEngine) {
+        let engine = self.storages[pod].engine;
+        if self.storages.iter().filter(|s| s.engine == engine).count() == 1 {
+            self.engines[engine] = kv;
+        } else {
+            self.storages[pod].engine = self.engines.len();
+            self.engines.push(kv);
+        }
+    }
+
+    /// How many engines the pods hold, and the splits and shared applies
+    /// so far.
+    pub fn engine_sharing(&self) -> EngineSharing {
+        EngineSharing {
+            engines: self.engines.len(),
+            ..self.sharing
+        }
+    }
+
     /// Memory provisioned per storage pod (block cache + base).
     pub fn storage_mem_bytes_per_node(&self) -> u64 {
         self.config.block_cache_bytes + self.config.base_mem_bytes
@@ -357,7 +429,9 @@ impl SqlCluster {
     /// so it grows with rewrites while the live dataset stays flat.
     pub fn primary_data_bytes(&self) -> u64 {
         // Every pod holds a replica subset; sum one pod set / replicas.
-        let total: u64 = self.storages.iter().map(|s| s.kv.bytes_written()).sum();
+        let total: u64 = (0..self.storages.len())
+            .map(|pod| self.engine(pod).bytes_written())
+            .sum();
         total / self.config.replicas.max(1) as u64
     }
 
@@ -380,21 +454,115 @@ impl SqlCluster {
     pub fn tick(&mut self, now: SimTime) {
         for r in 0..self.regions.len() {
             self.regions[r].tick(now, &mut self.apply_ops);
-            // Apply straight from the log: `regions` and `storages` are
-            // disjoint fields, so no entry is cloned.
-            let region = &self.regions[r];
-            let mut priced = None;
-            for op in &self.apply_ops {
-                let entry = region.entry(op.index);
-                let pod = region.replicas[op.slot];
-                let storage = &mut self.storages[pod];
-                storage.apply(entry);
-                let (_, repl_cost) = entry_cost(&mut priced, &self.config.cost, op.index, entry);
-                storage.cpu.charge(CpuCategory::Replication, repl_cost);
-                durable_apply(&mut self.durable[pod], storage, &self.config, r, entry);
-            }
+            self.apply_batch(r, None);
             self.compact_log(r);
         }
+    }
+
+    /// Apply region `r`'s raft work in `apply_ops`, entry by entry in log
+    /// order. First, pods that share an engine but apply different entries
+    /// in this batch split: each group of them with a different batch takes
+    /// one copy of the engine as it stands before the batch. Then each entry
+    /// is put once into every distinct engine of the replicas applying it,
+    /// and each of those replicas is charged and logs the entry to its
+    /// durable WAL as if it had applied the entry alone; a snapshot taken
+    /// there sees its engine with exactly the entries up to this one.
+    ///
+    /// A proposal passes its `receipt`: replicas are charged the KV write
+    /// and replication, and the receipt collects the storage CPU. A
+    /// heartbeat's catch-up passes `None` and charges replication only.
+    /// Returns the largest follower replication cost.
+    fn apply_batch(&mut self, r: usize, mut receipt: Option<&mut QueryReceipt>) -> SimDuration {
+        if self.apply_ops.is_empty() {
+            return SimDuration::ZERO;
+        }
+        // Apply straight from the log: `regions`, `engines` and `storages`
+        // are disjoint fields, so no entry is cloned.
+        let region = &self.regions[r];
+        // Each slot's work is a run of consecutive indices.
+        let ranges = &mut self.apply_ranges;
+        ranges.clear();
+        for op in &self.apply_ops {
+            let pod = region.replicas[op.slot];
+            match ranges.last_mut() {
+                Some((last, _, end)) if *last == pod => {
+                    debug_assert_eq!(*end, op.index, "a slot's work is consecutive");
+                    *end = op.index + 1;
+                }
+                _ => ranges.push((pod, op.index, op.index + 1)),
+            }
+        }
+        let ranges = &*ranges;
+        let batch_of = |pod: usize| {
+            ranges
+                .iter()
+                .find(|&&(p, ..)| p == pod)
+                .map_or((0, 0), |&(_, first, end)| (first, end))
+        };
+
+        // The lowest pod on each engine keeps it; each other group of its
+        // sharers with a different batch moves to one copy.
+        let storages = &mut self.storages;
+        for first in 0..storages.len() {
+            let engine = storages[first].engine;
+            if storages[..first].iter().any(|s| s.engine == engine) {
+                continue;
+            }
+            let kept = batch_of(first);
+            for pod in first + 1..storages.len() {
+                let moved = batch_of(pod);
+                if storages[pod].engine != engine || moved == kept {
+                    continue;
+                }
+                let copy = self.engines.len();
+                self.engines.push(self.engines[engine].clone());
+                self.sharing.splits += 1;
+                for (q, s) in storages.iter_mut().enumerate().skip(pod) {
+                    if s.engine == engine && batch_of(q) == moved {
+                        s.engine = copy;
+                    }
+                }
+            }
+        }
+
+        let (lo, hi) = ranges
+            .iter()
+            .fold((usize::MAX, 0), |(lo, hi), &(_, first, end)| (lo.min(first), hi.max(end)));
+        let cost = &self.config.cost;
+        let mut max_follower = SimDuration::ZERO;
+        for index in lo..hi {
+            let entry = region.entry(index);
+            let kv_cost =
+                SimDuration::from_micros_f64(cost.kv_write_us * entry.batch.mutations.len() as f64);
+            let repl_cost = cost.raft_follower_cost(entry.bytes);
+            let applying =
+                |&&(_, first, end): &&(usize, usize, usize)| (first..end).contains(&index);
+            for (i, &(pod, ..)) in ranges.iter().enumerate().filter(|(_, range)| applying(range)) {
+                let engine = storages[pod].engine;
+                let earlier = &ranges[..i];
+                if earlier.iter().filter(applying).any(|&(p, ..)| storages[p].engine == engine) {
+                    self.sharing.shared_applies += 1;
+                } else {
+                    apply(&mut self.engines[engine], entry);
+                }
+                let cpu = &mut storages[pod].cpu;
+                cpu.charge(CpuCategory::Replication, repl_cost);
+                let durable_cpu = durable_apply(
+                    &mut self.durable[pod],
+                    &self.engines[engine],
+                    cpu,
+                    &self.config,
+                    r,
+                    entry,
+                );
+                if let Some(receipt) = receipt.as_deref_mut() {
+                    cpu.charge(CpuCategory::KvExec, kv_cost);
+                    receipt.storage_cpu += kv_cost + repl_cost + durable_cpu;
+                }
+                max_follower = max_follower.max(repl_cost);
+            }
+        }
+        max_follower
     }
 
     /// Drop region `r`'s log prefix that every replica has applied and,
@@ -429,7 +597,7 @@ impl SqlCluster {
         self.durable[pod].stats.cold_refill_cpu_us +=
             (self.config.cost.block_miss_us * lost_blocks as f64) as u64;
         self.storages[pod].block_cache.wipe();
-        self.storages[pod].kv = KvEngine::new();
+        self.replace_engine(pod, KvEngine::new());
         for region in self.regions.iter_mut() {
             if let Some(slot) = region.replicas.iter().position(|&p| p == pod) {
                 region.crash(slot);
@@ -448,7 +616,7 @@ impl SqlCluster {
             "recover_pod models durable-storage recovery; enable durability"
         );
         let outcome = self.durable[pod].crash_and_recover(&self.config.cost);
-        self.storages[pod].kv = outcome.kv;
+        self.replace_engine(pod, outcome.kv);
         self.storages[pod].cpu.charge(CpuCategory::KvExec, outcome.replay_cpu);
         for (r, region) in self.regions.iter_mut().enumerate() {
             if let Some(slot) = region.replicas.iter().position(|&p| p == pod) {
@@ -493,18 +661,16 @@ impl SqlCluster {
     /// Pods that host the same regions receive the same writes, so the load
     /// gathers one run per distinct replica set; in the paper's deployment
     /// (3 pods, replication 3) every pod hosts every region and there is
-    /// one run. Within a set, the pods whose engine was new (as
-    /// [`KvEngine::new`] builds it) before the load end up equal: the first
-    /// builds its tree from the run and the others get a `clone` of it.
-    /// Pods that already held data (on a second load, say) merge the run
-    /// into their own trees, and a new pod never copies one of those: a pod
-    /// wiped by a crash beside loaded peers builds its own tree.
+    /// one run. The run goes once into each distinct engine the set's pods
+    /// hold: pods that share an engine load it once and keep sharing it,
+    /// with no copy, and a pod that has split off or been wiped loads the
+    /// run into its own engine.
     pub fn bulk_load<I>(&mut self, table: &str, rows: I) -> StoreResult<usize>
     where
         I: IntoIterator<Item = Vec<Datum>>,
     {
         let schema = self.catalog.get(table)?.clone();
-        let sets = self.replica_sets();
+        let sets = replica_sets(&self.regions, self.storages.len());
         let region_count = self.regions.len();
         let mut hosts: Vec<Vec<usize>> = vec![Vec::new(); region_count];
         for (set, (regions, _)) in sets.iter().enumerate() {
@@ -561,51 +727,25 @@ impl SqlCluster {
         // Like the load itself, this charges no CPU.
         if self.config.durability.enabled() {
             for pod in 0..self.storages.len() {
-                self.durable[pod].snapshot_now(&self.storages[pod].kv, &self.config.cost);
+                let kv = &self.engines[self.storages[pod].engine];
+                self.durable[pod].snapshot_now(kv, &self.config.cost);
             }
         }
         Ok(count)
     }
 
-    /// Storage pods grouped by the regions they host: `(regions, pods)`
-    /// per distinct set, both ascending.
-    fn replica_sets(&self) -> Vec<(Vec<usize>, Vec<usize>)> {
-        let mut hosted = vec![Vec::new(); self.storages.len()];
-        for (r, region) in self.regions.iter().enumerate() {
-            for &pod in &region.replicas {
-                hosted[pod].push(r);
+    /// Load one replica set's run into each distinct engine its `pods`
+    /// hold. Only the pods of one set share an engine, so no other pod
+    /// sees the run.
+    fn load_run(&mut self, pods: &[usize], run: Run) {
+        let mut engines: Vec<usize> = pods.iter().map(|&pod| self.storages[pod].engine).collect();
+        engines.sort_unstable();
+        engines.dedup();
+        if let Some((&last, rest)) = engines.split_last() {
+            for &engine in rest {
+                self.engines[engine].bulk_load(run.clone());
             }
-        }
-        let mut sets: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
-        for (pod, regions) in hosted.into_iter().enumerate() {
-            match sets.iter_mut().find(|(r, _)| *r == regions) {
-                Some((_, pods)) => pods.push(pod),
-                None => sets.push((regions, vec![pod])),
-            }
-        }
-        sets
-    }
-
-    /// Load one replica set's run into its `pods`: each pod that already
-    /// holds data merges its own copy, and of the pods that were new the
-    /// first builds its tree and the rest clone it.
-    fn load_run(&mut self, pods: &[usize], mut run: Run) {
-        let (new, loaded): (Vec<usize>, Vec<usize>) = pods
-            .iter()
-            .partition(|&&pod| self.storages[pod].kv.is_new());
-        for (i, &pod) in loaded.iter().enumerate() {
-            let writes = if new.is_empty() && i + 1 == loaded.len() {
-                std::mem::take(&mut run)
-            } else {
-                run.clone()
-            };
-            self.storages[pod].kv.bulk_load(writes);
-        }
-        if let Some((&first, rest)) = new.split_first() {
-            self.storages[first].kv.bulk_load(run);
-            for &pod in rest {
-                self.storages[pod].kv = self.storages[first].kv.clone();
-            }
+            self.engines[last].bulk_load(run);
         }
     }
 
@@ -730,6 +870,7 @@ impl SqlCluster {
         {
             let mut store = ClusterRowStore {
                 storages: &mut self.storages,
+                engines: &self.engines,
                 regions: &self.regions,
                 cost: &self.config.cost,
                 link: &self.config.link,
@@ -810,8 +951,9 @@ impl SqlCluster {
     }
 
     /// Propose one region's mutations at `version` and apply the entry on
-    /// every replica that commits it, charging the leader RPC, replication
-    /// and KV work to the pods and the receipt.
+    /// every replica that commits it ([`SqlCluster::apply_batch`]),
+    /// charging the leader RPC, replication and KV work to the pods and the
+    /// receipt.
     fn commit_region(
         &mut self,
         region_idx: usize,
@@ -843,23 +985,7 @@ impl SqlCluster {
         receipt.storage_cpu += leader_cost;
 
         self.regions[region_idx].propose(sub, version, now, &mut self.apply_ops)?;
-        // Apply straight from the log, as in `tick`.
-        let region = &self.regions[region_idx];
-        let mut max_follower = SimDuration::ZERO;
-        let mut priced = None;
-        for op in &self.apply_ops {
-            let entry = region.entry(op.index);
-            let pod = region.replicas[op.slot];
-            let storage = &mut self.storages[pod];
-            storage.apply(entry);
-            let (kv_cost, repl_cost) = entry_cost(&mut priced, &self.config.cost, op.index, entry);
-            storage.cpu.charge(CpuCategory::KvExec, kv_cost);
-            storage.cpu.charge(CpuCategory::Replication, repl_cost);
-            receipt.storage_cpu += kv_cost + repl_cost;
-            receipt.storage_cpu +=
-                durable_apply(&mut self.durable[pod], storage, &self.config, region_idx, entry);
-            max_follower = max_follower.max(repl_cost);
-        }
+        let max_follower = self.apply_batch(region_idx, Some(receipt));
         self.compact_log(region_idx);
         // Quorum round trip: leader → follower → ack.
         receipt.latency += self.config.link.delivery_time(bytes) * 2 + max_follower;
@@ -961,7 +1087,7 @@ impl SqlCluster {
         self.next_frontend = self.next_frontend.wrapping_add(1);
         let mut key = std::mem::take(&mut self.point_key);
         record_key_into(&mut key, table, pk);
-        let read = point_read(&mut self.storages, &self.regions, &key, row);
+        let read = point_read(&mut self.storages, &self.engines, &self.regions, &key, row);
         self.point_key = key;
         Ok(read?.version)
     }
@@ -985,9 +1111,11 @@ impl SqlCluster {
 
 /// The executor's window into the storage tier: every fetch routes to the
 /// region leader, pays RPC + block-cache + KV costs on the right pods, and
-/// accumulates into the receipt.
+/// accumulates into the receipt. It reads the engines and never writes
+/// them; writes reach them through raft.
 struct ClusterRowStore<'a> {
     storages: &'a mut Vec<StoragePod>,
+    engines: &'a [KvEngine],
     regions: &'a Vec<RaftGroup>,
     cost: &'a StorageCostConfig,
     link: &'a LinkSpec,
@@ -999,7 +1127,12 @@ struct ClusterRowStore<'a> {
     region_count: usize,
 }
 
-impl ClusterRowStore<'_> {
+impl<'a> ClusterRowStore<'a> {
+    /// The engine of storage pod `pod`.
+    fn engine(&self, pod: usize) -> &'a KvEngine {
+        &self.engines[self.storages[pod].engine]
+    }
+
     /// Charge a storage-side row read (block cache + KV) on `pod` for the
     /// row whose key hashes to `key_hash`.
     fn charge_row_read(&mut self, pod: usize, key_hash: u64, bytes: u64, rows_scanned: u64) {
@@ -1056,7 +1189,7 @@ impl ClusterRowStore<'_> {
     /// Fetch one row by record key from its home region into `row`: the
     /// [`point_read`] plus its charges.
     fn point_get_key(&mut self, key: &[u8], row: &mut Row) -> StoreResult<Option<u64>> {
-        let read = point_read(self.storages, self.regions, key, row)?;
+        let read = point_read(self.storages, self.engines, self.regions, key, row)?;
         // Negative lookups still pay lookup + RPC.
         self.bill_row_read(read.pod, read.logical, 1, read.blocks);
         self.charge_fetch_rpc(read.pod, read.logical);
@@ -1072,8 +1205,8 @@ impl ClusterRowStore<'_> {
         for key in record_keys {
             let key_hash = stable_hash(&key);
             let pod = self.leader_for_hash(key_hash)?;
-            let found = self.storages[pod]
-                .kv
+            let found = self
+                .engine(pod)
                 .get_latest(&key)
                 .map(|v| Row::decode(v.value).map(|row| (row, v.version)))
                 .transpose()?;
@@ -1095,8 +1228,8 @@ impl ClusterRowStore<'_> {
         for region_idx in 0..self.region_count {
             let pod = self.regions[region_idx].leader()?;
             let region_count = self.region_count;
-            let hits: Vec<(u64, Vec<u8>, u64)> = self.storages[pod]
-                .kv
+            let hits: Vec<(u64, Vec<u8>, u64)> = self
+                .engine(pod)
                 .scan_between(start, end)
                 .filter_map(|(k, v)| {
                     let key_hash = stable_hash(k);
@@ -1140,8 +1273,8 @@ impl RowStore for ClusterRowStore<'_> {
         let prefix = index_prefix(table, column, value);
         let prefix_hash = stable_hash(&prefix);
         let pod = self.leader_for_hash(prefix_hash)?;
-        let record_keys: Vec<Vec<u8>> = self.storages[pod]
-            .kv
+        let record_keys: Vec<Vec<u8>> = self
+            .engine(pod)
             .scan_prefix(&prefix)
             .map(|(_, v)| v.value.to_vec())
             .collect();
@@ -1166,8 +1299,8 @@ impl RowStore for ClusterRowStore<'_> {
         let mut record_keys = Vec::new();
         for region_idx in 0..self.region_count {
             let pod = self.regions[region_idx].leader()?;
-            let hits: Vec<Vec<u8>> = self.storages[pod]
-                .kv
+            let hits: Vec<Vec<u8>> = self
+                .engine(pod)
                 .scan_between(&start, end.as_deref())
                 .filter(|(k, _)| {
                     region_index(k, self.region_count) == region_idx
@@ -1276,8 +1409,8 @@ mod tests {
         .unwrap();
         // RF=3 over 3 pods: every pod holds the row.
         let key = record_key("kv", &Datum::Int(5));
-        for (i, pod) in c.storages.iter().enumerate() {
-            assert!(pod.kv.get_latest(&key).is_some(), "pod {i} missing replica");
+        for i in 0..c.storages.len() {
+            assert!(c.engine(i).get_latest(&key).is_some(), "pod {i} missing replica");
         }
     }
 
@@ -1491,16 +1624,17 @@ mod tests {
         let row = |i: i64, b: u8| vec![Datum::Int(i), Datum::Bytes(vec![b])];
         c.bulk_load("kv", (0..10i64).map(|i| row(i, 1))).unwrap();
         let key = record_key("kv", &Datum::Int(3));
-        let first = c.storages[0].kv.latest_version(&key).unwrap();
+        let first = c.engine(0).latest_version(&key).unwrap();
         // Re-load key 3 (twice in one load) beside new keys.
         c.bulk_load("kv", [row(3, 2), row(20, 2), row(3, 3)]).unwrap();
-        for pod in &c.storages {
-            let latest = pod.kv.get_latest(&key).unwrap();
+        for pod in 0..c.storages.len() {
+            let kv = c.engine(pod);
+            let latest = kv.get_latest(&key).unwrap();
             assert_eq!(latest.value, Row(row(3, 3)).encode());
             // Key 3's second reload is the load's last write.
-            assert_eq!(latest.version, pod.kv.next_version() - 1);
+            assert_eq!(latest.version, kv.next_version() - 1);
             assert!(latest.version > first);
-            assert_eq!(pod.kv.live_keys(), 11);
+            assert_eq!(kv.live_keys(), 11);
         }
     }
 
@@ -1510,7 +1644,7 @@ mod tests {
         let row = |b: u8| vec![Datum::Int(7), Datum::Bytes(vec![b; 40])];
         c.bulk_load("kv", [row(0)]).unwrap();
         let row_bytes = Row(row(0)).encode().len() as u64;
-        let live = |c: &SqlCluster| c.storages.iter().map(|s| s.kv.live_bytes()).collect::<Vec<_>>();
+        let live = |c: &SqlCluster| (0..3).map(|p| c.engine(p).live_bytes()).collect::<Vec<_>>();
         let (billed, resident) = (c.primary_data_bytes(), live(&c));
         assert_eq!(billed, row_bytes);
         const REWRITES: u64 = 5;
@@ -1531,7 +1665,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, StoreError::ArityMismatch { .. }));
         // Rows ahead of the invalid one are loaded, as one by one.
-        assert!(c.storages[0].kv.get_latest(&record_key("kv", &Datum::Int(0))).is_some());
+        assert!(c.engine(0).get_latest(&record_key("kv", &Datum::Int(0))).is_some());
         assert!(c.bulk_load("ghost", vec![]).is_err());
     }
 
@@ -1655,7 +1789,7 @@ mod tests {
         }
         // And the recovered pod itself holds them again (not just the quorum).
         let key = record_key("kv", &Datum::Int(29));
-        assert!(c.storages[0].kv.get_latest(&key).is_some());
+        assert!(c.engine(0).get_latest(&key).is_some());
     }
 
     #[test]
@@ -1673,7 +1807,7 @@ mod tests {
         c.crash_pod(1);
         c.recover_pod(1, t(1));
         let key = record_key("kv", &Datum::Int(42));
-        assert!(c.storages[1].kv.get_latest(&key).is_some());
+        assert!(c.engine(1).get_latest(&key).is_some());
     }
 
     /// Retained log entries per region.
@@ -1714,7 +1848,8 @@ mod tests {
         let g = &c.regions[r];
         assert_eq!(g.log_start(), applied, "nothing past the follower's prefix dropped");
         assert_eq!(g.log_len() - applied, 300);
-        assert!(c.storages[pod].kv.latest_version(&key) < c.storages[g.leader().unwrap()].kv.latest_version(&key));
+        let leader = g.leader().unwrap();
+        assert!(c.engine(pod).latest_version(&key) < c.engine(leader).latest_version(&key));
 
         // Once it rejoins and catches up, the log compacts again.
         c.region_mut(r).restart(follower);
@@ -1722,9 +1857,56 @@ mod tests {
         assert_eq!(retained(&c)[r], 0);
         let leader = c.regions[r].leader().unwrap();
         assert_eq!(
-            c.storages[pod].kv.get_latest(&key),
-            c.storages[leader].kv.get_latest(&key)
+            c.engine(pod).get_latest(&key),
+            c.engine(leader).get_latest(&key)
         );
+    }
+
+    #[test]
+    fn replicas_share_one_engine_until_one_lags() {
+        let mut c = cluster();
+        c.bulk_load("kv", (0..50i64).map(|i| vec![Datum::Int(i), Datum::Bytes(vec![0])]))
+            .unwrap();
+        let sharing = |engines, splits, shared_applies| EngineSharing {
+            engines,
+            splits,
+            shared_applies,
+        };
+        assert_eq!(c.engine_sharing(), sharing(1, 0, 0));
+        // One put serves all three replicas.
+        replace(&mut c, 7, 1, t(1));
+        assert_eq!(c.engine_sharing(), sharing(1, 0, 2));
+
+        // A crashed follower misses the next two writes: its peers take one
+        // copy of the engine and keep sharing it.
+        let key = record_key("kv", &Datum::Int(7));
+        let r = c.region_of(&key);
+        let follower = (c.regions[r].leader_slot().unwrap() + 1) % 3;
+        let pod = c.regions[r].replicas[follower];
+        let peers: Vec<usize> = (0..3).filter(|&p| p != pod).collect();
+        c.region_mut(r).crash(follower);
+        replace(&mut c, 7, 2, t(2));
+        replace(&mut c, 7, 3, t(3));
+        assert_eq!(c.engine_sharing(), sharing(2, 1, 4));
+        assert!(std::ptr::eq(c.engine(peers[0]), c.engine(peers[1])));
+        let stale = c.engine(pod).get_latest(&key).unwrap().value.to_vec();
+        assert_eq!(stale, Row(vec![Datum::Int(7), Datum::Bytes(vec![1])]).encode());
+
+        // It catches up both entries on its own engine and stays apart.
+        c.region_mut(r).restart(follower);
+        c.tick(t(4));
+        assert_eq!(c.engine_sharing(), sharing(2, 1, 4));
+        assert_eq!(c.engine(pod).get_latest(&key), c.engine(peers[0]).get_latest(&key));
+        assert_eq!(c.engine(pod).bytes_written(), c.engine(peers[0]).bytes_written());
+        assert_eq!(c.engine(pod).next_version(), c.engine(peers[0]).next_version());
+
+        // A replaced engine leaves the others on theirs.
+        c.replace_engine(peers[0], KvEngine::new());
+        assert_eq!(c.engine_sharing().engines, 3);
+        assert_eq!(c.engine(peers[0]).live_keys(), 0);
+        assert_eq!(c.engine(peers[1]).live_keys(), 50);
+        c.replace_engine(peers[0], KvEngine::new());
+        assert_eq!(c.engine_sharing().engines, 3, "a private engine is replaced in place");
     }
 
     #[test]

@@ -617,13 +617,6 @@ impl KvEngine {
         }
     }
 
-    /// Whether the engine is exactly [`KvEngine::new`]: no key, no version
-    /// and no byte ever written. Two new engines given the same writes end
-    /// in the same state, so one can be a clone of the other.
-    pub(crate) fn is_new(&self) -> bool {
-        self.entries.len() == 0 && self.next_version == 1 && self.bytes_written == 0
-    }
-
     /// Number of live keys (latest version is not a tombstone).
     pub fn live_keys(&self) -> usize {
         self.entries

@@ -18,12 +18,18 @@
 //!   its brk heap, whose freed memory is not returned, so one flat buffer
 //!   per engine raises the process's peak RSS.
 //!
+//! Through a 3-pod / 3-replica cluster it pins that the replicas share one
+//! engine: a bulk load holds what one engine of the same rows holds, plus
+//! at most [`CLUSTER_SLACK`] allocations, and a pod that diverges (a Raft
+//! replica that misses a write) adds exactly one engine copy.
+//!
 //! The test binary holds this one test, so no sibling thread can move the
 //! counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use storekit::cluster::{ClusterConfig, SqlCluster};
+use simnet::SimTime;
+use storekit::cluster::{ClusterConfig, QueryReceipt, SqlCluster};
 use storekit::kv::{record_key, InlineBytes, KvEngine};
 use storekit::row::Row;
 use storekit::schema::{Catalog, ColumnDef, ColumnType, TableSchema};
@@ -71,6 +77,9 @@ const ROWS: i64 = 20_000;
 
 /// The allocation-size ceiling for the engine's own buffers.
 const MAX_ALLOCATION: usize = 64 << 10;
+
+/// Allocations a cluster's bulk load may hold beyond its one engine's.
+const CLUSTER_SLACK: i64 = 4;
 
 fn live() -> i64 {
     LIVE.load(Ordering::SeqCst)
@@ -129,6 +138,7 @@ fn bulk_loaded_rows_live_in_pages_of_at_most_64_kib() {
     let mut kv = KvEngine::new();
     let (largest, ()) = largest_in(|| kv.bulk_load(writes));
     let held = live() - base;
+    let engine_held = held;
     println!("engine: largest bulk_load allocation {largest} bytes");
     assert!(
         largest < MAX_ALLOCATION,
@@ -227,16 +237,59 @@ fn bulk_loaded_rows_live_in_pages_of_at_most_64_kib() {
     );
     drop((kv, keys, rewrites, fresh));
 
-    // Through the cluster: three replicas of every row, still pages only.
+    // Through the cluster: three replicas of every row, still pages only,
+    // and the replicas share one engine.
     let mut cluster = SqlCluster::new(kv_catalog(), ClusterConfig::default());
     let base = live();
     cluster
         .bulk_load("kv", (0..ROWS).map(kv_row))
         .expect("valid rows");
     let held = live() - base;
-    println!("cluster: {held} live allocations for {ROWS} rows x 3 replicas");
+    println!(
+        "cluster: {held} live allocations for {ROWS} rows x 3 replicas \
+         (one engine of them: {engine_held})"
+    );
     assert!(
         held < ROWS / 2,
         "cluster holds {held} allocations for {ROWS} rows x 3 replicas"
+    );
+    assert!(
+        held <= engine_held + CLUSTER_SLACK,
+        "cluster holds {held} allocations, one engine {engine_held}"
+    );
+    assert_eq!(cluster.engine_sharing().engines, 1);
+
+    // A follower that misses a write diverges: its peers take one copy of
+    // the engine. The write's own buffers are warmed first, and the
+    // follower catches up so its log entry is compacted away.
+    let stmt = cluster
+        .prepare_cached("REPLACE INTO kv VALUES (?, ?)")
+        .expect("valid statement");
+    let mut receipt = QueryReceipt::default();
+    let mut write = |cluster: &mut SqlCluster, ms: u64| {
+        let now = SimTime::from_nanos(ms * 1_000_000);
+        cluster
+            .execute_cached_into(&stmt, &kv_row(7), now, &mut receipt)
+            .expect("replace");
+    };
+    write(&mut cluster, 1);
+    let base = live();
+    let copy = cluster.engine(0).clone();
+    let engine_copy = live() - base;
+    drop(copy);
+    let key = record_key("kv", &Datum::Int(7));
+    let r = (cachekit::ring::stable_hash(&key) % cluster.region_count() as u64) as usize;
+    let follower = (cluster.region(r).leader_slot().expect("a leader") + 1) % 3;
+    let base = live();
+    cluster.region_mut(r).crash(follower);
+    write(&mut cluster, 2);
+    cluster.region_mut(r).restart(follower);
+    cluster.tick(SimTime::from_nanos(3_000_000));
+    let held = live() - base;
+    println!("divergence: {held} new live allocations, one engine copy {engine_copy}");
+    assert_eq!(cluster.engine_sharing().engines, 2);
+    assert_eq!(
+        held, engine_copy,
+        "a diverged pod holds {held} new allocations, one engine copy {engine_copy}"
     );
 }

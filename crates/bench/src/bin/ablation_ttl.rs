@@ -292,8 +292,8 @@ fn frontier(runner: &SweepRunner) -> Vec<FrontierPoint> {
 }
 
 // JSON artifacts are hand-rolled: the offline serde_json stub serializes to
-// the empty string (see .claude/skills/verify/SKILL.md), so derive-based
-// `write_json` would leave results/*.json empty. Same approach as fig_scale.
+// the empty string, so derive-based `write_json` would leave
+// results/*.json empty. `obs_report` writes its JSON the same way.
 fn write_ttl_json(planes: &[PlanePoint], iso: &[IsolationPoint], frontier: &[FrontierPoint]) {
     let mut out = String::from("{\n  \"control_plane\": [\n");
     for (i, p) in planes.iter().enumerate() {

@@ -18,7 +18,6 @@
 //! * [`ring::HashRing`] — consistent hashing used to shard linked caches
 //!   across application servers (§2.4: "linked caches are typically
 //!   sharded"),
-//! * [`sharded::ShardedCache`] — a cache partitioned over a ring,
 //! * [`mrc`] — miss-ratio-curve estimation, both analytic (Zipfian) and
 //!   trace-driven (Mattson stack distances), feeding the §4 theoretical
 //!   model.
@@ -35,7 +34,6 @@ pub mod list;
 pub mod mrc;
 pub mod policy;
 pub mod ring;
-pub mod sharded;
 pub mod stats;
 
 pub use admission::TinyLfu;
@@ -46,5 +44,4 @@ pub use l0::{L0Cache, L0Hit, L0Mode, L0Params, L0Stats};
 pub use mrc::{zipf_hit_ratio, MissRatioCurve, StackDistance};
 pub use policy::PolicyKind;
 pub use ring::HashRing;
-pub use sharded::{ReshardOutcome, ShardedCache};
 pub use stats::CacheStats;

@@ -910,14 +910,6 @@ impl Deployment {
         reclaimed
     }
 
-    pub(crate) fn cache_key(table: &str, key: i64) -> Vec<u8> {
-        let mut k = Vec::with_capacity(table.len() + 9);
-        k.extend_from_slice(table.as_bytes());
-        k.push(b'/');
-        k.extend_from_slice(&key.to_be_bytes());
-        k
-    }
-
     /// The app server handling this request: the shard owner for sharded
     /// linked architectures (Slicer-style client routing), round-robin
     /// otherwise — including LinkedTtl, where every server caches its own

@@ -1738,450 +1738,6 @@ fn run_kv_experiment_core(cfg: &KvExperimentConfig) -> StoreResult<(ExperimentRe
     ))
 }
 
-/// Opaque per-shard result of a sharded KV experiment — produced by
-/// [`run_kv_shard`], consumed by [`merge_kv_shards`].
-///
-/// A sharded run partitions the *keyspace* (per-app-server consistent
-/// hashing over the same 128-vnode ring [`crate::lease::AutoSharder`]
-/// builds) across `shards` independent replicas of the deployment. Every
-/// shard replays the full request stream — keeping the workload RNG, the
-/// virtual clock and the heartbeat schedule globally aligned — but serves,
-/// loads and prewarms only the keys it owns. Because ownership partitions
-/// reads and writes identically, read-your-writes generation accounting
-/// stays exact within each shard, and the merged meters/histograms depend
-/// only on the (config, shard count) pair — never on how many worker
-/// threads executed the shards (jobs=1 ≡ jobs=N byte-for-byte).
-#[derive(Debug)]
-pub struct KvShardOutcome {
-    shard: usize,
-    shards: usize,
-    duration: SimDuration,
-    metrics: RunMetrics,
-    app_meter: CpuMeter,
-    cache_meter: CpuMeter,
-    frontend_meter: CpuMeter,
-    storage_meter: CpuMeter,
-    primary_data_bytes: u64,
-    storage_mem_bytes_per_node: u64,
-    block_cache_hits: u64,
-    block_cache_misses: u64,
-    net_delivered: u64,
-    net_dropped: u64,
-    degraded_reads: u64,
-    cache_retries: u64,
-    stampede_suppressed: u64,
-    cache_crashes: u64,
-    cache_restarts: u64,
-    rpc_batches: u64,
-    batched_rpc_keys: u64,
-    batch_size_counts: std::collections::HashMap<u32, u64>,
-}
-
-/// Serve shard `shard` of `shards` of one KV experiment (see
-/// [`KvShardOutcome`] for the partitioning rule). Only the plain fixed-rate
-/// runner is shardable: faults, tracing, diurnal load, observability,
-/// elastic provisioning and durable storage all couple requests across the
-/// keyspace and refuse with [`StoreError::Unsupported`].
-pub fn run_kv_shard(
-    cfg: &KvExperimentConfig,
-    shard: usize,
-    shards: usize,
-) -> StoreResult<KvShardOutcome> {
-    if shards == 0 || shard >= shards {
-        return Err(StoreError::Unsupported(format!(
-            "shard {shard} out of range for {shards} shards"
-        )));
-    }
-    if cfg.crash_leaders_at_request.is_some()
-        || cfg.cache_fault_schedule.is_some()
-        || cfg.trace_sample_every.is_some()
-        || cfg.diurnal.is_some()
-        || cfg.observability.is_some()
-        || cfg.deployment.l0.is_some()
-        || cfg.tenants.is_some()
-    {
-        return Err(StoreError::Unsupported(
-            "sharded runs support only the plain fixed-rate KV experiment \
-             (no faults, tracing, diurnal load, observability, L0 tier, or \
-             tenant mixes)"
-                .to_string(),
-        ));
-    }
-
-    let mut dep = Deployment::new(cfg.deployment.clone(), kv_catalog("kv"));
-    if dep.elastic.enabled() || dep.ttl_enabled() || dep.cluster.durability_enabled() {
-        return Err(StoreError::Unsupported(
-            "sharded runs support neither elastic provisioning, the TTL \
-             control plane, nor durable storage"
-                .to_string(),
-        ));
-    }
-
-    // Key → shard: per-app-server partitioning on the lease sharder's ring
-    // (folded onto `shards` when fewer shards than app servers run). The
-    // key buffer is reused so ownership checks never allocate.
-    let ring = cachekit::HashRing::with_shards(cfg.deployment.app_servers as u32, 128);
-    let mut keybuf = Deployment::cache_key("kv", 0);
-    let prefix = keybuf.len() - std::mem::size_of::<i64>();
-    let mut owns = move |key: u64| -> bool {
-        keybuf.truncate(prefix);
-        keybuf.extend_from_slice(&(key as i64).to_be_bytes());
-        ring.shard_for(&keybuf).map(|s| s as usize % shards) == Some(shard)
-    };
-
-    // Seed and prewarm only the owned slice of the keyspace; across all
-    // shards every key is loaded exactly once, so summed disk bytes equal
-    // the unsharded dataset.
-    let wl_cfg = &cfg.workload;
-    dep.cluster.bulk_load(
-        "kv",
-        (0..wl_cfg.keys).filter(|&k| owns(k)).map(|k| {
-            vec![
-                Datum::Int(k as i64),
-                Datum::Payload {
-                    len: wl_cfg.size_of(k),
-                    seed: 0,
-                },
-            ]
-        }),
-    )?;
-    if cfg.prewarm {
-        dep.prewarm_kv("kv", (0..wl_cfg.keys).filter(|&k| owns(k)).map(|k| k as i64))?;
-    }
-
-    let mut workload = wl_cfg.build();
-    let mut generation: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    let base_dt = SimDuration::from_secs_f64(1.0 / cfg.qps.max(1.0));
-    let mut now = SimTime::ZERO;
-    let mut metrics = RunMetrics::new();
-    let total = cfg.warmup_requests + cfg.requests;
-    let heartbeat_every = (cfg.qps as u64).max(1); // ~1 virtual second
-    let mut measuring = false;
-    let mut measure_start = SimTime::ZERO;
-    let deadline = cfg.deployment.fault_tolerance.request_deadline;
-
-    for i in 0..total {
-        if i == cfg.warmup_requests {
-            dep.reset_metrics();
-            metrics = RunMetrics::new();
-            measuring = true;
-            measure_start = now;
-        }
-        if i % heartbeat_every == 0 {
-            dep.cluster.tick(now);
-            dep.sharder.renew_all(now);
-        }
-        // Every shard consumes the full stream (the RNG must stay aligned);
-        // only owned requests are served.
-        let req = workload.next_request();
-        if owns(req.key) {
-            match req.op {
-                KvOp::Read => {
-                    let (out, penalty) =
-                        with_failover(&mut dep, now, &mut metrics, measuring, |d, t| {
-                            d.serve_kv_read("kv", req.key as i64, t)
-                        })?;
-                    if measuring {
-                        metrics.reads += 1;
-                        metrics.read_latency.record((out.latency + penalty).as_nanos());
-                        metrics.cache_hits += out.cache_hit as u64;
-                        metrics.version_checks += out.version_checks;
-                        metrics.sql_statements += out.sql_statements;
-                        metrics.check_deadline(out.latency + penalty, deadline);
-                        let expect = generation.get(&req.key).copied().unwrap_or(0);
-                        if out.seed != Some(expect) {
-                            metrics.stale_reads += 1;
-                        }
-                    }
-                }
-                KvOp::Write => {
-                    let g = generation.entry(req.key).or_insert(0);
-                    *g += 1;
-                    let value = Datum::Payload {
-                        len: req.value_bytes,
-                        seed: *g,
-                    };
-                    let (out, penalty) =
-                        with_failover(&mut dep, now, &mut metrics, measuring, |d, t| {
-                            d.serve_kv_write("kv", req.key as i64, value.clone(), t)
-                        })?;
-                    if measuring {
-                        metrics.writes += 1;
-                        metrics
-                            .write_latency
-                            .record((out.latency + penalty).as_nanos());
-                        metrics.sql_statements += out.sql_statements;
-                        metrics.check_deadline(out.latency + penalty, deadline);
-                    }
-                }
-            }
-        }
-        now += base_dt;
-    }
-
-    let (block_cache_hits, block_cache_misses) = dep.cluster.block_cache_counts();
-    Ok(KvShardOutcome {
-        shard,
-        shards,
-        duration: now.since(measure_start),
-        metrics,
-        app_meter: dep.app_cpu_total(),
-        cache_meter: dep.cache_cpu_total(),
-        frontend_meter: dep.cluster.frontend_cpu_total(),
-        storage_meter: dep.cluster.storage_cpu_total(),
-        primary_data_bytes: dep.cluster.primary_data_bytes(),
-        storage_mem_bytes_per_node: dep.cluster.storage_mem_bytes_per_node(),
-        block_cache_hits,
-        block_cache_misses,
-        net_delivered: dep.net.delivered,
-        net_dropped: dep.net.dropped,
-        degraded_reads: dep.metrics.counter_value(fault_counters::DEGRADED_READS),
-        cache_retries: dep.metrics.counter_value(fault_counters::RETRIES),
-        stampede_suppressed: dep
-            .metrics
-            .counter_value(fault_counters::STAMPEDE_SUPPRESSED),
-        cache_crashes: dep.metrics.counter_value(fault_counters::CACHE_CRASHES),
-        cache_restarts: dep.metrics.counter_value(fault_counters::CACHE_RESTARTS),
-        rpc_batches: dep.metrics.counter_value(batch_counters::RPC_BATCHES),
-        batched_rpc_keys: dep.metrics.counter_value(batch_counters::BATCHED_RPC_KEYS),
-        batch_size_counts: dep.batch_size_counts.clone(),
-    })
-}
-
-/// Fold per-shard outcomes (shard order 0..N) into the report the unsharded
-/// runner would describe for the union deployment: CPU meters, latency
-/// histograms and counters sum; tier memory comes from the configuration
-/// exactly as in the unsharded report (every shard models the same fleet);
-/// disk sums because the keyspace partitions exactly once.
-pub fn merge_kv_shards(
-    cfg: &KvExperimentConfig,
-    outcomes: Vec<KvShardOutcome>,
-) -> StoreResult<ExperimentReport> {
-    let shards = outcomes.len();
-    if shards == 0 {
-        return Err(StoreError::Unsupported(
-            "no shard outcomes to merge".to_string(),
-        ));
-    }
-    for (i, o) in outcomes.iter().enumerate() {
-        if o.shard != i || o.shards != shards {
-            return Err(StoreError::Unsupported(format!(
-                "shard outcome {}/{} at position {i} of {shards}: pass every shard, in order",
-                o.shard, o.shards
-            )));
-        }
-        if o.duration != outcomes[0].duration {
-            return Err(StoreError::Unsupported(
-                "shard durations diverge: shards must share one virtual clock".to_string(),
-            ));
-        }
-    }
-    let duration = outcomes[0].duration;
-    let storage_mem_per_node = outcomes[0].storage_mem_bytes_per_node;
-
-    let mut metrics = RunMetrics::new();
-    let mut app = CpuMeter::new();
-    let mut cache = CpuMeter::new();
-    let mut frontend = CpuMeter::new();
-    let mut storage = CpuMeter::new();
-    let mut primary_data_bytes = 0u64;
-    let (mut bc_hits, mut bc_misses) = (0u64, 0u64);
-    let (mut net_delivered, mut net_dropped) = (0u64, 0u64);
-    let mut degraded_reads = 0u64;
-    let mut cache_retries = 0u64;
-    let mut stampede_suppressed = 0u64;
-    let mut cache_crashes = 0u64;
-    let mut cache_restarts = 0u64;
-    let mut rpc_batches = 0u64;
-    let mut batched_rpc_keys = 0u64;
-    let mut batch_counts: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-    for o in &outcomes {
-        app.merge(&o.app_meter);
-        cache.merge(&o.cache_meter);
-        frontend.merge(&o.frontend_meter);
-        storage.merge(&o.storage_meter);
-        metrics.read_latency.merge_from(&o.metrics.read_latency);
-        metrics.write_latency.merge_from(&o.metrics.write_latency);
-        metrics.reads += o.metrics.reads;
-        metrics.writes += o.metrics.writes;
-        metrics.cache_hits += o.metrics.cache_hits;
-        metrics.stale_reads += o.metrics.stale_reads;
-        metrics.version_checks += o.metrics.version_checks;
-        metrics.sql_statements += o.metrics.sql_statements;
-        metrics.failovers += o.metrics.failovers;
-        metrics.deadline_exceeded += o.metrics.deadline_exceeded;
-        primary_data_bytes += o.primary_data_bytes;
-        bc_hits += o.block_cache_hits;
-        bc_misses += o.block_cache_misses;
-        net_delivered += o.net_delivered;
-        net_dropped += o.net_dropped;
-        degraded_reads += o.degraded_reads;
-        cache_retries += o.cache_retries;
-        stampede_suppressed += o.stampede_suppressed;
-        cache_crashes += o.cache_crashes;
-        cache_restarts += o.cache_restarts;
-        rpc_batches += o.rpc_batches;
-        batched_rpc_keys += o.batched_rpc_keys;
-        for (&s, &c) in &o.batch_size_counts {
-            *batch_counts.entry(s).or_insert(0) += c;
-        }
-    }
-
-    // Tier assembly mirrors `build_report`: memory is provisioned from the
-    // configuration (identical in every shard), compute from the summed
-    // busy time over the shared duration.
-    let dcfg = &cfg.deployment;
-    let pricing = &cfg.pricing;
-    let mut tiers = Vec::new();
-    let app_mem = dcfg.app_servers as u64
-        * (dcfg.app_base_mem_bytes
-            + if dcfg.arch.has_linked_cache() {
-                dcfg.linked_cache_bytes_per_server
-            } else {
-                0
-            });
-    tiers.push(TierReport::from_meter(
-        "app",
-        dcfg.app_servers,
-        &app,
-        duration,
-        app_mem,
-        0,
-        pricing,
-    ));
-    if dcfg.arch == ArchKind::Remote {
-        let mem = dcfg.remote_cache_nodes as u64 * (dcfg.remote_cache_bytes_per_node + (1 << 30));
-        tiers.push(TierReport::from_meter(
-            "remote_cache",
-            dcfg.remote_cache_nodes,
-            &cache,
-            duration,
-            mem,
-            0,
-            pricing,
-        ));
-    }
-    tiers.push(TierReport::from_meter(
-        "sql_frontend",
-        dcfg.cluster.frontends,
-        &frontend,
-        duration,
-        dcfg.cluster.frontends as u64 * dcfg.cluster.frontend_mem_bytes,
-        0,
-        pricing,
-    ));
-    tiers.push(TierReport::from_meter(
-        "storage",
-        dcfg.cluster.storage_nodes,
-        &storage,
-        duration,
-        dcfg.cluster.storage_nodes as u64 * storage_mem_per_node,
-        primary_data_bytes * dcfg.cluster.replicas as u64,
-        pricing,
-    ));
-
-    let total_cost: CostBreakdown = tiers.iter().map(|t| t.cost).sum();
-    let total_cores: f64 = tiers.iter().map(|t| t.cores).sum();
-    let total_mem_gb: f64 = tiers.iter().map(|t| t.mem_gb).sum();
-    let mut batch_size_counts: Vec<(u32, u64)> =
-        batch_counts.iter().map(|(&s, &c)| (s, c)).collect();
-    batch_size_counts.sort_unstable();
-
-    Ok(ExperimentReport {
-        arch: dcfg.arch,
-        qps: cfg.qps,
-        requests: cfg.requests,
-        duration_secs: duration.as_secs_f64(),
-        tiers,
-        total_cost,
-        total_cores,
-        total_mem_gb,
-        cache_hit_ratio: if metrics.reads == 0 {
-            0.0
-        } else {
-            metrics.cache_hits as f64 / metrics.reads as f64
-        },
-        // Sharded pods see disjoint key slices, so the exact (mergeable)
-        // definition is aggregate hits over aggregate accesses.
-        block_cache_hit_ratio: if bc_hits + bc_misses == 0 {
-            0.0
-        } else {
-            bc_hits as f64 / (bc_hits + bc_misses) as f64
-        },
-        read_latency_p50_us: metrics.read_latency.p50() / 1_000,
-        read_latency_p99_us: metrics.read_latency.p99() / 1_000,
-        read_latency_p999_us: metrics.read_latency.p999() / 1_000,
-        write_latency_p50_us: metrics.write_latency.p50() / 1_000,
-        write_latency_p99_us: metrics.write_latency.p99() / 1_000,
-        write_latency_p999_us: metrics.write_latency.p999() / 1_000,
-        stale_reads: metrics.stale_reads,
-        version_checks: metrics.version_checks,
-        sql_statements: metrics.sql_statements,
-        failovers: metrics.failovers,
-        degraded_reads,
-        cache_retries,
-        stampede_suppressed,
-        deadline_exceeded: metrics.deadline_exceeded,
-        cache_crashes,
-        cache_restarts,
-        net_delivered,
-        net_dropped,
-        rpc_batches,
-        batched_rpc_keys,
-        mean_batch_size: if rpc_batches == 0 {
-            0.0
-        } else {
-            batched_rpc_keys as f64 / rpc_batches as f64
-        },
-        batch_size_counts,
-        // Sharded runs refuse elastic, durability and observability, so the
-        // corresponding report sections are structurally zero.
-        elastic_decisions: 0,
-        elastic_plan_changes: 0,
-        elastic_resizes: 0,
-        elastic_shards_drained: 0,
-        elastic_shards_restored: 0,
-        elastic_migrated_entries: 0,
-        elastic_migrated_bytes: 0,
-        peak_window_cores: 0.0,
-        elastic_mean_cache_bytes: 0.0,
-        elastic_peak_cache_bytes: 0,
-        wal_appends: 0,
-        wal_fsync_batches: 0,
-        snapshot_bytes: 0,
-        recoveries: 0,
-        recovery_time_us: 0,
-        replayed_entries: 0,
-        lost_tail_entries: 0,
-        cold_refill_cpu_us: 0,
-        ssd_resident_bytes: 0,
-        slo_alerts_fired: 0,
-        tail_p99_threshold_us: 0,
-        tail_causes: Vec::new(),
-        // Sharded runs refuse the L0 tier, so its section is structurally
-        // zero too.
-        l0_hits: 0,
-        l0_misses: 0,
-        l0_hit_ratio: 0.0,
-        l0_admitted: 0,
-        l0_rejected: 0,
-        l0_invalidations: 0,
-        l0_stale_admits_dropped: 0,
-        l0_stale_serves: 0,
-        l0_age_p50_us: 0,
-        l0_age_p99_us: 0,
-        // Sharded runs refuse the TTL plane and tenant mixes, so their
-        // sections are structurally zero/empty as well.
-        ttl_decisions: 0,
-        ttl_changes: 0,
-        expired_entries: 0,
-        expiry_sweep_cpu_us: 0,
-        ttl_current_secs: Vec::new(),
-        ttl_mean_resident_bytes: 0.0,
-        tenants: Vec::new(),
-    })
-}
-
 /// Run a cost experiment from a captured/imported trace instead of a
 /// generator (see `workloads::trace`). The dataset is seeded from the
 /// trace's distinct keys at generation 0; the first `warmup_fraction` of
@@ -2543,16 +2099,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_refuse_the_l0_tier() {
-        let mut cfg = tiny_cfg(ArchKind::Remote);
-        cfg.deployment.l0 = Some(crate::config::L0Config::default());
-        assert!(matches!(
-            run_kv_shard(&cfg, 0, 2),
-            Err(StoreError::Unsupported(_))
-        ));
-    }
-
-    #[test]
     fn latency_orders_match_architecture() {
         let base = run_kv_experiment(&tiny_cfg(ArchKind::Base)).unwrap();
         let linked = run_kv_experiment(&tiny_cfg(ArchKind::Linked)).unwrap();
@@ -2591,11 +2137,6 @@ mod tests {
             }
         }
         assert!(r.total_vms() >= 1);
-        // JSON-serializable for the bench harness. Offline builds stub out
-        // serde_json (to_string yields ""), so only check content when the
-        // serializer is real.
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(json.is_empty() || json.contains("\"arch\""));
     }
 
     #[test]

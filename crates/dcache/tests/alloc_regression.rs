@@ -170,8 +170,8 @@ fn count_fill_allocs(d: &mut Deployment, rounds: u64) -> u64 {
 
 #[test]
 fn steady_state_serve_paths_stay_within_allocation_budget() {
-    // Linked: the paper's cheapest path (in-process cache hit) and the one
-    // fig_scale hammers hardest. Remote: hit served by a cache-tier node.
+    // Linked: the paper's cheapest path (in-process cache hit). Remote: hit
+    // served by a cache-tier node.
     for arch in [ArchKind::Linked, ArchKind::Remote] {
         let mut d = warmed_deployment(arch);
         let requests = 50 * KEYS as u64;

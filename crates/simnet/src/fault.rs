@@ -113,25 +113,6 @@ impl FaultSchedule {
         self.restart(at + downtime, node)
     }
 
-    /// Crash `node` every `period` starting at `first_at`, each outage
-    /// lasting `downtime`, until (exclusive) `until`. `downtime` should be
-    /// shorter than `period` or the outages will overlap.
-    pub fn periodic_crashes(
-        &mut self,
-        node: NodeId,
-        first_at: SimTime,
-        period: SimDuration,
-        downtime: SimDuration,
-        until: SimTime,
-    ) -> &mut Self {
-        let mut at = first_at;
-        while at < until {
-            self.crash_for(at, node, downtime);
-            at += period;
-        }
-        self
-    }
-
     /// Partition `a`↔`b` during `[from, until)`.
     pub fn partition_window(
         &mut self,
@@ -249,27 +230,6 @@ mod tests {
         assert_eq!(evs[0].at, t(5));
         assert_eq!(evs[1].at, t(8));
         assert_eq!(evs[1].kind, FaultKind::Restart { node: NodeId(7) });
-    }
-
-    #[test]
-    fn periodic_crashes_cover_the_window() {
-        let mut s = FaultSchedule::new();
-        s.periodic_crashes(
-            NodeId(0),
-            t(10),
-            SimDuration::from_millis(100),
-            SimDuration::from_millis(20),
-            t(310),
-        );
-        // Crashes at 10, 110, 210 (310 is exclusive) → 3 crash+restart pairs.
-        assert_eq!(s.len(), 6);
-        let crashes: Vec<_> = s
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, FaultKind::Crash { .. }))
-            .map(|e| e.at)
-            .collect();
-        assert_eq!(crashes, vec![t(10), t(110), t(210)]);
     }
 
     #[test]

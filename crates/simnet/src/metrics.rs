@@ -125,33 +125,6 @@ impl Histogram {
         }
     }
 
-    /// Fold another histogram into this one: bucket counts, totals and
-    /// extrema all add, so merging per-shard histograms of a partitioned
-    /// run yields exactly the histogram a single run over the union of
-    /// samples would have produced. Exemplars keep the larger value per
-    /// bucket (first on ties), matching `record_with_exemplar`.
-    pub fn merge_from(&mut self, other: &Histogram) {
-        for (&bucket, &count) in &other.counts {
-            *self.counts.entry(bucket).or_insert(0) += count;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (&bucket, ex) in &other.exemplars {
-            match self.exemplars.entry(bucket) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(*ex);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    if ex.value > e.get().value {
-                        e.insert(*ex);
-                    }
-                }
-            }
-        }
-    }
-
     /// Bucket exemplars in ascending bucket (≈ value) order.
     pub fn exemplars(&self) -> impl Iterator<Item = &Exemplar> {
         self.exemplars.values()

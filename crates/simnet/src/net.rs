@@ -24,8 +24,6 @@ pub enum LinkClass {
     Local,
     /// Same rack / same zone pod-to-pod hop.
     SameZone,
-    /// Cross-zone hop.
-    CrossZone,
 }
 
 /// Static description of link performance.
@@ -94,12 +92,7 @@ pub enum Delivery {
 pub struct Network {
     local: LinkSpec,
     same_zone: LinkSpec,
-    cross_zone: LinkSpec,
     pub faults: FaultPlan,
-    /// Nodes colocated in the same zone group; pairs within a group use
-    /// `SameZone`, across groups `CrossZone`. Node ids absent from any group
-    /// are treated as being in zone 0.
-    zone_of: Vec<u32>,
     /// Liveness per node id: a crashed node neither sends nor receives.
     /// Ids beyond the vector are up (the common case — nothing crashed).
     node_down: Vec<bool>,
@@ -116,7 +109,7 @@ impl Default for Network {
 
 impl Network {
     /// A network with typical intra-DC parameters: 25 µs same-zone one-way,
-    /// 250 µs cross-zone, 10 Gbps effective per-flow bandwidth.
+    /// 10 Gbps effective per-flow bandwidth.
     pub fn new() -> Self {
         Network {
             local: LinkSpec {
@@ -127,24 +120,10 @@ impl Network {
                 base_latency: SimDuration::from_micros(25),
                 bandwidth_bytes_per_sec: 1_250_000_000,
             },
-            cross_zone: LinkSpec {
-                base_latency: SimDuration::from_micros(250),
-                bandwidth_bytes_per_sec: 1_250_000_000,
-            },
             faults: FaultPlan::default(),
-            zone_of: Vec::new(),
             node_down: Vec::new(),
             delivered: 0,
             dropped: 0,
-        }
-    }
-
-    /// Override a link class spec.
-    pub fn set_link(&mut self, class: LinkClass, spec: LinkSpec) {
-        match class {
-            LinkClass::Local => self.local = spec,
-            LinkClass::SameZone => self.same_zone = spec,
-            LinkClass::CrossZone => self.cross_zone = spec,
         }
     }
 
@@ -152,31 +131,15 @@ impl Network {
         match class {
             LinkClass::Local => self.local,
             LinkClass::SameZone => self.same_zone,
-            LinkClass::CrossZone => self.cross_zone,
         }
-    }
-
-    /// Assign `node` to a zone (default zone is 0).
-    pub fn place_in_zone(&mut self, node: NodeId, zone: u32) {
-        let idx = node.0 as usize;
-        if self.zone_of.len() <= idx {
-            self.zone_of.resize(idx + 1, 0);
-        }
-        self.zone_of[idx] = zone;
-    }
-
-    pub fn zone(&self, node: NodeId) -> u32 {
-        self.zone_of.get(node.0 as usize).copied().unwrap_or(0)
     }
 
     /// Classify the link between two nodes.
     pub fn classify(&self, from: NodeId, to: NodeId) -> LinkClass {
         if from == to {
             LinkClass::Local
-        } else if self.zone(from) == self.zone(to) {
-            LinkClass::SameZone
         } else {
-            LinkClass::CrossZone
+            LinkClass::SameZone
         }
     }
 
@@ -279,18 +242,6 @@ mod tests {
         let n = NodeId(3);
         assert_eq!(net.classify(n, n), LinkClass::Local);
         assert_eq!(net.one_way_latency(n, n, 1 << 20), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn zones_determine_link_class() {
-        let mut net = Network::new();
-        net.place_in_zone(NodeId(0), 0);
-        net.place_in_zone(NodeId(1), 0);
-        net.place_in_zone(NodeId(2), 1);
-        assert_eq!(net.classify(NodeId(0), NodeId(1)), LinkClass::SameZone);
-        assert_eq!(net.classify(NodeId(0), NodeId(2)), LinkClass::CrossZone);
-        assert!(net.one_way_latency(NodeId(0), NodeId(2), 0)
-            > net.one_way_latency(NodeId(0), NodeId(1), 0));
     }
 
     #[test]

@@ -270,33 +270,3 @@ fn four_workers_give_at_least_2x_speedup() {
         "expected >=2x speedup with 4 workers: sequential {sequential:?}, parallel {parallel:?}"
     );
 }
-
-#[test]
-fn sharded_single_experiment_merges_byte_identically_across_jobs() {
-    // PR-8's giant-run sharding: one experiment split per app server, each
-    // shard replaying the full request stream and serving only its
-    // partition. The shard *count* is fixed by the config (never by the
-    // worker count), so jobs=1 and jobs=N execute the same shard set and
-    // the deterministic merge must be byte-identical.
-    use dcache::experiment::{merge_kv_shards, run_kv_shard};
-
-    for &arch in &ArchKind::PAPER {
-        let cfg = small_kv(arch, 0.9, 1 << 10);
-        let shards = cfg.deployment.app_servers;
-        let shard_ids: Vec<usize> = (0..shards).collect();
-
-        let seq = SweepRunner::sequential()
-            .run_map(&shard_ids, |_, &s| run_kv_shard(&cfg, s, shards).expect("shard"));
-        let par = SweepRunner::new(4)
-            .run_map(&shard_ids, |_, &s| run_kv_shard(&cfg, s, shards).expect("shard"));
-
-        let merged_seq = merge_kv_shards(&cfg, seq).expect("merge seq");
-        let merged_par = merge_kv_shards(&cfg, par).expect("merge par");
-        assert_eq!(
-            format!("{merged_seq:?}"),
-            format!("{merged_par:?}"),
-            "{}: sharded merge diverged between jobs=1 and jobs=4",
-            arch.label()
-        );
-    }
-}

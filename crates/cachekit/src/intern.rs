@@ -1,6 +1,6 @@
-//! Key interning: resolve a byte key to a small copyable id once, then pass
-//! the id through the serve path instead of re-allocating and re-hashing
-//! the bytes at every layer.
+//! Key interning: turn a cache key's bytes into a small copyable
+//! [`InternedKey`] once per request, then pass that key through the serve
+//! path instead of re-allocating and re-hashing the bytes at every layer.
 //!
 //! The simulated services address values by `table/key` byte strings. The
 //! pre-interning hot path built that `Vec<u8>` per request and hashed it
@@ -10,7 +10,14 @@
 //! bytes, which consistent-hash rings and MRC profilers consume) and the
 //! admission-sketch hash (byte-identical to what the cache computed over
 //! the raw `Vec<u8>` key, so TinyLFU decisions are unchanged) — plus a
-//! dense u32 id that makes cache-index hashing a single word multiply.
+//! 24-byte identity that `Eq` compares:
+//!
+//! - a key of at most [`INLINE_KEY_BYTES`] bytes is its own identity: its
+//!   bytes zero-padded, its length in the last byte. Interning it reads
+//!   and writes no interner state and allocates nothing;
+//! - a longer key gets a dense id from the interner's boxed table, held
+//!   as the id's bytes, zeros, then [`LONG_TAG`]. No short key has that
+//!   last byte, so the two kinds never compare equal.
 //!
 //! Interning is a pure wall-clock optimization: every hash an `InternedKey`
 //! exposes equals the hash the same byte key produced before, so routing,
@@ -22,23 +29,54 @@ use crate::ring::stable_hash;
 use crate::CacheKeyHash;
 use std::hash::{Hash, Hasher};
 
-/// A small, copyable stand-in for an interned byte key.
+/// Longest key that is its own identity; longer keys get an id from the
+/// interner's table. Covers every `table/<8-byte key>` cache key of a
+/// table name up to 14 bytes.
+const INLINE_KEY_BYTES: usize = 23;
+
+/// Last identity byte of a long key. A short key's last byte is its
+/// length, at most [`INLINE_KEY_BYTES`].
+const LONG_TAG: u8 = 0xFF;
+
+/// A small, copyable stand-in for a cache key's bytes.
 ///
-/// Equality and hashing go through the dense id (two interned keys are equal
-/// iff their bytes were equal, because the interner is bijective), so using
+/// Two keys are equal iff their bytes are equal: a short key compares its
+/// packed bytes, a long key its id, which the interner hands out
+/// bijectively. `Hash` writes the precomputed route hash, so using
 /// `InternedKey` as a `HashMap`/[`crate::Cache`] key costs one word hash
 /// instead of a byte-string walk.
 #[derive(Debug, Clone, Copy)]
 pub struct InternedKey {
-    id: u32,
+    /// A short key's bytes zero-padded, its length in the last byte; a
+    /// long key's id in the first four bytes and [`LONG_TAG`] in the last.
+    packed: [u8; 24],
     route_hash: u64,
     sketch_hash: u64,
 }
 
 impl InternedKey {
-    /// Dense id in `[0, interner.len())`.
-    pub fn id(self) -> u32 {
-        self.id
+    /// The key for `bytes` of at most [`INLINE_KEY_BYTES`] bytes.
+    fn short(bytes: &[u8]) -> Self {
+        let mut packed = [0u8; 24];
+        packed[..bytes.len()].copy_from_slice(bytes);
+        packed[23] = bytes.len() as u8;
+        InternedKey::hashed(packed, bytes)
+    }
+
+    /// The key for the long key `bytes` that the interner numbered `id`.
+    fn long(id: u32, bytes: &[u8]) -> Self {
+        let mut packed = [0u8; 24];
+        packed[..4].copy_from_slice(&id.to_le_bytes());
+        packed[23] = LONG_TAG;
+        InternedKey::hashed(packed, bytes)
+    }
+
+    fn hashed(packed: [u8; 24], bytes: &[u8]) -> Self {
+        InternedKey {
+            packed,
+            route_hash: stable_hash(bytes),
+            sketch_hash: legacy_sketch_hash(bytes),
+        }
     }
 
     /// [`stable_hash`] of the original bytes — feed to
@@ -50,7 +88,7 @@ impl InternedKey {
 
 impl PartialEq for InternedKey {
     fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
+        self.packed == other.packed
     }
 }
 
@@ -58,7 +96,7 @@ impl Eq for InternedKey {}
 
 impl Hash for InternedKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u32(self.id);
+        state.write_u64(self.route_hash);
     }
 }
 
@@ -68,82 +106,18 @@ impl CacheKeyHash for InternedKey {
     }
 }
 
-/// Longest key stored inline in the interner's table; longer keys are
-/// boxed. Covers every `table/<8-byte key>` cache key of a table name up
-/// to 14 bytes.
-const INLINE_KEY_BYTES: usize = 23;
-
-/// A key of at most [`INLINE_KEY_BYTES`] bytes packed into three
-/// little-endian words: the bytes zero-padded, the length in the top byte.
-/// Packing is injective, so the table hashes and compares three words and
-/// never reads the key's bytes again.
-#[derive(Debug, Clone, Copy)]
-struct ShortKey([u64; 3]);
-
-impl ShortKey {
-    fn pack(bytes: &[u8]) -> Self {
-        debug_assert!(bytes.len() <= INLINE_KEY_BYTES);
-        let word = |at: usize| {
-            bytes
-                .get(at..)
-                .map_or(0, |rest| le_word(&rest[..rest.len().min(8)]))
-        };
-        ShortKey([word(0), word(8), word(16) | (bytes.len() as u64) << 56])
-    }
-}
-
-/// `b` (at most 8 bytes) as a zero-padded little-endian word, read with
-/// two overlapping loads instead of a variable-length copy.
-fn le_word(b: &[u8]) -> u64 {
-    let n = b.len();
-    if n >= 4 {
-        let lo = u32::from_le_bytes(b[..4].try_into().expect("4-byte window")) as u64;
-        let hi = u32::from_le_bytes(b[n - 4..].try_into().expect("4-byte window")) as u64;
-        lo | hi << (8 * (n - 4))
-    } else if n > 0 {
-        b[0] as u64 | (b[n / 2] as u64) << (8 * (n / 2)) | (b[n - 1] as u64) << (8 * (n - 1))
-    } else {
-        0
-    }
-}
-
-impl PartialEq for ShortKey {
-    fn eq(&self, other: &Self) -> bool {
-        let [a, b, c] = self.0;
-        let [x, y, z] = other.0;
-        (a ^ x) | (b ^ y) | (c ^ z) == 0
-    }
-}
-
-impl Eq for ShortKey {}
-
-impl Hash for ShortKey {
-    /// Mixes the words FxHash-style, then rotates the well-mixed high bits
-    /// down: the table indexes buckets by the low bits, which a final
-    /// multiply alone leaves dependent on the low bytes of the last word.
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        let mut h = 0u64;
-        for w in self.0 {
-            h = (h.rotate_left(5) ^ w).wrapping_mul(crate::fxhash::SEED);
-        }
-        state.write_u64(h.rotate_left(26));
-    }
-}
-
-/// Bijective bytes ↔ id table. Ids are handed out densely in first-intern
-/// order, so a given request stream always produces the same ids.
+/// Bytes ↔ id table for keys longer than [`INLINE_KEY_BYTES`]. Ids are
+/// handed out densely in first-intern order, so a given request stream
+/// always produces the same ids. Short keys never touch it.
 ///
-/// Short keys live inline in the table next to their [`InternedKey`], so a
-/// lookup is one probe with no pointer to follow and allocates nothing;
-/// longer keys are boxed. Every key's bytes are also appended to one
-/// arena, in id order, for [`KeyInterner::resolve`].
+/// Each long key is boxed in the lookup table, and its bytes are also
+/// appended to one arena, in id order, for [`KeyInterner::resolve`].
 #[derive(Debug, Default)]
 pub struct KeyInterner {
-    short: FxHashMap<ShortKey, InternedKey>,
     long: FxHashMap<Box<[u8]>, InternedKey>,
-    /// Every interned key's bytes back to back, in id order.
+    /// Every long key's bytes back to back, in id order.
     arena: Vec<u8>,
-    /// `ends[id]`: where key `id`'s bytes end in `arena`.
+    /// `ends[id]`: where long key `id`'s bytes end in `arena`.
     ends: Vec<u32>,
 }
 
@@ -152,7 +126,7 @@ impl KeyInterner {
         KeyInterner::default()
     }
 
-    /// Number of distinct keys interned so far.
+    /// Number of distinct long keys interned so far.
     pub fn len(&self) -> usize {
         self.ends.len()
     }
@@ -161,55 +135,48 @@ impl KeyInterner {
         self.ends.is_empty()
     }
 
-    /// The id for `bytes`, interning on first sight. The returned key's
-    /// hashes equal `stable_hash(bytes)` and the cache's legacy sketch hash
-    /// of the same bytes, so downstream behaviour is unchanged.
+    /// The key for `bytes`; a long key gets its id on first sight. The
+    /// returned key's hashes equal `stable_hash(bytes)` and the cache's
+    /// legacy sketch hash of the same bytes, so downstream behaviour is
+    /// unchanged.
     pub fn intern(&mut self, bytes: &[u8]) -> InternedKey {
-        let KeyInterner {
-            short,
-            long,
-            arena,
-            ends,
-        } = self;
         if bytes.len() <= INLINE_KEY_BYTES {
-            return *short
-                .entry(ShortKey::pack(bytes))
-                .or_insert_with(|| assign(arena, ends, bytes));
+            return InternedKey::short(bytes);
         }
-        if let Some(&key) = long.get(bytes) {
+        if let Some(&key) = self.long.get(bytes) {
             return key;
         }
-        let key = assign(arena, ends, bytes);
-        long.insert(bytes.into(), key);
+        let id = u32::try_from(self.ends.len()).expect("interner overflow");
+        self.arena.extend_from_slice(bytes);
+        self.ends
+            .push(u32::try_from(self.arena.len()).expect("interner arena overflow"));
+        let key = InternedKey::long(id, bytes);
+        self.long.insert(bytes.into(), key);
         key
     }
 
-    /// The id for `bytes` if it was interned before (no insertion).
+    /// The key for `bytes` without interning: a short key always has one,
+    /// a long key only once it was interned.
     pub fn get(&self, bytes: &[u8]) -> Option<InternedKey> {
         if bytes.len() <= INLINE_KEY_BYTES {
-            self.short.get(&ShortKey::pack(bytes)).copied()
+            Some(InternedKey::short(bytes))
         } else {
             self.long.get(bytes).copied()
         }
     }
 
-    /// The original bytes of an interned key.
-    pub fn resolve(&self, key: InternedKey) -> &[u8] {
-        let id = key.id as usize;
-        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
-        &self.arena[start..self.ends[id] as usize]
-    }
-}
-
-/// Give `bytes` the next id: append them to the arena and hash them.
-fn assign(arena: &mut Vec<u8>, ends: &mut Vec<u32>, bytes: &[u8]) -> InternedKey {
-    let id = u32::try_from(ends.len()).expect("interner overflow");
-    arena.extend_from_slice(bytes);
-    ends.push(u32::try_from(arena.len()).expect("interner arena overflow"));
-    InternedKey {
-        id,
-        route_hash: stable_hash(bytes),
-        sketch_hash: legacy_sketch_hash(bytes),
+    /// The original bytes of `key`: a short key holds them, a long key's
+    /// are read from the arena.
+    pub fn resolve<'a>(&'a self, key: &'a InternedKey) -> &'a [u8] {
+        match key.packed[23] {
+            LONG_TAG => {
+                let id =
+                    u32::from_le_bytes(key.packed[..4].try_into().expect("4-byte id")) as usize;
+                let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+                &self.arena[start..self.ends[id] as usize]
+            }
+            len => &key.packed[..len as usize],
+        }
     }
 }
 
@@ -225,8 +192,16 @@ mod tests {
         let a2 = i.intern(b"table/1");
         assert_eq!(a, a2);
         assert_ne!(a, b);
-        assert_eq!(i.resolve(a), b"table/1");
-        assert_eq!(i.resolve(b), b"table/2");
+        assert_eq!(i.resolve(&a), b"table/1");
+        assert_eq!(i.resolve(&b), b"table/2");
+        assert!(i.is_empty(), "short keys take no interner state");
+
+        let long_a = i.intern(b"a_table_with_a_long_name/1");
+        let long_b = i.intern(b"a_table_with_a_long_name/2");
+        assert_eq!(i.intern(b"a_table_with_a_long_name/1"), long_a);
+        assert_ne!(long_a, long_b);
+        assert_eq!(i.resolve(&long_a), b"a_table_with_a_long_name/1");
+        assert_eq!(i.resolve(&long_b), b"a_table_with_a_long_name/2");
         assert_eq!(i.len(), 2);
     }
 
@@ -241,11 +216,10 @@ mod tests {
         }
     }
 
-    /// Keys around the inline limit, keys that differ only in trailing or
-    /// embedded zeros, and long keys all intern to distinct ids, resolve
-    /// to their bytes and keep their hashes.
-    #[test]
-    fn keys_around_the_inline_limit_round_trip() {
+    /// Keys of 0–32 bytes around the inline limit, keys that differ only
+    /// in trailing or embedded zeros, and short keys laid out like a long
+    /// key's `[id, 0, ..]` identity.
+    fn corpus() -> Vec<Vec<u8>> {
         let mut keys: Vec<Vec<u8>> = Vec::new();
         for len in 0..=INLINE_KEY_BYTES + 9 {
             keys.push((0..len).map(|i| b'a' + (i % 26) as u8).collect());
@@ -257,6 +231,13 @@ mod tests {
             }
             keys.push(embedded);
         }
+        for id in 0u32..4 {
+            for len in 4..=INLINE_KEY_BYTES {
+                let mut k = vec![0u8; len];
+                k[..4].copy_from_slice(&id.to_le_bytes());
+                keys.push(k);
+            }
+        }
         keys.extend([
             b"a".to_vec(),
             b"a\0".to_vec(),
@@ -265,34 +246,70 @@ mod tests {
         ]);
         keys.sort();
         keys.dedup();
+        keys
+    }
 
-        let mut i = KeyInterner::new();
-        let ids: Vec<InternedKey> = keys.iter().map(|k| i.intern(k)).collect();
-        assert_eq!(i.len(), keys.len());
-        for (n, (k, id)) in keys.iter().zip(&ids).enumerate() {
-            assert_eq!(id.id() as usize, n, "ids are dense in first-sight order");
-            assert_eq!(i.resolve(*id), k.as_slice());
-            assert_eq!(i.get(k), Some(*id));
-            assert_eq!(i.intern(k), *id, "re-interning returns the same key");
+    /// On the corpus, keys are equal exactly when their bytes are, resolve
+    /// to their bytes, keep both hashes, and do not depend on what the
+    /// interner saw before.
+    #[test]
+    fn keys_around_the_inline_limit_round_trip() {
+        let keys = corpus();
+        let mut forward = KeyInterner::new();
+        let ids: Vec<InternedKey> = keys.iter().map(|k| forward.intern(k)).collect();
+        let long_keys = keys.iter().filter(|k| k.len() > INLINE_KEY_BYTES).count();
+        assert_eq!(forward.len(), long_keys, "only long keys get ids");
+
+        for (k, id) in keys.iter().zip(&ids) {
+            assert_eq!(forward.resolve(id), k.as_slice());
+            assert_eq!(forward.get(k), Some(*id));
+            assert_eq!(forward.intern(k), *id, "re-interning returns the same key");
             assert_eq!(id.route_hash(), stable_hash(k));
             assert_eq!(id.sketch_hash(), k.as_slice().sketch_hash());
         }
-        assert_eq!(i.len(), keys.len(), "re-interning added nothing");
+        assert_eq!(forward.len(), long_keys, "re-interning added nothing");
+
+        // All pairs, long against short included: the corpus has short
+        // look-alikes of the first long ids, so a tag that failed to keep
+        // the kinds apart would show here.
+        assert!(long_keys > 4);
+        for (a, ka) in keys.iter().zip(&ids) {
+            for (b, kb) in keys.iter().zip(&ids) {
+                assert_eq!(ka == kb, a == b, "{a:?} vs {b:?}");
+            }
+        }
+
+        // A second interner that sees the corpus in the opposite order
+        // numbers the long keys the other way round; every key is still
+        // equal to the same bytes' key, and short keys are the very same.
+        let mut reverse = KeyInterner::new();
+        let rev_ids: Vec<InternedKey> = keys.iter().rev().map(|k| reverse.intern(k)).collect();
+        for ((k, id), rev) in keys.iter().zip(&ids).zip(rev_ids.iter().rev()) {
+            assert_eq!(reverse.resolve(rev), k.as_slice());
+            assert_eq!(rev.route_hash(), id.route_hash());
+            assert_eq!(rev.sketch_hash(), id.sketch_hash());
+            if k.len() <= INLINE_KEY_BYTES {
+                assert_eq!(rev, id, "a short key's identity is its bytes");
+            }
+        }
     }
 
     #[test]
     fn get_does_not_intern() {
         let mut i = KeyInterner::new();
-        assert_eq!(i.get(b"missing"), None);
         let k = i.intern(b"present");
         assert_eq!(i.get(b"present"), Some(k));
-        assert_eq!(i.len(), 1);
+        assert!(i.is_empty());
         let long = [7u8; INLINE_KEY_BYTES + 1];
         assert_eq!(i.get(&long), None);
-        assert_eq!(i.len(), 1);
+        assert!(i.is_empty());
         let k = i.intern(&long);
         assert_eq!(i.get(&long), Some(k));
-        assert_eq!(i.get(&long[1..]), None);
-        assert_eq!(i.len(), 2);
+        let short = i.intern(&long[1..]);
+        assert_eq!(i.get(&long[1..]), Some(short));
+        assert_eq!(i.len(), 1);
+        let longer = [7u8; INLINE_KEY_BYTES + 2];
+        assert_eq!(i.get(&longer), None);
+        assert_eq!(i.len(), 1);
     }
 }

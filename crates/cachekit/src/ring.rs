@@ -146,28 +146,6 @@ impl HashRing {
         let idx = if idx == self.points.len() { 0 } else { idx };
         Some(self.points[idx].1)
     }
-
-    /// The `n` distinct shards that would own `key` in preference order
-    /// (for replicated placements). Fewer are returned if the ring has
-    /// fewer shards.
-    pub fn shards_for(&self, key: &[u8], n: usize) -> Vec<u32> {
-        let mut out = Vec::new();
-        if self.points.is_empty() || n == 0 {
-            return out;
-        }
-        let h = stable_hash(key);
-        let start = self.points.partition_point(|&(p, _)| p < h);
-        for i in 0..self.points.len() {
-            let (_, shard) = self.points[(start + i) % self.points.len()];
-            if !out.contains(&shard) {
-                out.push(shard);
-                if out.len() == n {
-                    break;
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +161,6 @@ mod tests {
     fn empty_ring_routes_nothing() {
         let ring = HashRing::new(16);
         assert_eq!(ring.shard_for(b"k"), None);
-        assert!(ring.shards_for(b"k", 3).is_empty());
     }
 
     #[test]
@@ -227,23 +204,6 @@ mod tests {
         // ~1/8 of the keyspace belonged to shard 3.
         let frac = moved as f64 / total as f64;
         assert!((0.05..0.25).contains(&frac), "moved fraction {frac}");
-    }
-
-    #[test]
-    fn shards_for_returns_distinct_preference_list() {
-        let ring = HashRing::with_shards(5, 64);
-        let prefs = ring.shards_for(b"some-key", 3);
-        assert_eq!(prefs.len(), 3);
-        let mut dedup = prefs.clone();
-        dedup.dedup();
-        assert_eq!(prefs, dedup);
-        assert_eq!(prefs[0], ring.shard_for(b"some-key").unwrap());
-    }
-
-    #[test]
-    fn shards_for_caps_at_shard_count() {
-        let ring = HashRing::with_shards(2, 64);
-        assert_eq!(ring.shards_for(b"k", 10).len(), 2);
     }
 
     #[test]

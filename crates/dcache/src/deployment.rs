@@ -233,7 +233,7 @@ pub struct Deployment {
     /// CPU meters, one per remote cache node (empty unless Remote).
     pub cache_cpu: Vec<CpuMeter>,
     /// Linked cache shards, one per app server (linked-family archs).
-    /// Keyed by interned key ids — see [`Deployment::intern_bytes`].
+    /// Keyed by interned keys — see [`Deployment::intern_bytes`].
     pub(crate) linked: Vec<Cache<InternedKey, CachedVal>>,
     /// Remote cache nodes (Remote only).
     pub(crate) remote: Vec<Cache<InternedKey, CachedVal>>,
@@ -304,9 +304,10 @@ pub struct Deployment {
     /// A deployment serves a handful of tables, so a scan by name beats
     /// hashing the name on every statement.
     sql_stmts: Vec<(String, TableSql)>,
-    /// Byte key ↔ interned id table shared by every cache/routing layer.
-    /// An interned key carries the same hashes the byte key produced, so
-    /// interning changes wall-clock only — never simulated behaviour.
+    /// Ids for cache keys longer than 23 bytes; shorter keys are their own
+    /// identity and never touch it. An interned key carries the same hashes
+    /// the byte key produced, so interning changes wall-clock only — never
+    /// simulated behaviour.
     pub(crate) interner: KeyInterner,
     /// Reusable buffer for building `table/key` bytes before interning;
     /// keeps the steady-state serve path allocation-free.
@@ -431,9 +432,10 @@ impl Deployment {
     }
 
     /// Pre-populate the key interner with arbitrary byte keys, shifting the
-    /// dense ids later keys receive. Ids are an internal detail — serving
-    /// behavior must be a function of key *bytes* only; the interning
-    /// equivalence test uses this to prove it.
+    /// dense ids later long keys (over 23 bytes) receive; short keys get no
+    /// id. Ids are an internal detail — serving behavior must be a function
+    /// of key *bytes* only; the interning equivalence test uses this to
+    /// prove it.
     pub fn prewarm_interner(&mut self, keys: impl IntoIterator<Item = Vec<u8>>) {
         for k in keys {
             self.intern_bytes(&k);
@@ -441,8 +443,8 @@ impl Deployment {
     }
 
     /// Intern the `table/key` cache key for one KV request without
-    /// allocating: the bytes are built in a reusable scratch buffer and
-    /// only copied out on first sight of the key.
+    /// allocating: the bytes are built in a reusable scratch buffer, and
+    /// only a long key's are copied out, on first sight.
     pub(crate) fn intern_kv_key(&mut self, table: &str, key: i64) -> InternedKey {
         self.key_scratch.clear();
         self.key_scratch.extend_from_slice(table.as_bytes());
@@ -2245,10 +2247,10 @@ impl Deployment {
         for src in 0..self.remote.len() {
             let mut keys: Vec<InternedKey> = self.remote[src].keys().copied().collect();
             // Sorted by the keys' original *bytes* — the order the
-            // pre-interning implementation migrated in (interned ids are
+            // pre-interning implementation migrated in (long keys' ids are
             // assigned in first-access order, which is not byte order).
             let interner = &self.interner;
-            keys.sort_unstable_by(|&a, &b| interner.resolve(a).cmp(interner.resolve(b)));
+            keys.sort_unstable_by(|a, b| interner.resolve(a).cmp(interner.resolve(b)));
             for k in keys {
                 let owner = self.remote_node_for(k);
                 if owner == src {

@@ -5,9 +5,9 @@
 //! - a short key (at most 23 bytes, every `table/<8-byte key>` cache key of
 //!   a short table name) is its own identity: interning it, first sight
 //!   included, allocates nothing and leaves the interner empty;
-//! - interning N distinct long keys allocates one box per key plus only
-//!   when the table, the byte arena or the end-offset `Vec` grows, a
-//!   logarithmic number of times;
+//! - interning N distinct long keys allocates one box per key, and
+//!   otherwise only when the table, the byte arena or the end-offset `Vec`
+//!   grows, a logarithmic number of times;
 //! - interning a key already seen, and `get`, allocate nothing.
 //!
 //! The test binary holds this one test, so no sibling thread can move the
@@ -67,7 +67,7 @@ fn intern_all(interner: &mut KeyInterner, table: &[u8], keys: impl Iterator<Item
 }
 
 #[test]
-fn short_keys_never_allocate_and_long_keys_allocate_only_for_growth() {
+fn short_keys_never_allocate_and_long_keys_only_box_and_grow() {
     const N: u64 = 100_000;
     let mut interner = KeyInterner::new();
 

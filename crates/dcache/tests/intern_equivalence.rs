@@ -11,10 +11,10 @@
 //! of unrelated long keys so every real long key's id is shifted — and
 //! asserts every `ServeOutcome` (latencies, hits, versions, bytes: the full
 //! debug form) and every app server's and cache node's CPU meter is
-//! identical. It does so on a table with short cache keys
-//! and on one whose cache keys exceed 23 bytes, where the ids reach the
-//! serve path. Any dependence on id values, id ordering, or id-keyed
-//! iteration order would diverge here.
+//! identical. It does so on a table with short cache keys and on one whose
+//! cache keys exceed 23 bytes, where the ids reach the serve path. Any
+//! dependence on id values, id ordering, or id-keyed iteration order would
+//! diverge here.
 
 use dcache::deployment::{kv_catalog, Deployment};
 use dcache::{ArchKind, DeploymentConfig};

@@ -9,9 +9,18 @@
 //! Time is a caller-supplied `u64` nanosecond clock (the simulator's virtual
 //! clock in practice). Expired entries count as misses and are lazily
 //! reclaimed on access; `expire_sweep` supports proactive reclamation.
+//!
+//! Layout: entries live in a slab of slots, each holding the key, value,
+//! charge, deadline and the key's 32-bit index hash. The only copy of a key
+//! is its slab entry's. A slot index maps hashes to slots (one `u64`
+//! cell per entry, at most half full), the eviction policy tracks slots, and
+//! an expiry set orders the slots that have a deadline. A lookup hashes the
+//! key once, reads index cells, and compares the key of only the entry
+//! whose hash matches; eviction and removal find the entry's cell from its
+//! stored hash without touching a key.
 
 use crate::admission::TinyLfu;
-use crate::fxhash::FxHashMap;
+use crate::index::{index_hash, SlotIndex};
 use crate::policy::{Policy, PolicyImpl, PolicyKind};
 use crate::stats::CacheStats;
 use std::borrow::Borrow;
@@ -82,6 +91,8 @@ struct Entry<K, V> {
     charge: u64,
     /// Absolute expiry in nanoseconds; u64::MAX = never.
     expires_at: u64,
+    /// The key's [`index_hash`], so the index cell is found without it.
+    hash: u32,
 }
 
 /// Outcome of an insert, so callers can account for admission behaviour.
@@ -101,7 +112,7 @@ pub enum InsertOutcome {
 /// Byte-bounded key-value cache. See module docs.
 #[derive(Debug, Clone)]
 pub struct Cache<K, V> {
-    map: FxHashMap<K, usize>,
+    index: SlotIndex,
     slab: Vec<Option<Entry<K, V>>>,
     free: Vec<usize>,
     policy: PolicyImpl,
@@ -117,11 +128,11 @@ pub struct Cache<K, V> {
     expiry: BTreeSet<(u64, usize)>,
 }
 
-impl<K: CacheKeyHash + Eq + Clone, V> Cache<K, V> {
+impl<K: CacheKeyHash + Eq, V> Cache<K, V> {
     /// Create a cache bounded to `capacity_bytes` with the given policy.
     pub fn new(capacity_bytes: u64, kind: PolicyKind) -> Self {
         Cache {
-            map: FxHashMap::default(),
+            index: SlotIndex::default(),
             slab: Vec::new(),
             free: Vec::new(),
             policy: kind.build(),
@@ -175,11 +186,11 @@ impl<K: CacheKeyHash + Eq + Clone, V> Cache<K, V> {
     }
 
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.index.len() == 0
     }
 
     pub fn stats(&self) -> &CacheStats {
@@ -188,6 +199,30 @@ impl<K: CacheKeyHash + Eq + Clone, V> Cache<K, V> {
 
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
+    }
+
+    /// The slot holding `key`, whose index hash is `hash`.
+    #[inline]
+    fn find<Q>(&self, key: &Q, hash: u32) -> Option<usize>
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
+        self.index.find(
+            hash,
+            |slot| matches!(&self.slab[slot], Some(e) if e.key.borrow() == key),
+        )
+    }
+
+    /// The resident entry for `key`, if any.
+    #[inline]
+    fn entry<Q>(&self, key: &Q) -> Option<&Entry<K, V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let slot = self.find(key, index_hash(key))?;
+        self.slab[slot].as_ref()
     }
 
     fn alloc_slot(&mut self, entry: Entry<K, V>) -> usize {
@@ -203,7 +238,7 @@ impl<K: CacheKeyHash + Eq + Clone, V> Cache<K, V> {
     fn drop_slot(&mut self, slot: usize) -> Entry<K, V> {
         let entry = self.slab[slot].take().expect("slot must be occupied");
         self.free.push(slot);
-        self.map.remove(&entry.key);
+        self.index.remove(entry.hash, slot);
         self.policy.on_remove(slot);
         self.used_bytes -= entry.charge;
         if entry.expires_at != u64::MAX {
@@ -265,7 +300,8 @@ impl<K: CacheKeyHash + Eq + Clone, V> Cache<K, V> {
         } else {
             None
         };
-        let replaced = if let Some(&slot) = self.map.get(&key) {
+        let hash = index_hash(&key);
+        let replaced = if let Some(slot) = self.find(&key, hash) {
             self.drop_slot(slot);
             true
         } else {
@@ -295,13 +331,14 @@ impl<K: CacheKeyHash + Eq + Clone, V> Cache<K, V> {
             evicted += 1;
         }
         let entry = Entry {
-            key: key.clone(),
+            key,
             value,
             charge,
             expires_at,
+            hash,
         };
         let slot = self.alloc_slot(entry);
-        self.map.insert(key, slot);
+        self.index.insert(hash, slot);
         self.policy.on_insert(slot);
         self.used_bytes += charge;
         if expires_at != u64::MAX {
@@ -325,8 +362,8 @@ impl<K: CacheKeyHash + Eq + Clone, V> Cache<K, V> {
         if let Some(adm) = &mut self.admission {
             adm.record(key.sketch_hash());
         }
-        let slot = match self.map.get(key) {
-            Some(&s) => s,
+        let slot = match self.find(key, index_hash(key)) {
+            Some(s) => s,
             None => {
                 self.stats.misses += 1;
                 return None;
@@ -354,10 +391,7 @@ impl<K: CacheKeyHash + Eq + Clone, V> Cache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.map
-            .get(key)
-            .and_then(|&s| self.slab[s].as_ref())
-            .map(|e| &e.value)
+        self.entry(key).map(|e| &e.value)
     }
 
     /// The charge currently held for `key`, if resident.
@@ -366,10 +400,7 @@ impl<K: CacheKeyHash + Eq + Clone, V> Cache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.map
-            .get(key)
-            .and_then(|&s| self.slab[s].as_ref())
-            .map(|e| e.charge)
+        self.entry(key).map(|e| e.charge)
     }
 
     /// Remove `key`, returning its value (used for invalidation).
@@ -378,7 +409,7 @@ impl<K: CacheKeyHash + Eq + Clone, V> Cache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let slot = *self.map.get(key)?;
+        let slot = self.find(key, index_hash(key))?;
         let entry = self.drop_slot(slot);
         self.stats.invalidations += 1;
         Some(entry.value)
@@ -390,11 +421,7 @@ impl<K: CacheKeyHash + Eq + Clone, V> Cache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.map
-            .get(key)
-            .and_then(|&s| self.slab[s].as_ref())
-            .map(|e| e.expires_at > now)
-            .unwrap_or(false)
+        self.entry(key).is_some_and(|e| e.expires_at > now)
     }
 
     /// Drop every expired entry; returns how many were reclaimed. O(k log n)
@@ -452,21 +479,17 @@ impl<K: CacheKeyHash + Eq + Clone, V> Cache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let slot = *self.map.get(key)?;
+        let slot = self.find(key, index_hash(key))?;
         let entry = self.drop_slot(slot);
         Some((entry.value, entry.charge))
     }
 
     /// Remove everything.
     pub fn clear(&mut self) {
-        let occupied: Vec<usize> = self
-            .slab
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|_| i))
-            .collect();
-        for slot in occupied {
-            self.drop_slot(slot);
+        for slot in 0..self.slab.len() {
+            if self.slab[slot].is_some() {
+                self.drop_slot(slot);
+            }
         }
     }
 

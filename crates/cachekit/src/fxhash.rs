@@ -1,13 +1,15 @@
-//! A deterministic, allocation-free hasher for the cache's internal index.
+//! A deterministic, allocation-free hasher for the simulator's own maps.
 //!
 //! `std`'s default `HashMap` hasher (SipHash-1-3 with a random seed) costs
-//! tens of nanoseconds per small key — measurable when every simulated
-//! request performs several cache lookups. The index map never exposes
-//! iteration order, so swapping the hasher cannot change any simulated
-//! outcome; it only removes wall-clock cost. This is the FxHash
-//! multiply-mix (as used by rustc), which is not DoS-resistant — fine for a
-//! simulator hashing its own deterministic keys, wrong for a network
-//! service.
+//! tens of nanoseconds per small key — measurable on a path every
+//! simulated request takes. [`FxHashMap`] keys the interner's long-key
+//! table, the SQL catalog and the runners' per-key maps, and the
+//! [`crate::Cache`]'s slot index takes its 32-bit hashes from
+//! [`FxHasher`]. None of them exposes iteration order, so the hasher
+//! cannot change a simulated outcome; it only removes wall-clock cost.
+//! This is the FxHash multiply-mix (as used by rustc), which is not
+//! DoS-resistant — fine for a simulator hashing its own deterministic
+//! keys, wrong for a network service.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

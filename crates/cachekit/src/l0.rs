@@ -96,7 +96,7 @@ pub struct L0Cache<K, V> {
     stats: L0Stats,
 }
 
-impl<K: CacheKeyHash + Eq + Clone, V> L0Cache<K, V> {
+impl<K: CacheKeyHash + Eq, V> L0Cache<K, V> {
     pub fn new(params: L0Params) -> Self {
         L0Cache {
             cache: Cache::new(params.capacity_bytes, PolicyKind::Lru)

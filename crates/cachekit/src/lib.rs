@@ -28,6 +28,7 @@
 pub mod admission;
 pub mod cache;
 pub mod fxhash;
+mod index;
 pub mod intern;
 pub mod l0;
 pub mod list;

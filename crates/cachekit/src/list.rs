@@ -2,46 +2,61 @@
 //!
 //! Eviction policies (LRU, FIFO, SLRU) need O(1) "move to front", "remove
 //! arbitrary", and "pop back" over the cache's entry slots. Rather than
-//! allocating per-node, the list stores `prev`/`next` arrays indexed by slot
-//! id; slot ids are handed out by the cache's slab and reused after removal.
+//! allocating per-node, the list keeps one `(prev, next)` link pair per slot
+//! id in a single array, so a touch reads one 8-byte link per node; a slot
+//! outside the list holds an out-of-list marker. Slot ids are handed out by
+//! the cache's slab and reused after removal.
 
-use serde::{Deserialize, Serialize};
-
-const NIL: usize = usize::MAX;
+/// No neighbour: the end of the list.
+const NIL: u32 = u32::MAX;
+/// The link of a slot that is not in the list.
+const OUT: u32 = u32::MAX - 1;
 
 /// Doubly-linked list whose nodes are external slot ids.
 ///
 /// A slot may be in at most one list at a time; the caller is responsible for
 /// not inserting a slot twice (debug assertions catch it).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlotList {
-    prev: Vec<usize>,
-    next: Vec<usize>,
-    /// Membership flag per slot, so `contains` and debug checks are O(1).
-    member: Vec<bool>,
-    head: Option<usize>,
-    tail: Option<usize>,
+    /// `(prev, next)` per slot; `(OUT, OUT)` when the slot is not a member.
+    links: Vec<(u32, u32)>,
+    head: u32,
+    tail: u32,
     len: usize,
+}
+
+impl Default for SlotList {
+    fn default() -> Self {
+        SlotList::new()
+    }
 }
 
 impl SlotList {
     pub fn new() -> Self {
         SlotList {
-            prev: Vec::new(),
-            next: Vec::new(),
-            member: Vec::new(),
-            head: None,
-            tail: None,
+            links: Vec::new(),
+            head: NIL,
+            tail: NIL,
             len: 0,
         }
     }
 
-    fn ensure(&mut self, slot: usize) {
-        if self.prev.len() <= slot {
-            self.prev.resize(slot + 1, NIL);
-            self.next.resize(slot + 1, NIL);
-            self.member.resize(slot + 1, false);
+    /// The link index of `slot`, growing the link array to hold it.
+    #[inline]
+    fn ensure(&mut self, slot: usize) -> u32 {
+        let id = u32::try_from(slot)
+            .ok()
+            .filter(|&id| id < OUT)
+            .expect("slot ids stay below 2^32 - 2");
+        if self.links.len() <= slot {
+            self.links.resize(slot + 1, (OUT, OUT));
         }
+        id
+    }
+
+    #[inline]
+    fn end(id: u32) -> Option<usize> {
+        (id != NIL).then_some(id as usize)
     }
 
     pub fn len(&self) -> usize {
@@ -52,84 +67,79 @@ impl SlotList {
         self.len == 0
     }
 
+    #[inline]
     pub fn contains(&self, slot: usize) -> bool {
-        self.member.get(slot).copied().unwrap_or(false)
+        self.links.get(slot).is_some_and(|l| l.0 != OUT)
     }
 
     /// Most-recently-touched end.
     pub fn front(&self) -> Option<usize> {
-        self.head
+        Self::end(self.head)
     }
 
     /// Least-recently-touched end (the eviction end).
     pub fn back(&self) -> Option<usize> {
-        self.tail
+        Self::end(self.tail)
     }
 
+    #[inline]
     pub fn push_front(&mut self, slot: usize) {
-        self.ensure(slot);
-        debug_assert!(!self.member[slot], "slot {slot} already in list");
-        self.member[slot] = true;
-        self.prev[slot] = NIL;
-        self.next[slot] = self.head.unwrap_or(NIL);
-        if let Some(h) = self.head {
-            self.prev[h] = slot;
+        let id = self.ensure(slot);
+        debug_assert!(!self.contains(slot), "slot {slot} already in list");
+        self.links[slot] = (NIL, self.head);
+        match Self::end(self.head) {
+            Some(h) => self.links[h].0 = id,
+            None => self.tail = id,
         }
-        self.head = Some(slot);
-        if self.tail.is_none() {
-            self.tail = Some(slot);
-        }
+        self.head = id;
         self.len += 1;
     }
 
     pub fn push_back(&mut self, slot: usize) {
-        self.ensure(slot);
-        debug_assert!(!self.member[slot], "slot {slot} already in list");
-        self.member[slot] = true;
-        self.next[slot] = NIL;
-        self.prev[slot] = self.tail.unwrap_or(NIL);
-        if let Some(t) = self.tail {
-            self.next[t] = slot;
+        let id = self.ensure(slot);
+        debug_assert!(!self.contains(slot), "slot {slot} already in list");
+        self.links[slot] = (self.tail, NIL);
+        match Self::end(self.tail) {
+            Some(t) => self.links[t].1 = id,
+            None => self.head = id,
         }
-        self.tail = Some(slot);
-        if self.head.is_none() {
-            self.head = Some(slot);
-        }
+        self.tail = id;
         self.len += 1;
     }
 
     /// Remove `slot` from the list. No-op if it is not a member.
+    #[inline]
     pub fn remove(&mut self, slot: usize) {
         if !self.contains(slot) {
             return;
         }
-        let p = self.prev[slot];
-        let n = self.next[slot];
-        if p == NIL {
-            self.head = (n != NIL).then_some(n);
-        } else {
-            self.next[p] = n;
+        let (p, n) = self.links[slot];
+        match Self::end(p) {
+            Some(p) => self.links[p].1 = n,
+            None => self.head = n,
         }
-        if n == NIL {
-            self.tail = (p != NIL).then_some(p);
-        } else {
-            self.prev[n] = p;
+        match Self::end(n) {
+            Some(n) => self.links[n].0 = p,
+            None => self.tail = p,
         }
-        self.prev[slot] = NIL;
-        self.next[slot] = NIL;
-        self.member[slot] = false;
+        self.links[slot] = (OUT, OUT);
         self.len -= 1;
     }
 
     /// Remove and return the back (LRU end).
     pub fn pop_back(&mut self) -> Option<usize> {
-        let t = self.tail?;
+        let t = self.back()?;
         self.remove(t);
         Some(t)
     }
 
-    /// Move an existing member to the front; inserts if absent.
+    /// Move an existing member to the front; inserts if absent. The front
+    /// itself stays put without touching a link.
+    #[inline]
     pub fn move_to_front(&mut self, slot: usize) {
+        if Self::end(self.head) == Some(slot) {
+            return;
+        }
         self.remove(slot);
         self.push_front(slot);
     }
@@ -138,7 +148,7 @@ impl SlotList {
     pub fn iter(&self) -> SlotListIter<'_> {
         SlotListIter {
             list: self,
-            cur: self.head,
+            cur: self.front(),
         }
     }
 }
@@ -152,8 +162,7 @@ impl Iterator for SlotListIter<'_> {
     type Item = usize;
     fn next(&mut self) -> Option<usize> {
         let c = self.cur?;
-        let n = self.list.next[c];
-        self.cur = (n != NIL).then_some(n);
+        self.cur = SlotList::end(self.list.links[c].1);
         Some(c)
     }
 }

@@ -75,9 +75,9 @@ pub trait Policy {
     fn victim(&mut self) -> Option<usize>;
 }
 
-/// Enum dispatch over the concrete policies (keeps `Cache` object-safe and
-/// serde-friendly without generics).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Enum dispatch over the concrete policies (keeps `Cache` free of a policy
+/// type parameter and of dynamic dispatch).
+#[derive(Debug, Clone)]
 pub(crate) enum PolicyImpl {
     Lru(LruPolicy),
     Fifo(FifoPolicy),
@@ -87,6 +87,7 @@ pub(crate) enum PolicyImpl {
 }
 
 impl Policy for PolicyImpl {
+    #[inline]
     fn on_insert(&mut self, slot: usize) {
         match self {
             PolicyImpl::Lru(p) => p.on_insert(slot),
@@ -96,6 +97,7 @@ impl Policy for PolicyImpl {
             PolicyImpl::Clock(p) => p.on_insert(slot),
         }
     }
+    #[inline]
     fn on_hit(&mut self, slot: usize) {
         match self {
             PolicyImpl::Lru(p) => p.on_hit(slot),
@@ -105,6 +107,7 @@ impl Policy for PolicyImpl {
             PolicyImpl::Clock(p) => p.on_hit(slot),
         }
     }
+    #[inline]
     fn on_remove(&mut self, slot: usize) {
         match self {
             PolicyImpl::Lru(p) => p.on_remove(slot),
@@ -114,6 +117,7 @@ impl Policy for PolicyImpl {
             PolicyImpl::Clock(p) => p.on_remove(slot),
         }
     }
+    #[inline]
     fn victim(&mut self) -> Option<usize> {
         match self {
             PolicyImpl::Lru(p) => p.victim(),
@@ -126,7 +130,7 @@ impl Policy for PolicyImpl {
 }
 
 /// Least-recently-used.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LruPolicy {
     list: SlotList,
 }
@@ -135,6 +139,7 @@ impl Policy for LruPolicy {
     fn on_insert(&mut self, slot: usize) {
         self.list.push_front(slot);
     }
+    #[inline]
     fn on_hit(&mut self, slot: usize) {
         self.list.move_to_front(slot);
     }
@@ -147,7 +152,7 @@ impl Policy for LruPolicy {
 }
 
 /// First-in-first-out: hits do not change eviction order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FifoPolicy {
     list: SlotList,
 }
@@ -170,7 +175,7 @@ impl Policy for FifoPolicy {
 /// State per slot: access count and a logical tick of last touch. The
 /// eviction order is the BTreeSet ordering on `(freq, tick, slot)`, so the
 /// victim is the minimum — the coldest, then stalest entry.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LfuPolicy {
     // (freq, last_touch_tick) per slot; None = not resident.
     meta: Vec<Option<(u64, u64)>>,
@@ -225,7 +230,7 @@ impl Policy for LfuPolicy {
 /// Segmented LRU. `protected_frac` bounds the protected segment as a
 /// fraction of resident entries; overflow demotes the protected LRU back to
 /// the probation segment's MRU end (it gets one more chance).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlruPolicy {
     probation: SlotList,
     protected: SlotList,
@@ -282,7 +287,7 @@ impl Policy for SlruPolicy {
 /// CLOCK (second chance): a circular scan with one reference bit per entry.
 /// Hits are O(1) (set the bit); eviction sweeps the hand, clearing bits,
 /// until it finds an unreferenced entry.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ClockPolicy {
     /// Ring positions; `None` marks holes left by removals.
     ring: Vec<Option<usize>>,

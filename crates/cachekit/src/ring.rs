@@ -10,8 +10,13 @@
 //! Hashing uses a self-contained 64-bit mix (SplitMix64 over FNV-1a) so
 //! placement is stable across platforms and releases — `std`'s `DefaultHasher`
 //! makes no such promise.
+//!
+//! A key goes to the first vnode point at or after its hash, wrapping to
+//! the first point. A table of about one bucket per point, over the top
+//! bits of the hash, holds each bucket's first point index, so a lookup
+//! scans the one or two points of its bucket. The table is derived from
+//! the points in one linear pass whenever they change.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Stable 64-bit hash of a byte string: FNV-1a folded through SplitMix64.
@@ -33,7 +38,7 @@ pub fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// A consistent-hash ring mapping keys to shard ids.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HashRing {
     /// (position, shard) sorted by position.
     points: Vec<(u64, u32)>,
@@ -42,6 +47,12 @@ pub struct HashRing {
     /// `shard_count` sits on the per-request placement path of sharded
     /// deployments, so it must not rescan the vnode vector.
     shards: BTreeSet<u32>,
+    /// `first[b]`: index of the first point at or after bucket `b`'s start,
+    /// `b << bucket_shift`; one more entry holds `points.len()`. Empty when
+    /// the ring is.
+    first: Vec<u32>,
+    /// `64 - log2(buckets)`: a hash's bucket is `hash >> bucket_shift`.
+    bucket_shift: u32,
 }
 
 impl HashRing {
@@ -52,6 +63,8 @@ impl HashRing {
             points: Vec::new(),
             vnodes: vnodes.max(1),
             shards: BTreeSet::new(),
+            first: Vec::new(),
+            bucket_shift: 64,
         }
     }
 
@@ -59,8 +72,9 @@ impl HashRing {
     pub fn with_shards(n: u32, vnodes: u32) -> Self {
         let mut ring = HashRing::new(vnodes);
         for s in 0..n {
-            ring.add_shard(s);
+            ring.merge_points(s);
         }
+        ring.rebuild_buckets();
         ring
     }
 
@@ -82,8 +96,16 @@ impl HashRing {
     /// crashed shard recovers) is a no-op — a second copy of its vnodes
     /// would roughly double its share of the key space.
     pub fn add_shard(&mut self, shard: u32) {
+        if self.merge_points(shard) {
+            self.rebuild_buckets();
+        }
+    }
+
+    /// Merge `shard`'s vnode points into `points` without touching the
+    /// bucket table; false if the shard is already on the ring.
+    fn merge_points(&mut self, shard: u32) -> bool {
         if !self.shards.insert(shard) {
-            return;
+            return false;
         }
         // Single backward merge instead of vnodes × Vec::insert — the old
         // per-replica insert was O(points) per vnode, which made building or
@@ -113,6 +135,28 @@ impl HashRing {
                 self.points[write] = (fresh[new].0, shard);
             }
         }
+        true
+    }
+
+    /// Rebuild the bucket table from `points` in one pass: about one bucket
+    /// per point, at least two.
+    fn rebuild_buckets(&mut self) {
+        self.first.clear();
+        if self.points.is_empty() {
+            self.bucket_shift = 64;
+            return;
+        }
+        let buckets = self.points.len().next_power_of_two().max(2);
+        self.bucket_shift = 64 - buckets.trailing_zeros();
+        let mut i = 0;
+        for b in 0..buckets as u64 {
+            let start = b << self.bucket_shift;
+            while i < self.points.len() && self.points[i].0 < start {
+                i += 1;
+            }
+            self.first.push(i as u32);
+        }
+        self.first.push(self.points.len() as u32);
     }
 
     /// Remove all of a shard's virtual nodes. Idempotent for the same
@@ -124,6 +168,7 @@ impl HashRing {
             return;
         }
         self.points.retain(|&(_, s)| s != shard);
+        self.rebuild_buckets();
     }
 
     /// Shard ids currently on the ring, in ascending order.
@@ -138,11 +183,18 @@ impl HashRing {
 
     /// [`HashRing::shard_for`] for callers that already hold the key's
     /// [`stable_hash`] (interned keys carry it), skipping the byte walk.
+    #[inline]
     pub fn shard_for_hashed(&self, hash: u64) -> Option<u32> {
         if self.points.is_empty() {
             return None;
         }
-        let idx = self.points.partition_point(|&(p, _)| p < hash);
+        // Points before the bucket lie below its start, so below `hash`;
+        // points from the next bucket on lie above it.
+        let bucket = (hash >> self.bucket_shift) as usize;
+        let (mut idx, end) = (self.first[bucket] as usize, self.first[bucket + 1] as usize);
+        while idx < end && self.points[idx].0 < hash {
+            idx += 1;
+        }
         let idx = if idx == self.points.len() { 0 } else { idx };
         Some(self.points[idx].1)
     }
@@ -314,6 +366,104 @@ mod tests {
         for k in keys(1_000) {
             assert_eq!(ring.shard_for(&k), rebuilt.shard_for(&k));
             assert_eq!(ring.shard_for(&k), ring.shard_for_hashed(stable_hash(&k)));
+        }
+    }
+
+    /// The routing the bucket table replaced: binary search for the first
+    /// point at or after `hash`, wrapping to the first point.
+    fn partition_point_route(ring: &HashRing, hash: u64) -> Option<u32> {
+        if ring.points.is_empty() {
+            return None;
+        }
+        let idx = ring.points.partition_point(|&(p, _)| p < hash);
+        Some(ring.points[if idx == ring.points.len() { 0 } else { idx }].1)
+    }
+
+    /// Checks the bucket table against binary search at every point's exact
+    /// position and its neighbours, both ends of the hash space, and
+    /// `random` splitmix hashes; returns how many probes it made.
+    fn check_routing(ring: &HashRing, z: &mut u64, random: usize) -> usize {
+        let edges = ring
+            .points
+            .iter()
+            .flat_map(|&(p, _)| [p, p.wrapping_sub(1), p.wrapping_add(1)])
+            .chain([0, u64::MAX]);
+        let randoms = std::iter::repeat_with(|| {
+            *z = splitmix64(*z);
+            *z
+        })
+        .take(random);
+        let mut probes = 0;
+        for hash in edges.chain(randoms) {
+            assert_eq!(
+                ring.shard_for_hashed(hash),
+                partition_point_route(ring, hash),
+                "hash {hash:#x} on a ring of {} points",
+                ring.points.len()
+            );
+            probes += 1;
+        }
+        probes
+    }
+
+    #[test]
+    fn bucket_table_routes_like_partition_point() {
+        const RANDOM: usize = 1_000_000;
+        const CHECKPOINTS: usize = 6 + 3 * 48;
+        let per_check = RANDOM / CHECKPOINTS;
+        let mut z = 0x5eed_u64;
+        let mut probes = 0;
+        let mut checks = 0;
+        let mut check = |ring: &HashRing, z: &mut u64| {
+            checks += 1;
+            probes += check_routing(ring, z, per_check);
+        };
+        check(&HashRing::new(16), &mut z);
+        for (shards, vnodes) in [(1, 1), (1, 128), (64, 1), (64, 128), (3, 16)] {
+            check(&HashRing::with_shards(shards, vnodes), &mut z);
+        }
+        // Interleaved adds and removes over 64 shard ids, emptying the ring
+        // and coming back from empty on the way.
+        for vnodes in [1, 16, 128] {
+            let mut ring = HashRing::new(vnodes);
+            for step in 0..48u64 {
+                z = splitmix64(z);
+                let shard = (z >> 40) as u32 % 64;
+                if step == 20 {
+                    for s in ring.shard_ids().collect::<Vec<_>>() {
+                        ring.remove_shard(s);
+                    }
+                } else if z.is_multiple_of(3) {
+                    ring.remove_shard(shard);
+                } else {
+                    ring.add_shard(shard);
+                }
+                check(&ring, &mut z);
+            }
+        }
+        assert_eq!(checks, CHECKPOINTS);
+        println!("ring equivalence: {probes} probes over {checks} rings");
+        assert!(probes >= RANDOM * 99 / 100);
+    }
+
+    #[test]
+    fn bucket_table_handles_points_on_bucket_edges() {
+        // Vnode positions are hashes, so they almost never sit exactly on a
+        // bucket's start; place points there, and on both ends of the hash
+        // space, by hand.
+        let q = 1u64 << 62;
+        let shapes: [&[u64]; 4] = [
+            &[0, q, 2 * q, 3 * q],
+            &[0, 0, q - 1, q, q + 1, u64::MAX],
+            &[u64::MAX],
+            &[q, q, q, 3 * q - 1, 3 * q, u64::MAX, u64::MAX],
+        ];
+        let mut z = 1;
+        for positions in shapes {
+            let mut ring = HashRing::new(1);
+            ring.points = positions.iter().zip(0..).map(|(&p, s)| (p, s)).collect();
+            ring.rebuild_buckets();
+            check_routing(&ring, &mut z, 1_000);
         }
     }
 

@@ -1366,7 +1366,7 @@ fn run_kv_experiment_core(cfg: &KvExperimentConfig) -> StoreResult<(ExperimentRe
     let multi_tenant = cfg.tenants.is_some();
     dep.set_ttl_tenants(tenants_rt.len());
     // Per-key write generation; reads expect the latest generation.
-    let mut generation: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+    let mut generation: cachekit::fxhash::FxHashMap<u64, u64> = Default::default();
     let base_dt = SimDuration::from_secs_f64(1.0 / cfg.qps.max(1.0));
     let mut now = SimTime::ZERO;
     let mut metrics = RunMetrics::new();
@@ -1767,7 +1767,7 @@ pub fn run_trace_experiment(
     let dt = SimDuration::from_secs_f64(1.0 / qps.max(1.0));
     let mut now = SimTime::ZERO;
     let mut metrics = RunMetrics::new();
-    let mut generation: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+    let mut generation: cachekit::fxhash::FxHashMap<u64, u64> = Default::default();
     let heartbeat_every = (qps as u64).max(1);
     let mut measuring = false;
     let mut measure_start = SimTime::ZERO;

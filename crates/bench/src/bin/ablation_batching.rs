@@ -22,11 +22,8 @@ use bench::batching::{cpu_us_per_request, run_sweep, sweep_specs};
 use bench::sweep::SweepRunner;
 use bench::{print_table, request_budget, usd, write_json};
 use costmodel::{RpcTax, TheoryModel, TheoryParams};
-use serde::Serialize;
+use telemetry::json_fields;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     max_batch: u32,
     value_bytes: u64,
@@ -40,6 +37,10 @@ struct Point {
     read_p50_us: u64,
     read_p99_us: u64,
 }
+json_fields! { Point {
+    max_batch, value_bytes, mean_batch_size, rpc_batches, batched_rpc_keys, cpu_us_per_request,
+    model_cpu_us_per_request, total_cost, cache_hit_ratio, read_p50_us, read_p99_us,
+} }
 
 fn main() {
     println!("Ablation: batched remote-cache RPC (batch size x value size)");

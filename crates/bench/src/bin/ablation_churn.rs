@@ -14,18 +14,16 @@ use bench::sweep::SweepRunner;
 use bench::{print_table, ratio, request_budget, usd, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
-use serde::Serialize;
+use telemetry::json_fields;
 use workloads::KvWorkloadConfig;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     churn_period: Option<u64>,
     cache_hit_ratio: f64,
     total_cost: f64,
     saving_vs_base: f64,
 }
+json_fields! { Point { churn_period, cache_hit_ratio, total_cost, saving_vs_base } }
 
 fn main() {
     println!("Ablation: popularity churn (100K keys, 1KB, r=0.95, 100K QPS, cache ~5% of keyspace)");

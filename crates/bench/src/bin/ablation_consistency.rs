@@ -10,12 +10,9 @@ use bench::sweep::SweepRunner;
 use bench::{print_table, ratio, request_budget, usd, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
-use serde::Serialize;
+use telemetry::json_fields;
 use workloads::KvWorkloadConfig;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     arch: String,
     value_bytes: u64,
@@ -24,6 +21,9 @@ struct Point {
     version_checks_per_read: f64,
     stale_reads: u64,
 }
+json_fields! { Point {
+    arch, value_bytes, total_cost, saving_vs_base, version_checks_per_read, stale_reads,
+} }
 
 fn main() {
     println!("Ablation: consistency mechanisms (Linked vs +Version vs LeaseOwned)");

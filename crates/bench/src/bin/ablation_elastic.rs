@@ -26,11 +26,8 @@ use bench::elastic::{
 };
 use bench::sweep::SweepRunner;
 use bench::{print_table, ratio, request_budget, usd, write_json};
-use serde::Serialize;
+use telemetry::json_fields;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     arch: String,
     elastic: bool,
@@ -49,6 +46,11 @@ struct Point {
     migrated_entries: u64,
     migrated_bytes: u64,
 }
+json_fields! { Point {
+    arch, elastic, monthly_dollars, static_peak_dollars, cache_hit_ratio, total_cores,
+    peak_window_cores, mean_cache_bytes, peak_cache_bytes, decisions, plan_changes, resizes,
+    shards_drained, shards_restored, migrated_entries, migrated_bytes,
+} }
 
 fn main() {
     println!(

@@ -12,18 +12,16 @@ use bench::{print_table, ratio, request_budget, usd, write_json};
 use cachekit::PolicyKind;
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
-use serde::Serialize;
+use telemetry::json_fields;
 use workloads::KvWorkloadConfig;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     policy: String,
     cache_hit_ratio: f64,
     total_cost: f64,
     saving_vs_base: f64,
 }
+json_fields! { Point { policy, cache_hit_ratio, total_cost, saving_vs_base } }
 
 fn main() {
     println!("Ablation: eviction policy on the Linked architecture");

@@ -14,12 +14,9 @@ use bench::sweep::SweepRunner;
 use bench::{print_table, request_budget, usd, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
-use serde::Serialize;
+use telemetry::json_fields;
 use workloads::KvWorkloadConfig;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     arch: String,
     crashed: bool,
@@ -28,6 +25,7 @@ struct Point {
     read_p50_us: u64,
     read_p99_us: u64,
 }
+json_fields! { Point { arch, crashed, total_cost, failovers, read_p50_us, read_p99_us } }
 
 fn main() {
     println!("Ablation: storage leader failure mid-run (elections recover; 20K keys, 1KB)");

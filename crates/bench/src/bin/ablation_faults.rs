@@ -20,13 +20,10 @@ use bench::sweep::SweepRunner;
 use bench::{print_table, request_budget, usd, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
-use serde::Serialize;
 use simnet::{FaultSchedule, NodeId, SimDuration, SimTime};
+use telemetry::json_fields;
 use workloads::KvWorkloadConfig;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     arch: String,
     crash_interval_ms: u64,
@@ -40,6 +37,10 @@ struct Point {
     read_p99_us: u64,
     net_dropped: u64,
 }
+json_fields! { Point {
+    arch, crash_interval_ms, recovery_ms, total_cost, availability, degraded_reads, cache_retries,
+    stampede_suppressed, cache_crashes, read_p99_us, net_dropped,
+} }
 
 fn main() {
     println!("Ablation: periodic cache-shard crashes (rotating shards; 20K keys, 1KB)");

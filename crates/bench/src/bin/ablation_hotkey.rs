@@ -26,11 +26,8 @@ use bench::hotkey::{cpu_us_per_request, l0_absorption, run_sweep, sweep_specs};
 use bench::sweep::SweepRunner;
 use bench::{print_table, request_budget, usd, write_json};
 use costmodel::{RpcTax, TheoryModel, TheoryParams};
-use serde::Serialize;
+use telemetry::json_fields;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     arch: String,
     l0_bytes: u64,
@@ -49,6 +46,11 @@ struct Point {
     read_p50_us: u64,
     read_p99_us: u64,
 }
+json_fields! { Point {
+    arch, l0_bytes, alpha, value_bytes, serve_stale, l0_hit_ratio, l0_absorption, l0_invalidations,
+    l0_stale_serves, l0_age_p99_us, stale_reads, cpu_us_per_request, total_cost, cache_hit_ratio,
+    read_p50_us, read_p99_us,
+} }
 
 fn main() {
     println!("Ablation: in-process hot-key L0 tier (bytes x skew x value size)");

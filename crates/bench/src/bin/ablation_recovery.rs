@@ -25,11 +25,8 @@ use bench::recovery::{
 };
 use bench::sweep::SweepRunner;
 use bench::{print_table, request_budget, usd, write_json};
-use serde::Serialize;
+use telemetry::json_fields;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     cell: String,
     arch: String,
@@ -49,6 +46,11 @@ struct Point {
     ssd_resident_bytes: u64,
     stale_reads: u64,
 }
+json_fields! { Point {
+    cell, arch, durable, crashes, monthly_dollars, ssd_dollars, cache_hit_ratio, wal_appends,
+    wal_fsync_batches, snapshot_bytes, recoveries, mean_recovery_ms, replayed_entries,
+    lost_tail_entries, cold_refill_cpu_us, ssd_resident_bytes, stale_reads,
+} }
 
 fn main() {
     println!(

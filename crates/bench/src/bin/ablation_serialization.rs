@@ -10,17 +10,15 @@ use bench::sweep::SweepRunner;
 use bench::{print_table, ratio, request_budget, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
-use serde::Serialize;
+use telemetry::json_fields;
 use workloads::KvWorkloadConfig;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     per_byte_multiplier: f64,
     value_bytes: u64,
     linked_saving: f64,
 }
+json_fields! { Point { per_byte_multiplier, value_bytes, linked_saving } }
 
 fn main() {
     println!("Ablation: per-byte (de)serialization/RPC cost sensitivity");

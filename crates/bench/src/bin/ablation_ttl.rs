@@ -25,11 +25,11 @@ use bench::ttl::{
     cell_dollars, isolation_experiment, isolation_label, isolation_specs, run_sweep, sweep_specs,
     tenant_hit, Plane, MEM_PRICE_MULT,
 };
-use bench::{print_table, ratio, request_budget, usd};
+use bench::{print_table, ratio, request_budget, usd, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
 use simnet::SimDuration;
-use std::time::Instant;
+use telemetry::json_fields;
 use workloads::KvWorkloadConfig;
 
 struct PlanePoint {
@@ -41,9 +41,13 @@ struct PlanePoint {
     ttl_changes: u64,
     expired_entries: u64,
     expiry_sweep_cpu_us: u64,
-    mean_resident_bytes: f64,
+    mean_resident_mb: f64,
     current_ttl_secs: f64,
 }
+json_fields! { PlanePoint {
+    cell, monthly_dollars, memory_dollars, cache_hit_ratio, ttl_decisions, ttl_changes,
+    expired_entries, expiry_sweep_cpu_us, mean_resident_mb, current_ttl_secs,
+} }
 
 struct IsolationPoint {
     cell: String,
@@ -53,6 +57,9 @@ struct IsolationPoint {
     victim_dollars: f64,
     aggressor_dollars: f64,
 }
+json_fields! { IsolationPoint {
+    cell, victim_hit, aggressor_hit, aggressor_write_share, victim_dollars, aggressor_dollars,
+} }
 
 struct FrontierPoint {
     label: String,
@@ -61,6 +68,16 @@ struct FrontierPoint {
     cache_hit_ratio: f64,
     saving_vs_base: f64,
 }
+json_fields! { FrontierPoint {
+    label, total_cost, stale_fraction, cache_hit_ratio, saving_vs_base,
+} }
+
+struct TtlResults {
+    control_plane: Vec<PlanePoint>,
+    isolation: Vec<IsolationPoint>,
+    frontier: Vec<FrontierPoint>,
+}
+json_fields! { TtlResults { control_plane, isolation, frontier } }
 
 fn main() {
     println!(
@@ -71,12 +88,10 @@ fn main() {
     // printed cells are the blessed cells.
     let (warmup, measured) = request_budget(8_000, 12_000);
     let runner = SweepRunner::from_env();
-    let wall = Instant::now();
 
     // ---- Section 1: the control-plane head-to-head grid. ----
     let specs = sweep_specs();
     let reports = run_sweep(&runner, &specs, warmup, measured);
-    let grid_requests: u64 = reports.iter().map(|r| r.requests).sum();
 
     let mut rows = Vec::new();
     let mut plane_points = Vec::new();
@@ -105,7 +120,7 @@ fn main() {
             ttl_changes: r.ttl_changes,
             expired_entries: r.expired_entries,
             expiry_sweep_cpu_us: r.expiry_sweep_cpu_us,
-            mean_resident_bytes: r.ttl_mean_resident_bytes,
+            mean_resident_mb: r.ttl_mean_resident_bytes / 1e6,
             current_ttl_secs: ttl_now,
         });
     }
@@ -168,7 +183,6 @@ fn main() {
     let iso = runner.run_map(&iso_specs, |_, &storm| {
         run_kv_experiment(&isolation_experiment(storm, warmup, measured)).expect("isolation run")
     });
-    let iso_requests: u64 = iso.iter().map(|r| r.requests).sum();
     let mut iso_rows = Vec::new();
     let mut iso_points = Vec::new();
     for (&storm, r) in iso_specs.iter().zip(&iso) {
@@ -212,10 +226,14 @@ fn main() {
     // ---- Section 3: the legacy fixed-TTL freshness frontier. ----
     let frontier_points = frontier(&runner);
 
-    write_ttl_json(&plane_points, &iso_points, &frontier_points);
-
-    let wall_secs = wall.elapsed().as_secs_f64();
-    write_bench_json(grid_requests + iso_requests, wall_secs, runner.jobs());
+    write_json(
+        "ablation_ttl",
+        &TtlResults {
+            control_plane: plane_points,
+            isolation: iso_points,
+            frontier: frontier_points,
+        },
+    );
 
     println!(
         "\nCapacity resizing and TTL tuning reclaim the same DRAM, but expiry\n\
@@ -289,101 +307,4 @@ fn frontier(runner: &SweepRunner) -> Vec<FrontierPoint> {
         &rows,
     );
     points
-}
-
-// JSON artifacts are hand-rolled: the offline serde_json stub serializes to
-// the empty string, so derive-based `write_json` would leave
-// results/*.json empty. `obs_report` writes its JSON the same way.
-fn write_ttl_json(planes: &[PlanePoint], iso: &[IsolationPoint], frontier: &[FrontierPoint]) {
-    let mut out = String::from("{\n  \"control_plane\": [\n");
-    for (i, p) in planes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"cell\": \"{}\", \"monthly_dollars\": {:.2}, \"memory_dollars\": {:.2}, \
-             \"cache_hit_ratio\": {:.6}, \"ttl_decisions\": {}, \"ttl_changes\": {}, \
-             \"expired_entries\": {}, \"expiry_sweep_cpu_us\": {}, \
-             \"mean_resident_mb\": {:.3}, \"current_ttl_secs\": {:.3}}}{}\n",
-            p.cell,
-            p.monthly_dollars,
-            p.memory_dollars,
-            p.cache_hit_ratio,
-            p.ttl_decisions,
-            p.ttl_changes,
-            p.expired_entries,
-            p.expiry_sweep_cpu_us,
-            p.mean_resident_bytes / 1e6,
-            p.current_ttl_secs,
-            if i + 1 == planes.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"isolation\": [\n");
-    for (i, p) in iso.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"cell\": \"{}\", \"victim_hit\": {:.6}, \"aggressor_hit\": {:.6}, \
-             \"aggressor_write_share\": {:.4}, \"victim_dollars\": {:.2}, \
-             \"aggressor_dollars\": {:.2}}}{}\n",
-            p.cell,
-            p.victim_hit,
-            p.aggressor_hit,
-            p.aggressor_write_share,
-            p.victim_dollars,
-            p.aggressor_dollars,
-            if i + 1 == iso.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"frontier\": [\n");
-    for (i, p) in frontier.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"total_cost\": {:.2}, \"stale_fraction\": {:.4}, \
-             \"cache_hit_ratio\": {:.6}, \"saving_vs_base\": {:.3}}}{}\n",
-            p.label,
-            p.total_cost,
-            p.stale_fraction,
-            p.cache_hit_ratio,
-            p.saving_vs_base,
-            if i + 1 == frontier.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let path = bench::results_dir().join("ablation_ttl.json");
-    std::fs::write(&path, out).expect("write ablation_ttl.json");
-    println!("\n[results written to {}]", path.display());
-}
-
-/// Linux peak-RSS proxy: VmHWM from /proc/self/status, in kB.
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1).and_then(|v| v.parse().ok()))
-        })
-        .unwrap_or(0)
-}
-
-// Hand-rolled like BENCH_pr7/pr8: the offline serde_json stub would write
-// an empty file, and CI cats this artifact.
-fn write_bench_json(requests: u64, wall_secs: f64, jobs: usize) {
-    let sim_req_per_sec = requests as f64 / wall_secs.max(1e-9);
-    let out = format!(
-        "{{\n  \"description\": \"ablation_ttl engine throughput: simulated requests/sec across \
-         the control-plane head-to-head and isolation cells (first two sections; the fixed-TTL \
-         frontier is excluded). Dollar/hit columns in ablation_ttl.json are deterministic; \
-         wall-clock, req/s and RSS here are environment-dependent by design.\",\n  \
-         \"generated_by\": \"ablation_ttl{}\",\n  \
-         \"requests\": {},\n  \
-         \"wall_secs\": {:.3},\n  \
-         \"sim_req_per_sec\": {:.0},\n  \
-         \"peak_rss_kb\": {},\n  \
-         \"jobs\": {}\n}}\n",
-        if bench::quick_mode() { " --quick" } else { "" },
-        requests,
-        wall_secs,
-        sim_req_per_sec,
-        peak_rss_kb(),
-        jobs,
-    );
-    let path = bench::results_dir().join("BENCH_pr10.json");
-    std::fs::write(&path, out).expect("write BENCH_pr10.json");
-    println!("[bench figures written to {}]", path.display());
 }

@@ -14,11 +14,8 @@ use bench::sweep::SweepRunner;
 use bench::{print_table, ratio, request_budget, usd, write_json};
 use dcache::sessionapp::{run_session_experiment, SessionExperimentConfig};
 use dcache::ArchKind;
-use serde::Serialize;
+use telemetry::json_fields;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     arch: String,
     total_cost: f64,
@@ -27,6 +24,9 @@ struct Point {
     read_p50_us: u64,
     consistent: bool,
 }
+json_fields! { Point {
+    arch, total_cost, saving_vs_base, incorrect_reads_per_million, read_p50_us, consistent,
+} }
 
 fn main() {
     println!("Session-state service (Section 2.3): 10K live sessions, 40K QPS,");

@@ -10,11 +10,8 @@
 
 use bench::{print_table, ratio, usd, write_json};
 use costmodel::{HybridModel, Pricing, SsdTier, TheoryModel, TheoryParams};
-use serde::Serialize;
+use telemetry::json_fields;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Fig2Results {
     alpha_sweep: Vec<(f64, f64)>,
     ssd_sweep: Vec<(f64, f64, f64, f64, f64)>,
@@ -24,6 +21,10 @@ struct Fig2Results {
     gradient_s_d: f64,
     optimal_s_a_gb: f64,
 }
+json_fields! { Fig2Results {
+    alpha_sweep, ssd_sweep, replica_sweep, memory_price_sweep, gradient_s_a, gradient_s_d,
+    optimal_s_a_gb,
+} }
 
 fn model(alpha: f64, replicas: f64, mem_multiplier: f64) -> TheoryModel {
     TheoryModel::new(TheoryParams {

@@ -5,18 +5,16 @@
 //! Also prints the §5.2 aggregates: read ratio ≈ 93%, getTable dominant.
 
 use bench::{print_table, write_json};
-use serde::Serialize;
+use telemetry::json_fields;
 use workloads::unity::{UnityDataset, UnityOp, UnityScale, UnityWorkload};
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Fig3Results {
     size_percentiles: Vec<(String, u64)>,
     rank_frequency: Vec<(u64, u64)>,
     read_ratio: f64,
     median_object_bytes: u64,
 }
+json_fields! { Fig3Results { size_percentiles, rank_frequency, read_ratio, median_object_bytes } }
 
 fn main() {
     println!("Reproducing Figure 3: Unity Catalog trace distributions");

@@ -10,12 +10,9 @@ use bench::sweep::SweepRunner;
 use bench::{print_table, ratio, request_budget, usd, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
-use serde::Serialize;
+use telemetry::json_fields;
 use workloads::KvWorkloadConfig;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     sweep: &'static str,
     x: f64,
@@ -29,6 +26,10 @@ struct Point {
     read_p50_us: u64,
     read_p99_us: u64,
 }
+json_fields! { Point {
+    sweep, x, arch, total_cost, compute_cost, memory_cost, cores, cache_hit_ratio, saving_vs_base,
+    read_p50_us, read_p99_us,
+} }
 
 fn run_point(
     arch: ArchKind,

@@ -12,13 +12,10 @@ use bench::{print_table, ratio, request_budget, usd, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::unityapp::{run_unity_kv_experiment, UnityExperimentConfig};
 use dcache::{ArchKind, ExperimentReport};
-use serde::Serialize;
+use telemetry::json_fields;
 use workloads::meta::meta_workload;
 use workloads::unity::UnityScale;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     workload: &'static str,
     arch: String,
@@ -30,6 +27,10 @@ struct Point {
     saving_vs_base: f64,
     memory_fraction: f64,
 }
+json_fields! { Point {
+    workload, arch, total_cost, compute_cost, memory_cost, cores, cache_hit_ratio, saving_vs_base,
+    memory_fraction,
+} }
 
 fn record(
     points: &mut Vec<Point>,

@@ -10,12 +10,9 @@ use bench::sweep::SweepRunner;
 use bench::{print_table, request_budget, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
-use serde::Serialize;
+use telemetry::json_fields;
 use workloads::KvWorkloadConfig;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Breakdown {
     arch: String,
     value_bytes: u64,
@@ -29,6 +26,10 @@ struct Breakdown {
     app_storage_fraction: f64,
     memory_fraction: f64,
 }
+json_fields! { Breakdown {
+    arch, value_bytes, tier_cores, frontend_fixed_fraction, app_client_fraction,
+    app_storage_fraction, memory_fraction,
+} }
 
 fn main() {
     println!("Reproducing Figure 6: CPU breakdown by tier, per architecture");

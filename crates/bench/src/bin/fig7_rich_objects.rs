@@ -13,12 +13,9 @@ use dcache::unityapp::{
     run_unity_kv_experiment, run_unity_object_experiment, UnityExperimentConfig,
 };
 use dcache::ArchKind;
-use serde::Serialize;
+use telemetry::json_fields;
 use workloads::unity::UnityScale;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     flavor: &'static str,
     arch: String,
@@ -28,6 +25,9 @@ struct Point {
     sql_per_read: f64,
     saving_vs_base: f64,
 }
+json_fields! { Point {
+    flavor, arch, total_cost, cores, cache_hit_ratio, sql_per_read, saving_vs_base,
+} }
 
 fn main() {
     println!("Reproducing Figure 7: Unity Catalog-Object vs -KV");

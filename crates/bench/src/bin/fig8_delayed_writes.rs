@@ -7,11 +7,8 @@
 
 use bench::{print_table, write_json};
 use dcache::consistency::delayed_write_scenario;
-use serde::Serialize;
+use telemetry::json_fields;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Fig8Results {
     unfenced_admitted: bool,
     unfenced_cache: Option<u64>,
@@ -22,6 +19,10 @@ struct Fig8Results {
     fenced_storage: Option<u64>,
     fenced_linearizable: bool,
 }
+json_fields! { Fig8Results {
+    unfenced_admitted, unfenced_cache, unfenced_storage, unfenced_linearizable, fenced_admitted,
+    fenced_cache, fenced_storage, fenced_linearizable,
+} }
 
 fn fmt(v: Option<u64>) -> String {
     v.map(|x| x.to_string()).unwrap_or_else(|| "-".to_string())

@@ -14,10 +14,7 @@
 //! * `tail_attribution.json` — every slowest-1% request attributed to
 //!   exactly one primary cause, with per-cause excess-µs totals,
 //! * `dashboard.html` — a self-contained SVG sparkline dashboard of both
-//!   architectures' timelines,
-//!
-//! plus `results/BENCH_pr7.json` — wall-clock, simulated-throughput and
-//! peak-RSS figures in the `BENCH_baseline.json` shape.
+//!   architectures' timelines.
 //!
 //! Two invariants are checked on every run: ≥ 1 alert must fire per
 //! architecture (the scenario's outage is designed to burn the p99
@@ -26,25 +23,7 @@
 use bench::obs::{run_sweep, GOLDEN_MEASURED, GOLDEN_WARMUP};
 use bench::sweep::SweepRunner;
 use bench::{print_table, quick_mode, results_dir};
-use std::fmt::Write as _;
-use std::time::Instant;
-use telemetry::json::fmt_f64;
-
-/// Peak resident-set size of this process in bytes (Linux `VmHWM`), or 0
-/// where /proc is unavailable — a proxy, not a benchmark-grade figure.
-fn peak_rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines().find(|l| l.starts_with("VmHWM:")).and_then(|l| {
-                l.split_whitespace()
-                    .nth(1)
-                    .and_then(|kb| kb.parse::<u64>().ok())
-                    .map(|kb| kb * 1024)
-            })
-        })
-        .unwrap_or(0)
-}
+use telemetry::json::push_json_str;
 
 fn main() {
     println!("Observability report: time series + SLO alerts + tail attribution");
@@ -57,11 +36,8 @@ fn main() {
     std::fs::create_dir_all(&out_dir).expect("create results/obs");
     let runner = SweepRunner::from_env();
 
-    // First pass (timed per architecture for BENCH_pr7), second pass for
-    // the determinism invariant.
-    let wall = Instant::now();
+    // Run twice: the second pass checks the determinism invariant.
     let runs = run_sweep(&runner, warmup, measured);
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     let again = run_sweep(&runner, warmup, measured);
 
     let mut alerts_json = String::from("{");
@@ -72,7 +48,6 @@ fn main() {
             .sum::<usize>()
             .max(1),
     );
-    let mut perf = String::new();
     let mut cause_rows = Vec::new();
 
     for (i, ((report, bundle), (_, bundle2))) in runs.iter().zip(&again).enumerate() {
@@ -99,23 +74,18 @@ fn main() {
             obs.timeseries.to_jsonl(),
         )
         .expect("write timeseries");
-        if i > 0 {
-            alerts_json.push(',');
-            tail_json.push(',');
-            perf.push(',');
+        for (doc, value) in [
+            (&mut alerts_json, obs.alerts_json()),
+            (&mut tail_json, obs.tail.to_json()),
+        ] {
+            if i > 0 {
+                doc.push(',');
+            }
+            push_json_str(doc, label);
+            doc.push(':');
+            doc.push_str(&value);
         }
-        let _ = write!(alerts_json, "\"{label}\":{}", obs.alerts_json());
-        let _ = write!(tail_json, "\"{label}\":{}", obs.tail.to_json());
         dashboard.merge(&obs.timeseries);
-
-        let sim_secs = report.duration_secs;
-        let _ = write!(
-            perf,
-            "\n    \"{label}\": {{\"simulated_requests\": {}, \"sim_duration_secs\": {}, \"simulated_req_per_s\": {}}}",
-            report.requests,
-            fmt_f64(sim_secs),
-            fmt_f64(report.requests as f64 / sim_secs.max(1e-9))
-        );
 
         for c in &obs.tail.causes {
             if c.count > 0 {
@@ -154,26 +124,8 @@ fn main() {
     )
     .expect("write dashboard");
 
-    // BENCH_pr7.json: hand-rolled (offline serde stubs), BENCH_baseline
-    // shape. Wall-clock and RSS are environment-dependent by design — the
-    // deterministic artifacts live under results/obs/.
-    let mode = if quick_mode() { " --quick" } else { "" };
-    let bench = format!(
-        "{{\n  \"description\": \"obs_report run cost: wall-clock for the two-architecture observability sweep (first pass, {} worker threads), simulated throughput, and peak RSS as a memory proxy. Deterministic artifacts live in results/obs/.\",\n  \"generated_by\": \"obs_report{mode}\",\n  \"workload\": {{\n    \"warmup_requests\": {warmup},\n    \"measured_requests\": {measured},\n    \"trace_sample_every\": {},\n    \"p99_budget_us\": {}\n  }},\n  \"perf\": {{{perf}\n  }},\n  \"wall_clock_ms_first_pass\": {},\n  \"peak_rss_bytes\": {}\n}}\n",
-        runner.jobs(),
-        bench::obs::SAMPLE_EVERY,
-        bench::obs::P99_BUDGET_US,
-        fmt_f64(wall_ms),
-        peak_rss_bytes()
-    );
-    std::fs::write(results_dir().join("BENCH_pr7.json"), bench).expect("write BENCH_pr7");
-
     println!(
         "\n[observability artifacts written to {}]",
         out_dir.display()
-    );
-    println!(
-        "[bench figures written to {}]",
-        results_dir().join("BENCH_pr7.json").display()
     );
 }

@@ -25,26 +25,21 @@ use bench::sweep::SweepRunner;
 use bench::{print_table, request_budget, results_dir, write_json};
 use dcache::experiment::{run_kv_experiment_with_telemetry, KvExperimentConfig, TelemetryBundle};
 use dcache::{ArchKind, ExperimentReport};
-use serde::Serialize;
+use telemetry::{json, json_fields};
 use workloads::KvWorkloadConfig;
 
 /// Sample every k-th measured request (prime, so sampling doesn't alias
 /// against read/write mix periodicity).
 const SAMPLE_EVERY: u64 = 97;
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct TierAgreement {
     tier: String,
     report_cores: f64,
     profile_cores: f64,
     rel_err: f64,
 }
+json_fields! { TierAgreement { tier, report_cores, profile_cores, rel_err } }
 
-// Fields are read via `Serialize`; the offline serde stub derive is a no-op.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct ArchSummary {
     arch: String,
     traces_retained: usize,
@@ -53,6 +48,9 @@ struct ArchSummary {
     agreement: Vec<TierAgreement>,
     deterministic: bool,
 }
+json_fields! { ArchSummary {
+    arch, traces_retained, spans_retained, profile_total_ms, agreement, deterministic,
+} }
 
 fn run_arch(arch: ArchKind, warmup: u64, measured: u64) -> (ExperimentReport, TelemetryBundle) {
     let workload = KvWorkloadConfig::paper_synthetic(0.95, 1 << 10, 42);
@@ -146,12 +144,11 @@ fn main() {
             let mut ids: Vec<u64> = bundle
                 .traces_jsonl
                 .lines()
-                .filter_map(|l| {
-                    l.split("\"trace_id\":\"")
-                        .nth(1)?
-                        .split('"')
-                        .next()
-                        .map(|h| u64::from_str_radix(h, 16).unwrap_or(0))
+                .map(|l| {
+                    let span = json::parse(l).expect("trace line is JSON");
+                    let id = span.get("trace_id").and_then(json::Value::as_str);
+                    u64::from_str_radix(id.expect("span has a trace_id"), 16)
+                        .expect("trace_id is hex")
                 })
                 .collect();
             let spans = ids.len();

@@ -8,10 +8,9 @@
 //! requests, fixed seeds), through the [`crate::sweep::SweepRunner`] — so
 //! the golden suite also exercises the parallel path every run.
 //!
-//! Serialization is hand-rolled (encode **and** parse): the offline build
-//! environment stubs out `serde_json`, and golden comparisons need real
-//! bytes on disk. The format is plain JSON restricted to what
-//! [`GoldenFigure`] needs.
+//! The bless files are written and read by the workspace's one JSON
+//! module, [`telemetry::json`]: a figure is an object of `name` and
+//! `points`, each point an object of `label` and a `metrics` object.
 //!
 //! Metric names carry their tolerance class as a prefix (see
 //! [`tolerance_for`]): `count_`/`flag_` exact, `model_` near-exact
@@ -26,7 +25,7 @@ use dcache::unityapp::{
     run_unity_kv_experiment, run_unity_object_experiment, UnityExperimentConfig,
 };
 use dcache::{ArchKind, DeploymentConfig, ExperimentReport};
-use std::fmt::Write as _;
+use telemetry::json::{self, to_json_pretty, Object, ToJson, Value};
 use workloads::meta::meta_workload;
 use workloads::unity::{UnityDataset, UnityOp, UnityScale, UnityWorkload};
 use workloads::{KvWorkloadConfig, SizeDist};
@@ -70,68 +69,64 @@ impl GoldenFigure {
 
     /// Deterministic pretty JSON; `parse` reads it back exactly.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"name\": ");
-        push_json_str(&mut out, &self.name);
-        out.push_str(",\n  \"points\": [");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n      \"label\": ");
-            push_json_str(&mut out, &p.label);
-            out.push_str(",\n      \"metrics\": {");
-            for (j, (k, v)) in p.metrics.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n        ");
-                push_json_str(&mut out, k);
-                let _ = write!(out, ": {}", fmt_f64(*v));
-            }
-            out.push_str("\n      }\n    }");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        to_json_pretty(self)
     }
 
     /// Parse the JSON produced by [`GoldenFigure::to_json`] (any JSON with
     /// that shape, actually — whitespace and key order are free).
     pub fn parse(text: &str) -> Result<GoldenFigure, String> {
-        let value = JsonParser::new(text).parse_document()?;
-        let obj = value.as_object("top level")?;
-        let name = obj
-            .get("name")
-            .ok_or("missing \"name\"")?
-            .as_str("name")?
-            .to_string();
+        fn field<'v>(v: &'v Value, key: &str, what: &str) -> Result<&'v Value, String> {
+            v.get(key).ok_or(format!("{what} missing {key:?}"))
+        }
+        let doc = json::parse(text)?;
+        let name = field(&doc, "name", "top level")?
+            .as_str()
+            .ok_or("name: expected string")?;
         let mut points = Vec::new();
-        for (i, p) in obj
-            .get("points")
-            .ok_or("missing \"points\"")?
-            .as_array("points")?
+        for (i, p) in field(&doc, "points", "top level")?
+            .as_array()
+            .ok_or("points: expected array")?
             .iter()
             .enumerate()
         {
-            let p = p.as_object(&format!("points[{i}]"))?;
-            let label = p
-                .get("label")
-                .ok_or_else(|| format!("points[{i}] missing \"label\""))?
-                .as_str("label")?
-                .to_string();
-            let metrics_obj = p
-                .get("metrics")
-                .ok_or_else(|| format!("points[{i}] missing \"metrics\""))?
-                .as_object("metrics")?;
-            let mut metrics = Vec::new();
-            for (k, v) in &metrics_obj.entries {
-                metrics.push((k.clone(), v.as_number(k)?));
-            }
+            let what = format!("points[{i}]");
+            let label = field(p, "label", &what)?
+                .as_str()
+                .ok_or(format!("{what}.label: expected string"))?;
+            let metrics = field(p, "metrics", &what)?
+                .as_object()
+                .ok_or(format!("{what}.metrics: expected object"))?
+                .iter()
+                .map(|(k, v)| {
+                    Ok((
+                        k.clone(),
+                        v.as_f64().ok_or(format!("{k}: expected number"))?,
+                    ))
+                })
+                .collect::<Result<_, String>>()?;
             points.push(GoldenPoint::new(label, metrics));
         }
-        Ok(GoldenFigure { name, points })
+        Ok(GoldenFigure {
+            name: name.to_string(),
+            points,
+        })
     }
 }
+
+impl ToJson for GoldenPoint {
+    fn write_json(&self, out: &mut String, indent: usize) {
+        let metrics: Vec<(&str, &dyn ToJson)> = self
+            .metrics
+            .iter()
+            .map(|(k, v)| (k.as_str(), v as &dyn ToJson))
+            .collect();
+        let fields: [(&str, &dyn ToJson); 2] =
+            [("label", &self.label), ("metrics", &Object(&metrics))];
+        Object(&fields).write_json(out, indent);
+    }
+}
+
+telemetry::json_fields! { GoldenFigure { name, points } }
 
 /// Absolute and relative tolerance for a metric, chosen by name prefix.
 /// A comparison passes when `|actual - expected| <= abs + rel * |expected|`.
@@ -871,269 +866,6 @@ pub fn fig8_delayed_writes() -> GoldenFigure {
     GoldenFigure {
         name: "fig8_delayed_writes".into(),
         points,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON (see module docs for why this is hand-rolled).
-// ---------------------------------------------------------------------------
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Shortest-roundtrip float formatting (always re-parses to the same bits).
-fn fmt_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}") // keep a ".0" so the value reads as a float
-    } else {
-        format!("{v}")
-    }
-}
-
-struct JsonObject {
-    entries: Vec<(String, JsonValue)>,
-}
-
-impl JsonObject {
-    fn get(&self, key: &str) -> Option<&JsonValue> {
-        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-}
-
-enum JsonValue {
-    Object(JsonObject),
-    Array(Vec<JsonValue>),
-    String(String),
-    Number(f64),
-}
-
-impl JsonValue {
-    fn as_object(&self, what: &str) -> Result<&JsonObject, String> {
-        match self {
-            JsonValue::Object(o) => Ok(o),
-            _ => Err(format!("{what}: expected object")),
-        }
-    }
-    fn as_array(&self, what: &str) -> Result<&[JsonValue], String> {
-        match self {
-            JsonValue::Array(a) => Ok(a),
-            _ => Err(format!("{what}: expected array")),
-        }
-    }
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            JsonValue::String(s) => Ok(s),
-            _ => Err(format!("{what}: expected string")),
-        }
-    }
-    fn as_number(&self, what: &str) -> Result<f64, String> {
-        match self {
-            JsonValue::Number(n) => Ok(*n),
-            _ => Err(format!("{what}: expected number")),
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn parse_document(&mut self) -> Result<JsonValue, String> {
-        let v = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing content at byte {}", self.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                c as char,
-                self.pos,
-                self.bytes.get(self.pos).map(|&b| b as char)
-            ))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|&b| b as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(JsonObject { entries }));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            entries.push((key, self.parse_value()?));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(JsonObject { entries }));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|&b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|&b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {:?}", other.map(|&b| b as char))),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    // Multi-byte UTF-8 sequences pass through unmodified.
-                    let start = self.pos;
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
     }
 }
 

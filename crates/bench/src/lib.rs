@@ -5,9 +5,8 @@
 //! EXPERIMENTS.md can cite them. Binaries accept `--quick` to run a reduced
 //! request budget (useful in CI; the shapes survive, the noise grows).
 
-use serde::Serialize;
-use std::io::Write;
 use std::path::PathBuf;
+use telemetry::json::{to_json_pretty, ToJson};
 
 pub mod batching;
 pub mod elastic;
@@ -55,13 +54,10 @@ pub fn results_dir() -> PathBuf {
     results
 }
 
-/// Serialize `value` to `results/<name>.json`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
+/// Write `value` as pretty JSON to `results/<name>.json`.
+pub fn write_json<T: ToJson + ?Sized>(name: &str, value: &T) {
     let path = results_dir().join(format!("{name}.json"));
-    let file = std::fs::File::create(&path).expect("create results file");
-    let mut w = std::io::BufWriter::new(file);
-    serde_json::to_writer_pretty(&mut w, value).expect("serialize results");
-    w.flush().expect("flush results");
+    std::fs::write(&path, to_json_pretty(value)).expect("write results file");
     println!("\n[results written to {}]", path.display());
 }
 
@@ -126,5 +122,68 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(usd(3.456), "$3.46");
         assert_eq!(ratio(2.0), "2.00x");
+    }
+
+    struct Cell {
+        arch: &'static str,
+        total_cost: f64,
+        read_p99_us: u64,
+        failovers: Option<u64>,
+        consistent: bool,
+        tier_cores: Vec<(String, f64)>,
+    }
+    telemetry::json_fields! { Cell {
+        arch, total_cost, read_p99_us, failovers, consistent, tier_cores,
+    } }
+
+    #[test]
+    fn results_json_is_the_pretty_layout_of_every_field() {
+        let cells = [
+            Cell {
+                arch: "linked",
+                total_cost: 1612.3164258567201,
+                read_p99_us: 900,
+                failovers: None,
+                consistent: true,
+                tier_cores: vec![("app".into(), 12.0), ("storage".into(), 0.25)],
+            },
+            Cell {
+                arch: "remote \"tier\"",
+                total_cost: f64::NAN,
+                read_p99_us: 0,
+                failovers: Some(2),
+                consistent: false,
+                tier_cores: vec![],
+            },
+        ];
+        let expected = r#"[
+  {
+    "arch": "linked",
+    "total_cost": 1612.3164258567201,
+    "read_p99_us": 900,
+    "failovers": null,
+    "consistent": true,
+    "tier_cores": [
+      [
+        "app",
+        12.0
+      ],
+      [
+        "storage",
+        0.25
+      ]
+    ]
+  },
+  {
+    "arch": "remote \"tier\"",
+    "total_cost": null,
+    "read_p99_us": 0,
+    "failovers": 2,
+    "consistent": false,
+    "tier_cores": []
+  }
+]
+"#;
+        assert_eq!(to_json_pretty(&cells[..]), expected);
     }
 }

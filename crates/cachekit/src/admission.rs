@@ -12,7 +12,6 @@
 //! expected cache entry, negligible next to the entries themselves.
 
 use cachekit_hash::spread;
-use serde::{Deserialize, Serialize};
 
 mod cachekit_hash {
     /// Re-derive independent hash functions from one 64-bit key hash.
@@ -23,7 +22,7 @@ mod cachekit_hash {
 
 /// Count-min sketch with 4-bit counters packed 16 per `u64`, 4 hash rows in
 /// one flat table, and halving-based aging every `sample_size` increments.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrequencySketch {
     table: Vec<u64>,
     /// Mask for slot selection (table length is a power of two).
@@ -117,7 +116,7 @@ impl FrequencySketch {
 /// A small Bloom filter in front of the sketch: the first occurrence of a
 /// key only sets doorkeeper bits, so one-hit wonders never pollute the
 /// sketch counters. Reset on each aging cycle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Doorkeeper {
     bits: Vec<u64>,
     mask: u64,
@@ -175,7 +174,7 @@ impl Doorkeeper {
 }
 
 /// The TinyLFU admission policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TinyLfu {
     sketch: FrequencySketch,
     doorkeeper: Doorkeeper,

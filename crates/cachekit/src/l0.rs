@@ -31,10 +31,9 @@
 
 use crate::cache::{Cache, CacheKeyHash, InsertOutcome};
 use crate::policy::PolicyKind;
-use serde::{Deserialize, Serialize};
 
 /// Consistency mode for the L0 tier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum L0Mode {
     /// Writers invalidate before acking: every hit is fresh at its version.
     InvalidateFirst,
@@ -44,7 +43,7 @@ pub enum L0Mode {
 }
 
 /// Sizing and mode for an [`L0Cache`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct L0Params {
     /// Hard byte cap (entry overhead included, like [`Cache`]).
     pub capacity_bytes: u64,
@@ -54,7 +53,7 @@ pub struct L0Params {
 }
 
 /// Counters the deployment lifts into its report and telemetry export.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct L0Stats {
     pub hits: u64,
     pub misses: u64,

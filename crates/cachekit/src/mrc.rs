@@ -15,7 +15,6 @@
 //!   a Fenwick tree over access timestamps (O(log n) per access). One pass
 //!   yields the miss ratio at *every* cache size simultaneously.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -236,7 +235,7 @@ impl<K: Hash + Eq> StackDistance<K> {
 /// A piecewise-constant miss-ratio curve over cache sizes in *entries*.
 /// Query with [`MissRatioCurve::miss_ratio`]; convert entries↔bytes at the
 /// call site using the workload's mean entry size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MissRatioCurve {
     /// (cache_entries, miss_ratio), strictly increasing in entries.
     pub points: Vec<(u64, f64)>,

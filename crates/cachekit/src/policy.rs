@@ -19,11 +19,10 @@
 //! * **CLOCK** — second-chance approximation of LRU with O(1) hits.
 
 use crate::list::SlotList;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Runtime-selectable policy. The eviction ablation bench sweeps this enum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     Lru,
     Fifo,

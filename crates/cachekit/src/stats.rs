@@ -2,12 +2,11 @@
 //! counters: hit/miss ratios determine how often the expensive storage path
 //! runs, which is the paper's whole cost story.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::AddAssign;
 
 /// Monotonic counters for one cache instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,

@@ -10,40 +10,13 @@
 //!   grows, a logarithmic number of times;
 //! - interning a key already seen, and `get`, allocate nothing.
 //!
-//! The test binary holds this one test, so no sibling thread can move the
-//! counter.
+//! Only allocations made on the test's own thread are counted, so the test
+//! harness's threads cannot move the counter; the interner spawns none.
 
+mod alloc_gate;
+
+use alloc_gate::allocations;
 use cachekit::KeyInterner;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// The cache key shape the serve path interns: `table/<8-byte key>`.
 fn key_into(buf: &mut Vec<u8>, table: &[u8], k: u64) {
@@ -57,13 +30,13 @@ fn key_into(buf: &mut Vec<u8>, table: &[u8], k: u64) {
 /// each checked against `get`.
 fn intern_all(interner: &mut KeyInterner, table: &[u8], keys: impl Iterator<Item = u64>) -> u64 {
     let mut key = Vec::with_capacity(64);
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for k in keys {
-        key_into(&mut key, table, k);
-        let id = interner.intern(&key);
-        assert_eq!(interner.get(&key), Some(id));
-    }
-    ALLOCS.load(Ordering::SeqCst) - before
+    allocations(|| {
+        for k in keys {
+            key_into(&mut key, table, k);
+            let id = interner.intern(&key);
+            assert_eq!(interner.get(&key), Some(id));
+        }
+    })
 }
 
 #[test]

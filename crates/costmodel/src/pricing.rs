@@ -6,12 +6,11 @@
 //! over its billed tiers — the paper bills steady-state usage, arguing that
 //! autoscaling and custom VM shapes make cores/GB fungible (§5.1).
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::Add;
 
 /// Unit prices in dollars per month.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pricing {
     pub cpu_core_month: f64,
     pub mem_gb_month: f64,
@@ -54,7 +53,7 @@ impl Pricing {
 }
 
 /// Steady-state resource usage of one tier (or a whole deployment).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResourceUsage {
     pub cores: f64,
     pub mem_gb: f64,
@@ -95,7 +94,7 @@ impl Sum for ResourceUsage {
 }
 
 /// Monthly dollars, split by resource.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostBreakdown {
     pub compute: f64,
     pub memory: f64,

@@ -21,10 +21,9 @@
 //! dominates DRAM-only for large, moderately-skewed working sets.
 
 use crate::theory::TheoryModel;
-use serde::{Deserialize, Serialize};
 
 /// Flash-tier parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SsdTier {
     /// $/GB-month for flash (GCP local SSD ≈ $0.08).
     pub ssd_gb_month: f64,
@@ -42,7 +41,7 @@ impl Default for SsdTier {
 }
 
 /// A DRAM+SSD allocation and its cost.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HybridAllocation {
     pub dram_gb: f64,
     pub ssd_gb: f64,

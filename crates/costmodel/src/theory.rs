@@ -24,12 +24,11 @@
 //! replication or 40× memory prices (Figure 2b).
 
 use crate::pricing::Pricing;
-use serde::{Deserialize, Serialize};
 
 const SECONDS_PER_MONTH: f64 = 30.0 * 24.0 * 3600.0;
 
 /// Workload and cost parameters of the model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TheoryParams {
     /// Request rate.
     pub qps: f64,
@@ -310,7 +309,7 @@ impl TheoryModel {
 /// points instead. Byte-proportional costs are per-key either way and are
 /// deliberately excluded: batching amortizes the frame overhead, not the
 /// payload.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RpcTax {
     /// Core·seconds one unbatched lookup spends on frame overhead.
     pub fixed_core_secs: f64,
@@ -376,7 +375,7 @@ impl RpcTax {
 /// the marginal miss CPU of the warm middle. [`TtlTheory::optimal_ttl_secs`]
 /// finds it on a geometric grid, for sanity-checking the measured optimum
 /// of the `elastic::ttl` histogram plane.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TtlTheory {
     /// Aggregate request rate over the keyspace.
     pub qps: f64,

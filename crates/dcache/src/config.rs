@@ -1,12 +1,11 @@
 //! Deployment configuration: architecture choice, tier sizing, and the
 //! application-side CPU cost constants.
 
-use serde::{Deserialize, Serialize};
 use simnet::SimDuration;
 use storekit::cluster::ClusterConfig;
 
 /// The §2.4 architectures plus the §6 extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArchKind {
     /// Storage-layer cache only (Figure 1a).
     Base,
@@ -108,7 +107,7 @@ impl std::fmt::Display for ArchKind {
 
 /// Application-server CPU cost constants (calibrated alongside
 /// [`storekit::cost::StorageCostConfig`]; see DESIGN.md §5).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AppCostConfig {
     /// Handling one client request/response pair (socket + framing).
     pub client_rpc_fixed_us: f64,
@@ -201,7 +200,7 @@ impl AppCostConfig {
 
 /// Bounded exponential backoff with deterministic jitter, used when a cache
 /// shard stops answering.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Retries after the first failed attempt (0 = fail straight through).
     pub max_retries: u32,
@@ -245,7 +244,7 @@ impl RetryPolicy {
 /// frame instead of once per key. **Off by default** — the paper's
 /// healthy-path figures assume one RPC per lookup, and the fig2–fig8
 /// goldens are byte-identical only while this stays disabled.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BatchingConfig {
     /// Coalescing window in microseconds: a frame opened at `t` departs at
     /// `t + window`, and every RPC for the same (app, node) pair arriving
@@ -284,7 +283,7 @@ impl BatchingConfig {
 }
 
 /// Consistency mode for the in-process L0 hot-key tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum L0Consistency {
     /// Writers invalidate every app server's L0 before acknowledging, so
     /// L0 hits are always fresh — coherence paid for in invalidation CPU.
@@ -302,7 +301,7 @@ pub enum L0Consistency {
 /// DRAM-duplication curve. **Off by default** (`None` on
 /// [`DeploymentConfig::l0`]); the fig2–fig8 goldens are byte-identical
 /// only while it stays disabled.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct L0Config {
     /// Hard byte cap per app server (entry overhead included).
     pub bytes_per_server: u64,
@@ -358,7 +357,7 @@ impl L0Config {
 /// How the request path behaves when a cache shard is crashed, partitioned
 /// away, or slow: detection timeouts, retries, degraded fallback to storage,
 /// and single-flight coalescing of the resulting storage fills.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FaultToleranceConfig {
     /// Latency charged for one RPC attempt against an unresponsive shard
     /// (the client's per-attempt timeout budget).

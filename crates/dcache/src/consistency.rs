@@ -15,7 +15,6 @@
 //! Wing & Gong-style search over single-register histories.
 
 use crate::lease::AutoSharder;
-use serde::{Deserialize, Serialize};
 use simnet::{SimDuration, SimTime};
 use storekit::cluster::{ClusterConfig, SqlCluster};
 use storekit::error::StoreResult;
@@ -27,7 +26,7 @@ use storekit::value::Datum;
 // ---------------------------------------------------------------------------
 
 /// One completed operation on a single register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistoryOp {
     pub kind: OpKind,
     /// Value written, or value observed by a read (`None` = key absent).
@@ -36,7 +35,7 @@ pub struct HistoryOp {
     pub completed: SimTime,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     Write,
     Read,

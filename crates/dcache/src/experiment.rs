@@ -17,7 +17,6 @@ use crate::deployment::{
     Deployment,
 };
 use costmodel::{CostBreakdown, Pricing, ResourceUsage};
-use serde::Serialize;
 use simnet::{
     CpuMeter, FaultDriver, FaultEvent, FaultKind, FaultSchedule, Histogram, SimDuration, SimTime,
 };
@@ -35,7 +34,7 @@ pub const VCPUS_PER_NODE: f64 = 8.0;
 pub const TARGET_UTILIZATION: f64 = 0.7;
 
 /// One tier's resources and dollars.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierReport {
     pub name: String,
     pub nodes: usize,
@@ -99,7 +98,7 @@ impl TierReport {
 }
 
 /// Per-tenant slice of a multi-tenant run's accounting.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
     pub label: String,
     /// Measured requests attributed to this tenant.
@@ -122,7 +121,7 @@ pub struct TenantReport {
 }
 
 /// Everything a run produced.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentReport {
     pub arch: ArchKind,
     pub qps: f64,

@@ -19,11 +19,10 @@
 //!   the fix end-to-end.
 
 use cachekit::HashRing;
-use serde::{Deserialize, Serialize};
 use simnet::{SimDuration, SimTime};
 
 /// Per-shard lease state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct ShardLease {
     epoch: u64,
     lease_until: SimTime,

@@ -26,51 +26,19 @@
 //! reused buffers. The regions' Raft logs grow by doubling, which the
 //! averaged budget absorbs with a quarter allocation per write to spare.
 //!
-//! The gate counts *allocations* (not frees), is enabled only around the
-//! measured window, and the test binary contains this test alone so no
-//! sibling thread can pollute the counter.
+//! The gate counts *allocations* (not frees) made on the test's own thread,
+//! only around the measured window, so the test harness's threads cannot
+//! move the counter; the deployment spawns none.
 
+// The counting allocator cachekit's allocation gates use.
+#[path = "../../cachekit/tests/alloc_gate/mod.rs"]
+mod alloc_gate;
+
+use alloc_gate::allocations;
 use dcache::deployment::{kv_catalog, Deployment};
 use dcache::{ArchKind, DeploymentConfig};
 use simnet::{SimDuration, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use storekit::value::Datum;
-
-struct CountingAlloc;
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 const KEYS: i64 = 32;
 
@@ -100,17 +68,15 @@ fn warmed_deployment(arch: ArchKind) -> Deployment {
 /// Count allocations across `rounds` full sweeps of cache-hit reads.
 fn count_hit_path_allocs(d: &mut Deployment, rounds: usize) -> u64 {
     let mut now = SimTime::from_nanos(1_000_000_000);
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    for _ in 0..rounds {
-        for k in 0..KEYS {
-            now += SimDuration::from_micros(50);
-            let out = d.serve_kv_read("kv", k, now).expect("hit read");
-            assert!(out.cache_hit, "measured read must be a cache hit");
+    allocations(|| {
+        for _ in 0..rounds {
+            for k in 0..KEYS {
+                now += SimDuration::from_micros(50);
+                let out = d.serve_kv_read("kv", k, now).expect("hit read");
+                assert!(out.cache_hit, "measured read must be a cache hit");
+            }
         }
-    }
-    COUNTING.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
+    })
 }
 
 /// Version-checked hits may allocate this many times each.
@@ -136,16 +102,15 @@ fn count_write_path_allocs(d: &mut Deployment, rounds: u64) -> f64 {
         now += SimDuration::from_micros(50);
         write(d, k, 4, now);
     }
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    for round in 0..rounds {
-        for k in 0..KEYS {
-            now += SimDuration::from_micros(50);
-            write(d, k, 5 + round, now);
+    let allocs = allocations(|| {
+        for round in 0..rounds {
+            for k in 0..KEYS {
+                now += SimDuration::from_micros(50);
+                write(d, k, 5 + round, now);
+            }
         }
-    }
-    COUNTING.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst) as f64 / (rounds * KEYS as u64) as f64
+    });
+    allocs as f64 / (rounds * KEYS as u64) as f64
 }
 
 /// Allocations across `rounds` sweeps of Remote fills: each key is written
@@ -153,19 +118,19 @@ fn count_write_path_allocs(d: &mut Deployment, rounds: u64) -> f64 {
 /// (counted), which misses and refills the cache from storage.
 fn count_fill_allocs(d: &mut Deployment, rounds: u64) -> u64 {
     let mut now = SimTime::from_nanos(3_000_000_000);
-    ALLOCS.store(0, Ordering::SeqCst);
+    let mut allocs = 0;
     for round in 0..rounds {
         for k in 0..KEYS {
             now += SimDuration::from_micros(50);
             write(d, k, 100 + round, now);
             now += SimDuration::from_micros(50);
-            COUNTING.store(true, Ordering::SeqCst);
-            let out = d.serve_kv_read("kv", k, now).expect("fill read");
-            COUNTING.store(false, Ordering::SeqCst);
-            assert!(!out.cache_hit, "a read after a write must refill");
+            allocs += allocations(|| {
+                let out = d.serve_kv_read("kv", k, now).expect("fill read");
+                assert!(!out.cache_hit, "a read after a write must refill");
+            });
         }
     }
-    ALLOCS.load(Ordering::SeqCst)
+    allocs
 }
 
 #[test]

@@ -16,11 +16,10 @@
 use crate::planner::{plan, Plan, PlannerConfig};
 use crate::shards::{ShardsConfig, ShardsProfiler};
 use costmodel::Pricing;
-use serde::{Deserialize, Serialize};
 
 /// Elastic provisioning configuration; `decision_interval_secs == 0`
 /// (the default) disables the whole control plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ElasticConfig {
     /// Simulated seconds between provisioning decisions. 0 = disabled.
     pub decision_interval_secs: f64,

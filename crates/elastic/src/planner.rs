@@ -26,11 +26,10 @@
 
 use cachekit::MissRatioCurve;
 use costmodel::Pricing;
-use serde::{Deserialize, Serialize};
 
 /// Planner knobs. Defaults suit the simulator's small deployments; real
 /// deployments would scale `min/max_cache_bytes` and `bytes_per_shard`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
     /// Smallest cache the planner may pick (bytes, total across shards).
     pub min_cache_bytes: u64,
@@ -89,7 +88,7 @@ impl Default for PlannerConfig {
 }
 
 /// One provisioning decision: what the cache tier should look like.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Plan {
     /// Total cache capacity across shards.
     pub cache_bytes: u64,

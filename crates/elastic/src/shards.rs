@@ -29,7 +29,6 @@
 use cachekit::mrc::Fenwick;
 use cachekit::ring::stable_hash;
 use cachekit::MissRatioCurve;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Hash-space modulus `P`. Rates are expressed as `T / P`; 1 << 24 gives
@@ -37,7 +36,7 @@ use std::collections::{BTreeMap, HashMap};
 const MODULUS: u64 = 1 << 24;
 
 /// Configuration for a [`ShardsProfiler`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardsConfig {
     /// Initial sampling rate `R` in `(0, 1]`. 1.0 starts exact and lets
     /// rate adaptation thin the stream; small rates start cheap.

@@ -31,7 +31,6 @@
 
 use cachekit::fxhash::FxHashMap;
 use costmodel::Pricing;
-use serde::{Deserialize, Serialize};
 
 /// Log-spaced age buckets: bucket `i` holds inter-reference ages in
 /// `(MIN_AGE·2^{i-1}, MIN_AGE·2^i]` (bucket 0: `[0, MIN_AGE]`), with
@@ -58,7 +57,7 @@ fn bucket_edge_nanos(i: usize) -> u64 {
 }
 
 /// Histogram knobs; part of [`TtlConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgeHistogramConfig {
     /// Cap on sampled keys tracked for last-seen times; the sampling rate
     /// halves (SHARDS) whenever the map would outgrow this.
@@ -247,7 +246,7 @@ impl AgeHistogram {
 
 /// TTL control-plane configuration; `decision_interval_secs == 0` (the
 /// default) disables the whole plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TtlConfig {
     /// Simulated seconds between TTL decisions. 0 = disabled.
     pub decision_interval_secs: f64,
@@ -298,7 +297,7 @@ impl TtlConfig {
 
 /// One TTL decision: the age entries should live to, and what the
 /// histogram predicts that buys.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TtlPlan {
     /// The adopted TTL, in seconds.
     pub ttl_secs: f64,

@@ -10,13 +10,12 @@
 //! database CPU is connection management, query processing and planning").
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Semantic attribution for CPU time, mirroring the cost components the paper
 /// discusses. Categories are deliberately coarse: they must survive being
 /// summed across heterogeneous nodes and still mean something in a figure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuCategory {
     /// Receiving requests from / sending responses to end clients.
     ClientComm,
@@ -99,7 +98,7 @@ impl fmt::Display for CpuCategory {
 }
 
 /// Accumulates CPU busy-time per category for one node.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CpuMeter {
     busy_nanos: [u64; CpuCategory::ALL.len()],
 }

@@ -16,10 +16,9 @@
 use crate::net::Network;
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One kind of fault transition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Node stops: every message to or from it is dropped until `Restart`.
     Crash { node: NodeId },
@@ -42,7 +41,7 @@ pub enum FaultKind {
 }
 
 /// A fault transition pinned to a point in virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     pub at: SimTime,
     pub kind: FaultKind,
@@ -69,7 +68,7 @@ impl FaultEvent {
 /// An ordered script of fault events. Builder methods append in any order;
 /// [`FaultDriver`] replays them sorted by time (stable, so same-time events
 /// fire in insertion order — deterministic by construction).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,
 }

@@ -5,12 +5,11 @@
 //! latencies with bounded error and O(1) recording. Quantile queries
 //! interpolate within a bucket.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A monotonically increasing counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -33,7 +32,7 @@ const SUB_BUCKETS: u64 = 1 << SUB_BUCKET_BITS;
 /// A representative sample attached to a histogram bucket: the largest
 /// value recorded into that bucket together with the trace id that produced
 /// it, so tail buckets can be walked back to concrete traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Exemplar {
     pub value: u64,
     pub trace_id: u64,
@@ -41,7 +40,7 @@ pub struct Exemplar {
 
 /// Log-bucketed histogram of `u64` samples (we record nanoseconds or bytes).
 /// Relative error per sample is bounded by `1 / SUB_BUCKETS ≈ 3.1%`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
     counts: BTreeMap<u32, u64>,
     total: u64,
@@ -306,7 +305,7 @@ impl fmt::Display for Histogram {
 }
 
 /// A named bag of counters and histograms, keyed by static strings.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricSet {
     counters: BTreeMap<String, Counter>,
     histograms: BTreeMap<String, Histogram>,

@@ -12,13 +12,12 @@ use crate::metrics::MetricSet;
 use crate::node::NodeId;
 use crate::time::SimDuration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Coarse link classification. Latencies follow typical intra-DC numbers;
 /// they are configurable because the paper's cost results depend on CPU, not
 /// latency, but we also report latency distributions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkClass {
     /// Same machine (linked cache access path) — no network at all.
     Local,
@@ -27,7 +26,7 @@ pub enum LinkClass {
 }
 
 /// Static description of link performance.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LinkSpec {
     /// One-way propagation + switching latency.
     pub base_latency: SimDuration,
@@ -49,7 +48,7 @@ impl LinkSpec {
 
 /// Fault-injection plan. All probabilities are evaluated against the seeded
 /// RNG passed to [`Network::send`], so a seeded run replays the same faults.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Probability in `[0, 1]` that any message is silently dropped.
     pub drop_prob: f64,
@@ -88,7 +87,7 @@ pub enum Delivery {
 
 /// Topology + faults. Placement is expressed as a function from node pairs to
 /// link classes, registered per deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Network {
     local: LinkSpec,
     same_zone: LinkSpec,

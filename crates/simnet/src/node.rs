@@ -2,11 +2,10 @@
 //! or storage replica, by the embedding layer's numbering — in the network
 //! and fault models.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Stable identifier for a node within one simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {

@@ -15,10 +15,9 @@
 
 use cachekit::{Cache, PolicyKind};
 use cachekit::ring::stable_hash;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one logical block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockId(pub u64);
 
 impl cachekit::CacheKeyHash for BlockId {}
@@ -33,7 +32,7 @@ pub enum BlockAccess {
 }
 
 /// Configuration for block layout.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BlockConfig {
     /// Logical block size in bytes (RocksDB defaults to 4–32 KiB; TiKV
     /// commonly 32 KiB). Large values occupy multiple blocks.

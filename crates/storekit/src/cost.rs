@@ -9,11 +9,10 @@
 //! the ablation benches sweep them to show which constants the conclusions
 //! are sensitive to.
 
-use serde::{Deserialize, Serialize};
 use simnet::SimDuration;
 
 /// CPU cost constants for SQL front-ends, storage nodes and the RPC fabric.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StorageCostConfig {
     // --- SQL front-end (TiDB analogue) ---
     /// Connection/session handling per statement.

@@ -20,11 +20,10 @@
 use crate::cost::StorageCostConfig;
 use crate::kv::KvEngine;
 use crate::sql::exec::Mutation;
-use serde::{Deserialize, Serialize};
 use simnet::SimDuration;
 
 /// When appended WAL records become durable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// fsync after every append: nothing applied is ever lost locally, at
     /// maximum IO cost (and the fsync latency rides every write).
@@ -55,7 +54,7 @@ impl FsyncPolicy {
 
 /// Durability knobs. Default **off**: pods behave exactly as before this
 /// layer existed, and no counter ever moves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurabilityConfig {
     pub enabled: bool,
     pub fsync: FsyncPolicy,
@@ -81,7 +80,7 @@ impl DurabilityConfig {
 }
 
 /// Resettable durability counters (summed across pods for reports).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
     pub wal_appends: u64,
     pub wal_bytes: u64,

@@ -8,7 +8,6 @@
 
 use crate::error::{StoreError, StoreResult};
 use crate::value::Datum;
-use serde::{Deserialize, Serialize};
 
 /// One table row: a vector of datums in schema column order.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// for cost accounting. For all datums except [`Datum::Payload`] it equals
 /// the physical encoding length; `Payload` encodes in 17 physical bytes but
 /// accounts at its declared length (see `value.rs`).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Row(pub Vec<Datum>);
 
 impl Row {

@@ -9,10 +9,9 @@ use crate::error::{StoreError, StoreResult};
 use crate::row::Row;
 use crate::value::Datum;
 use cachekit::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// Column types in the SQL subset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
     Bool,
     Int,
@@ -49,7 +48,7 @@ impl ColumnType {
 }
 
 /// One column definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     pub name: String,
     pub ty: ColumnType,
@@ -65,7 +64,7 @@ impl ColumnDef {
 }
 
 /// A table schema: ordered columns, primary key, secondary indexes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableSchema {
     pub name: String,
     pub columns: Vec<ColumnDef>,
@@ -161,7 +160,7 @@ impl TableSchema {
 
 /// All table schemas in a database, looked up by name on every statement
 /// (FxHash: a few table names need no SipHash).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: FxHashMap<String, TableSchema>,
 }

@@ -1,7 +1,6 @@
 //! Abstract syntax for the SQL subset.
 
 use crate::value::Datum;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A parsed statement.
@@ -52,7 +51,7 @@ pub enum Projection {
 
 /// A possibly table-qualified column reference. The pseudo-column
 /// `_version` resolves to the row's MVCC commit version.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColRef {
     pub table: Option<String>,
     pub column: String,
@@ -77,7 +76,7 @@ impl fmt::Display for ColRef {
 }
 
 /// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     Eq,
     Neq,

@@ -20,7 +20,6 @@ use crate::sql::plan::{
     Access, BoundPredicate, BoundProjection, JoinAccess, OutputCol, PhysicalPlan, SelectPlan,
 };
 use crate::value::Datum;
-use serde::{Deserialize, Serialize};
 
 /// Where rows live. Reads return rows with their MVCC versions.
 pub trait RowStore {
@@ -58,7 +57,7 @@ pub trait RowStore {
 }
 
 /// Execution statistics, the raw material of storage CPU accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Rows pulled from the store (visited, not necessarily returned).
     pub rows_visited: u64,

@@ -5,12 +5,11 @@
 //! so every datum knows its wire size and encodes to a real binary format
 //! (see [`crate::row`]).
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// One SQL value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Datum {
     Null,
     Bool(bool),

@@ -20,13 +20,11 @@
 //! so a schedule is trivially deterministic and byte-stable across runs
 //! and across parallel sweep workers.
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic demand schedule: multiplier in `(0, 1]` over sim time.
 ///
 /// The multiplier scales a base (peak) request rate, so 1.0 means "peak
 /// demand" and the configured trough is the quietest point of the cycle.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalSchedule {
     /// Cycle length in simulated seconds (86_400 = one day).
     pub period_secs: f64,

@@ -10,10 +10,9 @@ use crate::zipf::{scramble, ZipfSampler};
 use cachekit::ring::splitmix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvOp {
     Read,
     Write,
@@ -30,7 +29,7 @@ pub struct KvRequest {
 }
 
 /// Workload parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KvWorkloadConfig {
     pub keys: u64,
     pub alpha: f64,

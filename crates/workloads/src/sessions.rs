@@ -22,7 +22,6 @@
 use crate::sizes::SizeDist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One operation against the session service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +52,7 @@ impl SessionOp {
 }
 
 /// Workload parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionWorkloadConfig {
     /// Steady-state live-session pool size.
     pub live_sessions: usize,

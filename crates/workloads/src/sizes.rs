@@ -7,10 +7,9 @@
 //! stream seed)` rather than drawn fresh per access.
 
 use cachekit::ring::splitmix64;
-use serde::{Deserialize, Serialize};
 
 /// A value-size distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SizeDist {
     /// Every value is exactly this size (the synthetic sweeps).
     Fixed(u64),

@@ -22,7 +22,6 @@
 //! `(config, time)` — no RNG — so every run is byte-stable across workers.
 
 use crate::kv::KvWorkloadConfig;
-use serde::{Deserialize, Serialize};
 
 /// Bits reserved for the per-tenant key id; tenant ids live above them.
 /// Key spaces up to 2^40 keys per tenant — far beyond any experiment.
@@ -41,7 +40,7 @@ pub fn tenant_of_key(key: u64) -> usize {
 
 /// Daily working-set rotation: every `period_secs` the tenant's hot set
 /// moves to a fresh region of its key space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnSchedule {
     /// Seconds between hot-set rotations.
     pub period_secs: f64,
@@ -59,7 +58,7 @@ impl ChurnSchedule {
 }
 
 /// Periodic write-heavy invalidation storms.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StormSchedule {
     /// Seconds between storm onsets.
     pub period_secs: f64,
@@ -83,7 +82,7 @@ impl StormSchedule {
 
 /// One tenant: a weight in the shared request stream, its own workload
 /// parameters, and optional churn/storm stress schedules.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Short name for reports and metric labels.
     pub label: String,
@@ -118,7 +117,7 @@ impl TenantSpec {
 }
 
 /// A weighted set of tenants sharing one cache deployment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantMix {
     pub tenants: Vec<TenantSpec>,
     /// Seed for the tenant-of-request picker (independent of each

@@ -8,12 +8,11 @@
 //! (`dcache::experiment::run_trace_experiment`).
 
 use crate::kv::{KvOp, KvRequest, KvWorkload};
-use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Write};
 
 /// One trace record. Field names are kept to one byte so large traces stay
 /// compact (`op` is `"r"` or `"w"`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// `"r"` for read, `"w"` for write.
     pub op: char,
@@ -160,7 +159,7 @@ pub fn read_jsonl<R: BufRead>(r: R) -> Result<Vec<TraceRecord>, TraceError> {
 
 /// Aggregate statistics of a trace, mirroring how §5.2 characterizes its
 /// workloads (read ratio, value-size percentiles, distinct keys).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     pub requests: usize,
     pub distinct_keys: usize,

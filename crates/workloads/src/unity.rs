@@ -32,12 +32,11 @@ use crate::zipf::ZipfSampler;
 use cachekit::ring::splitmix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use storekit::schema::{Catalog, ColumnDef, ColumnType, TableSchema};
 use storekit::value::Datum;
 
 /// Scale knobs for the generated universe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnityScale {
     pub tables: u64,
     pub schemas: u64,

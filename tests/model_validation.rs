@@ -17,6 +17,7 @@
 use dcache_cost::cache::mrc::che_lru_hit_ratio;
 use dcache_cost::cache::mrc::zipf_popularities;
 use dcache_cost::cost::Pricing;
+use dcache_cost::obs::json;
 use dcache_cost::study::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache_cost::study::{ArchKind, DeploymentConfig};
 use dcache_cost::workload::{KvWorkloadConfig, SizeDist};
@@ -26,26 +27,13 @@ use dcache_cost::workload::{KvWorkloadConfig, SizeDist};
 /// reason to `#[ignore]`.
 const CALIBRATION: &str = include_str!("../calibration/model_validation.json");
 
-/// Read one numeric field out of the calibration JSON. A 15-line extractor
-/// beats a serde dependency here: the file is flat, checked in, and a
-/// malformed edit should fail the suite loudly.
+/// Read one numeric field out of the calibration JSON; a malformed edit
+/// fails the suite loudly.
 fn calibrated(key: &str) -> f64 {
-    let needle = format!("\"{key}\"");
-    let at = CALIBRATION
-        .find(&needle)
-        .unwrap_or_else(|| panic!("calibration key {key} missing"));
-    let rest = &CALIBRATION[at + needle.len()..];
-    let rest = rest
-        .trim_start()
-        .strip_prefix(':')
-        .unwrap_or_else(|| panic!("calibration key {key}: expected ':'"))
-        .trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse()
-        .unwrap_or_else(|e| panic!("calibration key {key}: {e}"))
+    let doc = json::parse(CALIBRATION).unwrap_or_else(|e| panic!("calibration JSON: {e}"));
+    doc.get(key)
+        .and_then(json::Value::as_f64)
+        .unwrap_or_else(|| panic!("calibration key {key} missing or not a number"))
 }
 
 #[test]

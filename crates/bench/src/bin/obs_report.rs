@@ -22,7 +22,7 @@
 
 use bench::obs::{run_sweep, GOLDEN_MEASURED, GOLDEN_WARMUP};
 use bench::sweep::SweepRunner;
-use bench::{print_table, quick_mode, results_dir};
+use bench::{print_table, quick_mode, results_dir, shown_path};
 use telemetry::json::push_json_str;
 
 fn main() {
@@ -126,6 +126,6 @@ fn main() {
 
     println!(
         "\n[observability artifacts written to {}]",
-        out_dir.display()
+        shown_path(&out_dir)
     );
 }

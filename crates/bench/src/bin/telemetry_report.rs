@@ -22,7 +22,7 @@
 //!    byte-for-byte.
 
 use bench::sweep::SweepRunner;
-use bench::{print_table, request_budget, results_dir, write_json};
+use bench::{print_table, request_budget, results_dir, shown_path, write_json};
 use dcache::experiment::{run_kv_experiment_with_telemetry, KvExperimentConfig, TelemetryBundle};
 use dcache::{ArchKind, ExperimentReport};
 use telemetry::{json, json_fields};
@@ -179,5 +179,8 @@ fn main() {
         .expect("write combined prom");
 
     write_json("telemetry_report", &summaries);
-    println!("\n[telemetry artifacts written to {}]", out_dir.display());
+    println!(
+        "\n[telemetry artifacts written to {}]",
+        shown_path(&out_dir)
+    );
 }

@@ -5,7 +5,7 @@
 //! EXPERIMENTS.md can cite them. Binaries accept `--quick` to run a reduced
 //! request budget (useful in CI; the shapes survive, the noise grows).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use telemetry::json::{to_json_pretty, ToJson};
 
 pub mod batching;
@@ -31,10 +31,11 @@ pub fn request_budget(full_warmup: u64, full_measured: u64) -> (u64, u64) {
     }
 }
 
-/// Where result JSON lands (repo-root `results/`, created on demand).
-pub fn results_dir() -> PathBuf {
+/// The workspace root: the nearest directory at or above the working
+/// directory whose `Cargo.toml` has a `[workspace]` table, else the working
+/// directory.
+fn workspace_root() -> PathBuf {
     let mut dir = std::env::current_dir().expect("cwd");
-    // Walk up until we find the workspace root (Cargo.toml with [workspace]).
     loop {
         let manifest = dir.join("Cargo.toml");
         if manifest.exists() {
@@ -45,20 +46,35 @@ pub fn results_dir() -> PathBuf {
             }
         }
         if !dir.pop() {
-            dir = std::env::current_dir().expect("cwd");
-            break;
+            return std::env::current_dir().expect("cwd");
         }
     }
-    let results = dir.join("results");
+    dir
+}
+
+/// Where result JSON lands (repo-root `results/`, created on demand).
+pub fn results_dir() -> PathBuf {
+    let results = workspace_root().join("results");
     std::fs::create_dir_all(&results).expect("create results dir");
     results
+}
+
+/// `path` as the bins print it: relative to the workspace root when under
+/// it (`results/fig4_synthetic.json`), so a run's stdout does not depend
+/// on where the checkout lives.
+pub fn shown_path(path: &Path) -> String {
+    let root = workspace_root();
+    path.strip_prefix(&root)
+        .unwrap_or(path)
+        .display()
+        .to_string()
 }
 
 /// Write `value` as pretty JSON to `results/<name>.json`.
 pub fn write_json<T: ToJson + ?Sized>(name: &str, value: &T) {
     let path = results_dir().join(format!("{name}.json"));
     std::fs::write(&path, to_json_pretty(value)).expect("write results file");
-    println!("\n[results written to {}]", path.display());
+    println!("\n[results written to {}]", shown_path(&path));
 }
 
 /// Print a fixed-width table: header row then data rows.
@@ -110,6 +126,19 @@ mod tests {
         let dir = results_dir();
         assert!(dir.ends_with("results"));
         assert!(dir.exists());
+    }
+
+    #[test]
+    fn artifact_paths_print_relative_to_the_workspace_root() {
+        let results = results_dir();
+        assert_eq!(
+            shown_path(&results.join("fig4_synthetic.json")),
+            "results/fig4_synthetic.json"
+        );
+        assert_eq!(shown_path(&results.join("obs")), "results/obs");
+        assert_eq!(shown_path(&results.join("telemetry")), "results/telemetry");
+        let outside = Path::new("/elsewhere/results/x.json");
+        assert_eq!(shown_path(outside), "/elsewhere/results/x.json");
     }
 
     #[test]

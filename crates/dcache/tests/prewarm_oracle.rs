@@ -15,7 +15,12 @@
 //!
 //! The prewarm covers most loaded keys, a few keys that were never loaded,
 //! and leaves some loaded keys cold for the stream, so admission gates see
-//! warmed and cold keys compete.
+//! warmed and cold keys compete. It passes its keys in ascending order, as
+//! the experiment runners do, so each storage read finds its row at the
+//! position hint the read before it left; some cases pass them descending
+//! or shuffled, so every hint misses, and some first write a few
+//! never-loaded keys with a `REPLACE` that skips the caches, so the prewarm
+//! finds them in the engines' tails.
 
 use costmodel::Pricing;
 use dcache::deployment::{kv_catalog, Deployment};
@@ -32,6 +37,9 @@ const LOADED: u64 = 400;
 const PREWARMED: u64 = 320;
 /// Never-loaded keys the prewarm reads (negative lookups).
 const MISSING: u64 = 6;
+/// Never-loaded keys that [`Case::inserting`] cases write before the
+/// prewarm, after the missing ones.
+const INSERTED: u64 = 4;
 /// Requests in each stream.
 const REQUESTS: usize = 2_400;
 /// Simulated time between requests: the stream spans 12 s, past the
@@ -48,6 +56,14 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The order of each prewarm batch's keys.
+#[derive(Clone, Copy)]
+enum Order {
+    Ascending,
+    Descending,
+    Shuffled,
+}
+
 /// One configuration of the matrix.
 struct Case {
     label: &'static str,
@@ -56,6 +72,10 @@ struct Case {
     tenants: bool,
     /// Whether `prewarm_kv` must take the per-key serve loop.
     serves: bool,
+    order: Order,
+    /// Whether [`INSERTED`] keys are written through SQL before the
+    /// prewarm, which then reads them.
+    inserts: bool,
 }
 
 impl Case {
@@ -68,7 +88,19 @@ impl Case {
             cfg,
             tenants: false,
             serves,
+            order: Order::Ascending,
+            inserts: false,
         }
+    }
+
+    fn in_order(mut self, order: Order) -> Case {
+        self.order = order;
+        self
+    }
+
+    fn inserting(mut self) -> Case {
+        self.inserts = true;
+        self
     }
 
     /// The storage key of key index `i`.
@@ -80,18 +112,42 @@ impl Case {
         }
     }
 
-    /// The prewarm's key batches: one, or one per tenant.
+    /// Never-loaded key indices written before the prewarm.
+    fn inserted(&self) -> std::ops::Range<u64> {
+        let first = LOADED + MISSING;
+        first..first + if self.inserts { INSERTED } else { 0 }
+    }
+
+    /// The prewarm's key batches: one, or one per tenant, each in the
+    /// case's order.
     fn prewarm_batches(&self) -> Vec<Vec<i64>> {
-        let indices = (0..PREWARMED).chain(LOADED..LOADED + MISSING);
-        if self.tenants {
+        let indices = (0..PREWARMED)
+            .chain(LOADED..LOADED + MISSING)
+            .chain(self.inserted());
+        let mut batches: Vec<Vec<i64>> = if self.tenants {
             (0..2)
                 .map(|t| indices.clone().filter(|i| i % 2 == t).map(|i| self.key(i)).collect())
                 .collect()
         } else {
             vec![indices.map(|i| self.key(i)).collect()]
+        };
+        let mut rng = 0x0DE2 ^ self.cfg.arch as u64;
+        for batch in &mut batches {
+            match self.order {
+                Order::Ascending => {}
+                Order::Descending => batch.reverse(),
+                Order::Shuffled => {
+                    for i in (1..batch.len()).rev() {
+                        batch.swap(i, (splitmix64(&mut rng) % (i as u64 + 1)) as usize);
+                    }
+                }
+            }
         }
+        batches
     }
 
+    /// The loaded deployment, with the inserted keys written through SQL
+    /// (which bypasses the caches) and its metrics reset.
     fn deployment(&self) -> Deployment {
         let mut d = Deployment::new(self.cfg.clone(), kv_catalog("kv"));
         d.cluster
@@ -100,6 +156,23 @@ impl Case {
                 (0..LOADED).map(|i| vec![Datum::Int(self.key(i)), payload(i, 0)]),
             )
             .unwrap();
+        for i in self.inserted() {
+            let row = [Datum::Int(self.key(i)), payload(i, 1)];
+            d.cluster
+                .execute("REPLACE INTO kv VALUES (?, ?)", &row, SimTime::ZERO)
+                .unwrap();
+        }
+        let pods = 0..d.cluster.storages.len();
+        let tails = pods
+            .map(|p| d.cluster.engine(p).layout().tail)
+            .sum::<usize>();
+        assert_eq!(
+            tails > 0,
+            self.inserts,
+            "{}: keys in the engines' tails",
+            self.label
+        );
+        d.reset_metrics();
         d
     }
 }
@@ -183,6 +256,37 @@ fn cases() -> Vec<Case> {
         case.tenants = true;
         cases.push(case);
     }
+    for arch in ArchKind::ALL {
+        cases.extend([
+            Case::new("descending", arch, |_| {}).in_order(Order::Descending),
+            Case::new("shuffled", arch, |_| {}).in_order(Order::Shuffled),
+            Case::new("keys in the tails", arch, |_| {}).inserting(),
+        ]);
+    }
+    cases.extend([
+        Case::new("keys in the tails, shuffled", ArchKind::Linked, |_| {})
+            .inserting()
+            .in_order(Order::Shuffled),
+        Case::new("remote + L0, descending", ArchKind::Remote, |c| {
+            c.l0 = small_l0()
+        })
+        .in_order(Order::Descending),
+        Case::new(
+            "linked, durable, keys in the tails",
+            ArchKind::Linked,
+            |c| {
+                c.cluster.durability = DurabilityConfig {
+                    enabled: true,
+                    fsync: FsyncPolicy::Group(4),
+                    snapshot_every_entries: 64,
+                };
+            },
+        )
+        .inserting(),
+    ]);
+    let mut case = Case::new("tenant keys, shuffled", ArchKind::Remote, |_| {});
+    case.tenants = true;
+    cases.push(case.in_order(Order::Shuffled));
     cases
 }
 
@@ -285,9 +389,11 @@ fn prewarm_kv_leaves_what_serving_each_key_leaves() {
         check(case);
     }
     println!(
-        "prewarm oracle: {} cases, {REQUESTS} requests each, after {} prewarmed keys",
+        "prewarm oracle: {} cases, {REQUESTS} requests each, after {} prewarmed keys \
+         ({} more in the inserting cases)",
         cases.len(),
-        PREWARMED + MISSING
+        PREWARMED + MISSING,
+        INSERTED
     );
 }
 

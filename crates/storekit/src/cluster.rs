@@ -201,17 +201,27 @@ struct PointRead {
 /// pod's block cache is accessed for the row's bytes (one byte for a
 /// negative lookup). The key is hashed once, for both the region and the
 /// block cache. Nothing is charged.
+///
+/// With `hints` (one per engine), the engine read is
+/// [`KvEngine::get_latest_hinted`] on the leader's engine's hint; the
+/// answer is the same either way.
 fn point_read(
     storages: &mut [StoragePod],
     engines: &[KvEngine],
     regions: &[RaftGroup],
     key: &[u8],
     row: &mut Row,
+    hints: Option<&mut [usize]>,
 ) -> StoreResult<PointRead> {
     let key_hash = stable_hash(key);
     let pod = regions[region_of_hash(key_hash, regions.len())].leader()?;
     let storage = &mut storages[pod];
-    let version = match engines[storage.engine].get_latest(key) {
+    let engine = &engines[storage.engine];
+    let latest = match hints {
+        Some(hints) => engine.get_latest_hinted(key, &mut hints[storage.engine]),
+        None => engine.get_latest(key),
+    };
+    let version = match latest {
         Some(v) => {
             Row::decode_into(v.value, row)?;
             Some(v.version)
@@ -300,6 +310,11 @@ pub struct SqlCluster {
     /// a REPLACE, so the next point read into a reused receipt decodes
     /// without allocating.
     spare_row: Row,
+    /// Per engine, one past the arena position of the last key a warm
+    /// read found there: the position hint of
+    /// [`SqlCluster::warm_point_read`]'s engine reads. Resized to the
+    /// engine count on use.
+    warm_hints: Vec<usize>,
     /// Scratch buffer for the apply work of one raft proposal or heartbeat.
     apply_ops: Vec<ApplyOp>,
     /// Scratch buffer for that work per pod: `(pod, first, end)` log indices.
@@ -367,6 +382,7 @@ impl SqlCluster {
             plan_cache: std::collections::HashMap::new(),
             point_key: Vec::new(),
             spare_row: Row::default(),
+            warm_hints: Vec::new(),
             apply_ops: Vec::new(),
             apply_ranges: Vec::new(),
             config,
@@ -1077,6 +1093,11 @@ impl SqlCluster {
     /// version, but charges no meter and builds no receipt. `row` holds
     /// the full stored row when the key exists. Cache prewarming uses it
     /// to heat storage without billing work that is discarded anyway.
+    ///
+    /// Each engine read starts at the entry after the one the last warm
+    /// read found in that engine ([`KvEngine::get_latest_hinted`]), so
+    /// reads in ascending key order walk a loaded engine's run instead of
+    /// probing its hash index; any other order reads the same rows.
     pub fn warm_point_read(
         &mut self,
         table: &str,
@@ -1087,7 +1108,15 @@ impl SqlCluster {
         self.next_frontend = self.next_frontend.wrapping_add(1);
         let mut key = std::mem::take(&mut self.point_key);
         record_key_into(&mut key, table, pk);
-        let read = point_read(&mut self.storages, &self.engines, &self.regions, &key, row);
+        self.warm_hints.resize(self.engines.len(), 0);
+        let read = point_read(
+            &mut self.storages,
+            &self.engines,
+            &self.regions,
+            &key,
+            row,
+            Some(&mut self.warm_hints),
+        );
         self.point_key = key;
         Ok(read?.version)
     }
@@ -1189,7 +1218,7 @@ impl<'a> ClusterRowStore<'a> {
     /// Fetch one row by record key from its home region into `row`: the
     /// [`point_read`] plus its charges.
     fn point_get_key(&mut self, key: &[u8], row: &mut Row) -> StoreResult<Option<u64>> {
-        let read = point_read(self.storages, self.engines, self.regions, key, row)?;
+        let read = point_read(self.storages, self.engines, self.regions, key, row, None)?;
         // Negative lookups still pay lookup + RPC.
         self.bill_row_read(read.pod, read.logical, 1, read.blocks);
         self.charge_fetch_rpc(read.pod, read.logical);
@@ -1510,6 +1539,21 @@ mod tests {
 
     #[test]
     fn warm_point_read_matches_point_select() {
+        // Repeats, and 404 is missing. Ascending, the warm reads' position
+        // hints walk the engine's run; descending, every hint misses.
+        let ascending: Vec<i64> = (0..40).chain([3, 17, 404, 3, 39]).collect();
+        let descending: Vec<i64> = [404, 39]
+            .into_iter()
+            .chain((0..40).rev())
+            .chain([3, 17])
+            .collect();
+        warm_reads_match_billed(&ascending);
+        warm_reads_match_billed(&descending);
+    }
+
+    /// Warm reads of `keys` return what billed point SELECTs return, charge
+    /// nothing, and leave the state that they leave.
+    fn warm_reads_match_billed(keys: &[i64]) {
         // Block caches of a few blocks, so some reads hit and some evict.
         let cfg = ClusterConfig {
             block_cache_bytes: 4 * 33_000,
@@ -1524,10 +1568,8 @@ mod tests {
         };
         let (mut billed, mut warmed) = (load(), load());
         let stmt = billed.prepare_cached("SELECT v, _version FROM kv WHERE k = ?").unwrap();
-        // Repeats, and 404 is missing.
-        let keys: Vec<i64> = (0..40).chain([3, 17, 404, 3, 39]).collect();
         let mut row = Row::default();
-        for &k in &keys {
+        for &k in keys {
             let r = billed.execute_cached(&stmt, &[k.into()], t(0)).unwrap();
             let version = warmed.warm_point_read("kv", &Datum::Int(k), &mut row).unwrap();
             match r.rows.first() {
@@ -1547,7 +1589,7 @@ mod tests {
         // latency, and which front-end pays.
         billed.reset_metrics();
         warmed.reset_metrics();
-        for &k in &keys {
+        for &k in keys {
             let a = billed.execute_cached(&stmt, &[k.into()], t(1)).unwrap();
             let b = warmed.execute_cached(&stmt, &[k.into()], t(1)).unwrap();
             assert_eq!(a, b, "key {k}");

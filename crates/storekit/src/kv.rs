@@ -26,6 +26,17 @@
 //! in key order. Once the tail holds more than half the run, one linear
 //! pass merges it back into the run and the index is rebuilt.
 //!
+//! Reads in key order can skip the index. [`KvEngine::get_latest_hinted`]
+//! takes a position hint, one past the entry the caller's last read found,
+//! and compares that entry's key first; it hashes and probes only when the
+//! entry holds another key. So a walk over a loaded engine's keys in
+//! ascending order reads the run's next 64-byte entry per key, where a
+//! probe makes two dependent random loads (the index slot, then the
+//! entry). Only cache prewarming reads that way
+//! (`SqlCluster::warm_point_read`). Served reads keep `get_latest`: their
+//! keys arrive in random order, so a hint would miss and its compare
+//! would add one more random load before the probe.
+//!
 //! An entry is one 64-byte cache line: the version, then the key and its
 //! value sharing 52 bytes, or boxed together when longer. The `kv` table's
 //! 14-byte record keys and 28-byte encoded rows stay inline, so a row owns
@@ -770,6 +781,24 @@ impl KvEngine {
     /// Read the latest committed version of `key`.
     pub fn get_latest(&self, key: &[u8]) -> Option<VersionedValue<'_>> {
         self.latest(key)?.visible()
+    }
+
+    /// [`KvEngine::get_latest`] with a position hint: when the entry at
+    /// arena position `hint` holds `key`, the read takes it without hashing
+    /// or probing the index; otherwise it probes as `get_latest` does.
+    /// When `key` is stored (a tombstone included), `hint` ends one past
+    /// its position, where a key-ordered walk of the run finds the next
+    /// key; when it is not, `hint` is left as it was. The answer never
+    /// depends on the hint: a stale one (after a merge, or from a read out
+    /// of key order) costs only a key compare.
+    pub fn get_latest_hinted(&self, key: &[u8], hint: &mut usize) -> Option<VersionedValue<'_>> {
+        let pos = if *hint < self.entries.len() && self.entries.get(*hint).key() == key {
+            *hint
+        } else {
+            self.position(key, hash_key(key))?
+        };
+        *hint = pos + 1;
+        self.entries.get(pos).visible()
     }
 
     /// The latest version number recorded for `key`, even if a tombstone —

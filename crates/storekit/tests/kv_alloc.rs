@@ -8,7 +8,7 @@
 //!   index pages, a small fraction of the row count. A layout that boxes
 //!   keys, values or version lists costs at least one allocation per row
 //!   each;
-//! - `get_latest` allocates nothing;
+//! - `get_latest` and `get_latest_hinted` allocate nothing;
 //! - rewriting a stored row with `put_at` overwrites it in place: no
 //!   allocation, where keeping superseded versions would spill them to the
 //!   heap;
@@ -162,6 +162,19 @@ fn bulk_loaded_rows_live_in_pages_of_at_most_64_kib() {
     assert_eq!(
         allocs, 0,
         "get_latest allocated {allocs} times over {ROWS} reads"
+    );
+    // Hinted reads too: in key order the hint hits, in reverse it misses.
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let mut hint = 0;
+    for key in keys.iter().chain(keys.iter().rev()) {
+        assert!(std::hint::black_box(kv.get_latest_hinted(key, &mut hint)).is_some());
+    }
+    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        allocs,
+        0,
+        "get_latest_hinted allocated {allocs} times over {} reads",
+        2 * ROWS
     );
 
     // Rewrites overwrite in place: every row, three times over.

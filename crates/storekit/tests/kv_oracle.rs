@@ -18,6 +18,14 @@
 //! clones of, and bulk loads into, engines whose tail is not empty. It
 //! counts each edge it reached and requires every count to be non-zero.
 //!
+//! A third test checks the hinted read, `get_latest_hinted`, against
+//! `get_latest` and the oracle for run, tail, tombstoned and missing keys,
+//! with hints of 0, exact, off by one either way, past the end, and stale
+//! after a tail merge or an index growth. It models the arena order from
+//! outside (a load or merge leaves every key in key order, a new key goes
+//! to the end) and checks that a hit leaves the hint one past the key's
+//! position and a miss leaves it alone.
+//!
 //! Run with `cargo test -p storekit --test kv_oracle -- --nocapture` to see
 //! the executed case count.
 
@@ -456,6 +464,172 @@ fn layout_edges_match_the_oracle() {
     ] {
         assert!(count > 0, "the stream never reached {edge}");
     }
+}
+
+/// The engine's arena order as seen from outside: a bulk load or a tail
+/// merge leaves every stored key in key order, and a new key goes to the
+/// end. `get_latest_hinted` leaves a hit's hint one past the key's index
+/// here.
+#[derive(Clone, Default)]
+struct Arena(Vec<Vec<u8>>);
+
+impl Arena {
+    fn sorted(oracle: &Oracle) -> Arena {
+        Arena(oracle.data.keys().cloned().collect())
+    }
+
+    fn position(&self, key: &[u8]) -> Option<usize> {
+        self.0.iter().position(|k| k == key)
+    }
+}
+
+/// Write `key` to both engines as a new or stored key, keeping `arena` in
+/// step; returns whether the write merged the tail into the run.
+fn write_mirrored(
+    kv: &mut KvEngine,
+    oracle: &mut Oracle,
+    arena: &mut Arena,
+    key: &[u8],
+    value: Option<&[u8]>,
+) -> bool {
+    let new = !oracle.data.contains_key(key);
+    let version = oracle.next_version;
+    kv.put_at(key, value, version);
+    oracle.put_at(key, value, version);
+    if new {
+        arena.0.push(key.to_vec());
+    }
+    let merged = new && kv.layout().tail == 0;
+    if merged {
+        *arena = Arena::sorted(oracle);
+    }
+    merged
+}
+
+/// Every stored key and every key of `absent` read through
+/// `get_latest_hinted` under each kind of hint, against `get_latest` and
+/// the oracle. `stale` is an earlier arena order. Returns the reads made.
+fn check_hinted(
+    kv: &KvEngine,
+    oracle: &Oracle,
+    arena: &Arena,
+    stale: &Arena,
+    absent: &[Vec<u8>],
+    ctx: &str,
+) -> u64 {
+    let len = arena.0.len();
+    assert_eq!(
+        kv.layout().run + kv.layout().tail,
+        len,
+        "{ctx}: arena model"
+    );
+    let mut reads = 0;
+    for key in oracle.data.keys().chain(absent) {
+        let exact = arena.position(key);
+        let want = kv.get_latest(key).map(|v| (v.version, v.value.to_vec()));
+        assert_eq!(want, oracle.get_latest(key), "{ctx}: {key:?} get_latest");
+        let e = exact.unwrap_or(len / 2);
+        let mut hints = vec![
+            0,
+            1,
+            e,
+            e + 1,
+            e.saturating_sub(1),
+            len,
+            len + 1,
+            usize::MAX,
+        ];
+        hints.extend(stale.position(key));
+        for hint in hints {
+            let mut h = hint;
+            let got = kv
+                .get_latest_hinted(key, &mut h)
+                .map(|v| (v.version, v.value.to_vec()));
+            assert_eq!(got, want, "{ctx}: {key:?} at hint {hint}");
+            match exact {
+                Some(pos) => assert_eq!(h, pos + 1, "{ctx}: {key:?} hint {hint} after a hit"),
+                None => assert_eq!(h, hint, "{ctx}: {key:?} hint {hint} after a miss"),
+            }
+            reads += 1;
+        }
+    }
+    reads
+}
+
+#[test]
+fn hinted_reads_match_get_latest() {
+    let mut rng = Rng(0x4141_7E00);
+    let mut reads = 0;
+    let absent: Vec<Vec<u8>> = (0..16).map(|_| fresh_key(&mut rng)).collect();
+    // 200 keys: the tail merges at 101 new keys, before the index fills.
+    // 63 keys: the index grows at 33 new keys, and the tail never merges.
+    for (loaded, fresh, merges) in [(200, 140, true), (63, 40, false)] {
+        let mut kv = KvEngine::new();
+        let mut oracle = Oracle::new();
+        let pool: Vec<Vec<u8>> = (0..loaded)
+            .map(|_| fresh_key(&mut rng))
+            .filter(|k| !absent.contains(k))
+            .collect();
+        let mut load = Vec::new();
+        for (i, key) in pool.iter().enumerate() {
+            // Every fifth key is loaded as a tombstone.
+            let value = (i % 5 != 0).then(|| rng.bytes());
+            let version = oracle.next_version;
+            oracle.put_at(key, value.as_deref(), version);
+            load.push((
+                InlineBytes::from(key.as_slice()),
+                value.map(InlineBytes::from),
+                version,
+            ));
+        }
+        kv.bulk_load(load);
+        let mut arena = Arena::sorted(&oracle);
+        let ctx = format!("{loaded} loaded");
+        reads += check_hinted(&kv, &oracle, &arena, &Arena::default(), &absent, &ctx);
+
+        // New keys into the tail, every fourth a tombstone, checked while
+        // the tail is non-empty; then through the merge or the growth.
+        let mut before = arena.clone();
+        let slots = kv.layout().index_slots;
+        let (mut merged, mut grown) = (false, false);
+        for i in 0..fresh {
+            let key = fresh_key(&mut rng);
+            if absent.contains(&key) {
+                continue;
+            }
+            let value = (i % 4 != 0).then(|| rng.bytes());
+            if write_mirrored(&mut kv, &mut oracle, &mut arena, &key, value.as_deref()) {
+                merged = true;
+                let ctx = format!("{loaded} loaded, tail merged at new key {i}");
+                reads += check_hinted(&kv, &oracle, &arena, &before, &absent, &ctx);
+            }
+            if !grown && kv.layout().index_slots > slots {
+                grown = true;
+                let ctx = format!("{loaded} loaded, index grown at new key {i}");
+                reads += check_hinted(&kv, &oracle, &arena, &before, &absent, &ctx);
+            }
+            if i == fresh / 4 {
+                assert!(kv.layout().tail > 0, "no tail to read");
+                let ctx = format!("{loaded} loaded, tail of {}", kv.layout().tail);
+                reads += check_hinted(&kv, &oracle, &arena, &before, &absent, &ctx);
+                before = arena.clone();
+            }
+        }
+        assert_eq!(
+            (merged, grown),
+            (merges, true),
+            "{loaded} loaded: (merged, grown)"
+        );
+        // Rewrites of stored keys, tombstones to values and back, keep
+        // their positions.
+        for key in pool.iter().step_by(3) {
+            let value = (rng.below(3) != 0).then(|| rng.bytes());
+            write_mirrored(&mut kv, &mut oracle, &mut arena, key, value.as_deref());
+        }
+        let ctx = format!("{loaded} loaded, rewritten");
+        reads += check_hinted(&kv, &oracle, &arena, &before, &absent, &ctx);
+    }
+    println!("kv_oracle hinted: {reads} hinted reads checked");
 }
 
 #[test]

@@ -15,6 +15,16 @@
 //! Every path ends with the app serializing the response to the client —
 //! that cost is common to all architectures; what differs is the storage-
 //! and cache-side work, which is exactly the paper's point.
+//!
+//! The read path is written once. The linked family shares one branch:
+//! shard-up check, L0 front check, LeaseOwned's lease charge, the probe,
+//! and a version check for LinkedVersion (and for LeaseOwned once its
+//! lease has lapsed). Its tail — serve the hit, or fill from storage,
+//! insert and offer the value to L0 — is the one Remote and the batched
+//! MGET path use too. [`Deployment::prewarm_kv`] runs that same path with
+//! billing off: storage reads become unbilled loads and the billing
+//! helpers return before computing a cost, so a prewarm leaves the state
+//! serving leaves without paying for what `reset_metrics` discards.
 
 use crate::config::{ArchKind, DeploymentConfig};
 use crate::lease::AutoSharder;
@@ -316,6 +326,15 @@ pub struct Deployment {
     /// and deletes), so its row and version buffers are reused and a
     /// steady-state statement allocates nothing for its result.
     receipt: QueryReceipt,
+    /// Set only for the length of [`Deployment::prewarm_kv`]'s loop: reads
+    /// change state exactly as served, but storage reads are unbilled
+    /// loads ([`SqlCluster::warm_point_read`]) and the billing helpers
+    /// return before computing a cost.
+    warming: bool,
+    /// The row buffer warm storage reads decode into, and the position of
+    /// the prewarmed table's `v` column in it.
+    warm_row: Row,
+    warm_value_col: usize,
 }
 
 /// The four statement shapes the KV serve paths issue, pre-planned per
@@ -420,6 +439,9 @@ impl Deployment {
             interner: KeyInterner::new(),
             key_scratch: Vec::new(),
             receipt: QueryReceipt::default(),
+            warming: false,
+            warm_row: Row::default(),
+            warm_value_col: 0,
             cluster,
             config,
         }
@@ -608,7 +630,7 @@ impl Deployment {
     }
 
     /// The remote cache node owning `cache_key` on the hash ring.
-    fn remote_node_for(&self, cache_key: InternedKey) -> usize {
+    pub(crate) fn remote_node_for(&self, cache_key: InternedKey) -> usize {
         self.remote_ring
             .shard_for_hashed(cache_key.route_hash())
             .unwrap_or(0) as usize
@@ -627,7 +649,9 @@ impl Deployment {
     }
 
     /// A failed attempt still burned its RPC stack CPU and waited out the
-    /// per-attempt timeout before declaring the shard unreachable.
+    /// per-attempt timeout before declaring the shard unreachable. The
+    /// latency is added while warming too: `reach_cache_node`'s deadline
+    /// check reads it to decide whether to retry.
     fn charge_failed_attempt(&mut self, app: usize, out: &mut ServeOutcome) {
         let rpc = self.config.app_cost.rpc_side_cost(32);
         self.charge_app(app, CpuCategory::RpcStack, rpc);
@@ -639,6 +663,7 @@ impl Deployment {
     /// attempt — the first and every retry — is one `cache.rpc_attempt`
     /// span on the active trace, so a retried request shows up as a single
     /// trace with N attempt spans.
+    #[inline]
     fn reach_cache_node(
         &mut self,
         app: usize,
@@ -652,6 +677,20 @@ impl Deployment {
                 .span("cache.rpc_attempt", "app", start, start, 0, SpanStatus::Ok);
             return true;
         }
+        self.retry_cache_node(app, node, now, out, start)
+    }
+
+    /// [`Deployment::reach_cache_node`] after a failed first attempt. The
+    /// healthy path stays inline in the serve paths; retries are rare.
+    #[cold]
+    fn retry_cache_node(
+        &mut self,
+        app: usize,
+        node: usize,
+        now: SimTime,
+        out: &mut ServeOutcome,
+        start: u64,
+    ) -> bool {
         let ft = self.config.fault_tolerance;
         self.charge_failed_attempt(app, out);
         self.tracer.span(
@@ -891,7 +930,7 @@ impl Deployment {
             let n = self.linked[i].expire_sweep(nanos) as u64;
             if n > 0 {
                 let cost = SimDuration::from_micros_f64(per_entry_us * n as f64);
-                self.app_cpu[i].charge(CpuCategory::CacheOp, cost);
+                self.charge_app(i, CpuCategory::CacheOp, cost);
                 reclaimed += n;
                 cpu_nanos += cost.as_nanos();
             }
@@ -900,7 +939,7 @@ impl Deployment {
             let n = self.remote[i].expire_sweep(nanos) as u64;
             if n > 0 {
                 let cost = SimDuration::from_micros_f64(per_entry_us * n as f64);
-                self.cache_cpu[i].charge(CpuCategory::CacheOp, cost);
+                self.charge_cache(i, CpuCategory::CacheOp, cost);
                 reclaimed += n;
                 cpu_nanos += cost.as_nanos();
             }
@@ -932,7 +971,15 @@ impl Deployment {
     }
 
     pub(crate) fn charge_app(&mut self, app: usize, cat: CpuCategory, cost: SimDuration) {
-        self.app_cpu[app].charge(cat, cost);
+        if !self.warming {
+            self.app_cpu[app].charge(cat, cost);
+        }
+    }
+
+    fn charge_cache(&mut self, node: usize, cat: CpuCategory, cost: SimDuration) {
+        if !self.warming {
+            self.cache_cpu[node].charge(cat, cost);
+        }
     }
 
     /// App-side costs of one database statement round trip.
@@ -957,6 +1004,9 @@ impl Deployment {
     /// costs are folded into `client_rpc_per_byte_ns`; no proto re-encode is
     /// charged because responses stream the stored representation.
     pub(crate) fn charge_client_reply(&mut self, app: usize, bytes: u64) -> SimDuration {
+        if self.warming {
+            return SimDuration::ZERO;
+        }
         let comm = self.config.app_cost.client_reply_cost(bytes);
         self.charge_app(app, CpuCategory::ClientComm, comm);
         comm + self.config.cluster.link.delivery_time(bytes)
@@ -992,6 +1042,20 @@ impl Deployment {
         key: i64,
         now: SimTime,
     ) -> StoreResult<(Option<CachedVal>, SimDuration)> {
+        if self.warming {
+            let pk = Datum::Int(key);
+            let version = self.cluster.warm_point_read(table, &pk, &mut self.warm_row)?;
+            let val = version.map(|version| {
+                let datum = self.warm_row.get(self.warm_value_col).unwrap_or(&Datum::Null);
+                let (bytes, seed) = payload_identity(datum);
+                CachedVal {
+                    version,
+                    bytes,
+                    seed,
+                }
+            });
+            return Ok((val, SimDuration::ZERO));
+        }
         let latency = self.kv_statement(app, table, KvStmt::Select, &[Datum::Int(key)], now)?;
         let val = self.receipt.rows.first().map(|row| {
             let (bytes, seed) = payload_identity(row.get(0).unwrap_or(&Datum::Null));
@@ -1052,6 +1116,7 @@ impl Deployment {
     /// `wait` covers sitting out the coalescing window until the frame
     /// departs. A no-op (opener, zero wait) unless batching is enabled, so
     /// default runs never touch the window map.
+    #[inline]
     fn batch_admit(
         &mut self,
         app: usize,
@@ -1059,10 +1124,22 @@ impl Deployment {
         at: SimTime,
         update: bool,
     ) -> (bool, SimDuration) {
-        let b = self.config.batching;
-        if !b.enabled() {
+        if !self.config.batching.enabled() {
             return (false, SimDuration::ZERO);
         }
+        self.batch_join(app, node, at, update)
+    }
+
+    /// [`Deployment::batch_admit`] with batching on, out of line so the
+    /// default path is one inline check.
+    fn batch_join(
+        &mut self,
+        app: usize,
+        node: usize,
+        at: SimTime,
+        update: bool,
+    ) -> (bool, SimDuration) {
+        let b = self.config.batching;
         self.metrics.counter(batch_counters::BATCHED_RPC_KEYS).inc();
         let slot = (app, node, update);
         if let Some(w) = self.batch_windows.get_mut(&slot) {
@@ -1118,29 +1195,19 @@ impl Deployment {
         (false, wait)
     }
 
-    /// Remote-cache lookup: returns the value if cached, charging both the
-    /// app side and the cache node. `resp_bytes` covers hit and miss sizes.
+    /// Remote-cache lookup on `node`, the key's ring owner: returns the
+    /// value if cached, charging both the app side and the cache node. The
+    /// RPC joins a coalescing frame at `at` (arrival plus latency
+    /// accumulated so far, so an op issued late in a request doesn't ride a
+    /// frame that already departed).
     pub(crate) fn remote_lookup(
         &mut self,
         app: usize,
-        cache_key: InternedKey,
-        now: SimTime,
-    ) -> (Option<CachedVal>, SimDuration) {
-        self.remote_lookup_at(app, cache_key, now, now)
-    }
-
-    /// Like [`Deployment::remote_lookup`], but admits the RPC into a
-    /// coalescing frame at `at` (arrival plus latency accumulated so far,
-    /// so an op issued late in a request doesn't ride a frame that already
-    /// departed).
-    pub(crate) fn remote_lookup_at(
-        &mut self,
-        app: usize,
+        node: usize,
         cache_key: InternedKey,
         now: SimTime,
         at: SimTime,
     ) -> (Option<CachedVal>, SimDuration) {
-        let node = self.remote_node_for(cache_key);
         let (follower, wait) = self.batch_admit(app, node, at, false);
         let (found, lat) = self.remote_lookup_role(app, node, cache_key, now, follower);
         (found, lat + wait)
@@ -1149,7 +1216,8 @@ impl Deployment {
     /// The lookup body with an explicit batch role: followers pay the
     /// amortized per-key marginal on both RPC sides instead of the full
     /// fixed cost. `follower == false` charges exactly the pre-batching
-    /// amounts, keeping default runs byte-identical.
+    /// amounts, keeping default runs byte-identical. `resp_bytes` covers
+    /// hit and miss sizes.
     fn remote_lookup_role(
         &mut self,
         app: usize,
@@ -1159,6 +1227,9 @@ impl Deployment {
         follower: bool,
     ) -> (Option<CachedVal>, SimDuration) {
         let found = self.remote[node].get(&cache_key, now.as_nanos()).copied();
+        if self.warming {
+            return (found, SimDuration::ZERO);
+        }
         let resp_bytes = found.map(|v| v.bytes).unwrap_or(8);
         let cost = self.config.app_cost;
         let app_rpc = if follower {
@@ -1175,8 +1246,8 @@ impl Deployment {
         };
         self.charge_app(app, CpuCategory::RpcStack, app_rpc);
         self.charge_app(app, CpuCategory::Serialization, deser);
-        self.cache_cpu[node].charge(CpuCategory::RpcStack, node_rpc);
-        self.cache_cpu[node].charge(CpuCategory::CacheOp, op);
+        self.charge_cache(node, CpuCategory::RpcStack, node_rpc);
+        self.charge_cache(node, CpuCategory::CacheOp, op);
         let link = &self.config.cluster.link;
         let latency = app_rpc
             + node_rpc
@@ -1187,43 +1258,31 @@ impl Deployment {
         (found, latency)
     }
 
-    /// Remote-cache fill or invalidation (value = None ⇒ delete).
+    /// Remote-cache fill or invalidation (value = None ⇒ delete) on `node`,
+    /// its RPC joining an MSET frame at `at` (see
+    /// [`Deployment::remote_lookup`]); a follower of an open frame pays the
+    /// amortized per-key cost.
     pub(crate) fn remote_update(
-        &mut self,
-        app: usize,
-        cache_key: InternedKey,
-        value: Option<CachedVal>,
-        now: SimTime,
-    ) -> SimDuration {
-        self.remote_update_at(app, cache_key, value, now, now)
-    }
-
-    /// Like [`Deployment::remote_update`], with an explicit batch-admission
-    /// time (see [`Deployment::remote_lookup_at`]).
-    pub(crate) fn remote_update_at(
-        &mut self,
-        app: usize,
-        cache_key: InternedKey,
-        value: Option<CachedVal>,
-        now: SimTime,
-        at: SimTime,
-    ) -> SimDuration {
-        let node = self.remote_node_for(cache_key);
-        let (follower, wait) = self.batch_admit(app, node, at, true);
-        wait + self.remote_update_role(app, node, cache_key, value, now, follower)
-    }
-
-    /// The update body with an explicit batch role (see
-    /// [`Deployment::remote_lookup_role`]).
-    fn remote_update_role(
         &mut self,
         app: usize,
         node: usize,
         cache_key: InternedKey,
         value: Option<CachedVal>,
         now: SimTime,
-        follower: bool,
+        at: SimTime,
     ) -> SimDuration {
+        let (follower, wait) = self.batch_admit(app, node, at, true);
+        match value {
+            Some(v) => {
+                self.remote[node].insert(cache_key, v, v.bytes, now.as_nanos());
+            }
+            None => {
+                self.remote[node].remove(&cache_key);
+            }
+        }
+        if self.warming {
+            return SimDuration::ZERO;
+        }
         let bytes = value.map(|v| v.bytes).unwrap_or(0);
         let cost = self.config.app_cost;
         let app_rpc = if follower {
@@ -1240,22 +1299,22 @@ impl Deployment {
         let op = SimDuration::from_micros_f64(cost.cache_server_op_us);
         self.charge_app(app, CpuCategory::RpcStack, app_rpc);
         self.charge_app(app, CpuCategory::Serialization, ser);
-        self.cache_cpu[node].charge(CpuCategory::RpcStack, node_rpc);
-        self.cache_cpu[node].charge(CpuCategory::CacheOp, op);
-        match value {
-            Some(v) => {
-                self.remote[node].insert(cache_key, v, v.bytes, now.as_nanos());
-            }
-            None => {
-                self.remote[node].remove(&cache_key);
-            }
-        }
+        self.charge_cache(node, CpuCategory::RpcStack, node_rpc);
+        self.charge_cache(node, CpuCategory::CacheOp, op);
         let link = &self.config.cluster.link;
-        app_rpc + ser + node_rpc + op + link.delivery_time(32 + bytes) + link.delivery_time(8)
+        wait + app_rpc
+            + ser
+            + node_rpc
+            + op
+            + link.delivery_time(32 + bytes)
+            + link.delivery_time(8)
     }
 
     /// Linked-cache op on `shard` (lookup cost model; no serialization).
     pub(crate) fn charge_linked_op(&mut self, app: usize) -> SimDuration {
+        if self.warming {
+            return SimDuration::ZERO;
+        }
         let op = SimDuration::from_micros_f64(self.config.app_cost.local_cache_op_us);
         self.charge_app(app, CpuCategory::CacheOp, op);
         op
@@ -1286,7 +1345,10 @@ impl Deployment {
     /// charges the in-process lookup cost; the serve paths call this before
     /// any cache/storage work, so an L0 hit pays *only* this. A `None`
     /// falls open to the authoritative path. No-op (free) when the tier is
-    /// off, keeping default runs byte-identical.
+    /// off, keeping default runs byte-identical. The probe's latency is
+    /// added while warming too, since a remote read's retry deadline
+    /// counts it.
+    #[inline]
     fn l0_lookup(
         &mut self,
         app: usize,
@@ -1297,6 +1359,18 @@ impl Deployment {
         if self.l0.is_empty() {
             return None;
         }
+        self.l0_probe(app, ckey, now, out)
+    }
+
+    /// [`Deployment::l0_lookup`] with the tier on, out of line so a
+    /// deployment without one pays one inline check.
+    fn l0_probe(
+        &mut self,
+        app: usize,
+        ckey: InternedKey,
+        now: SimTime,
+        out: &mut ServeOutcome,
+    ) -> Option<CachedVal> {
         let probe =
             SimDuration::from_micros_f64(self.config.l0.as_ref().map_or(0.0, |c| c.hit_us));
         self.charge_app(app, CpuCategory::CacheOp, probe);
@@ -1324,6 +1398,7 @@ impl Deployment {
     /// Offer a freshly-fetched value to `app`'s L0 (no-op when the tier is
     /// off). The TinyLFU gate decides residency; strict versioning drops
     /// offers older than the resident entry.
+    #[inline]
     fn l0_admit(
         &mut self,
         app: usize,
@@ -1332,9 +1407,21 @@ impl Deployment {
         now: SimTime,
         out: &mut ServeOutcome,
     ) {
-        if self.l0.is_empty() {
-            return;
+        if !self.l0.is_empty() {
+            self.l0_offer(app, ckey, v, now, out);
         }
+    }
+
+    /// [`Deployment::l0_admit`] with the tier on (see
+    /// [`Deployment::l0_probe`]).
+    fn l0_offer(
+        &mut self,
+        app: usize,
+        ckey: InternedKey,
+        v: CachedVal,
+        now: SimTime,
+        out: &mut ServeOutcome,
+    ) {
         let cost =
             SimDuration::from_micros_f64(self.config.l0.as_ref().map_or(0.0, |c| c.insert_us));
         self.charge_app(app, CpuCategory::CacheOp, cost);
@@ -1378,416 +1465,184 @@ impl Deployment {
         // Feed the MRC profiler (no-op unless elastic is enabled).
         self.elastic.observe_hashed(ckey.route_hash());
         let mut out = ServeOutcome::default();
-
-        match self.config.arch {
-            ArchKind::Base => {
-                let (val, lat) = self.storage_read(app, table, key, now)?;
-                out.sql_statements += 1;
-                out.latency += lat;
-                self.finish_read(app, val, now, &mut out);
+        let arch = self.config.arch;
+        if arch == ArchKind::Base {
+            let (val, lat) = self.storage_read(app, table, key, now)?;
+            out.sql_statements += 1;
+            out.latency += lat;
+            self.finish_read(app, val, now, &mut out);
+            return Ok(out);
+        }
+        // A down linked shard serves from storage, which is trivially
+        // consistent: there is no cached copy to verify or fence. (Remote
+        // deploys no linked shards; its node is checked below.)
+        if !self.linked_shard_up(app) {
+            self.degraded_read(app, table, key, ckey, now, &mut out)?;
+            return Ok(out);
+        }
+        // L0 front check: a hit skips the cache entirely (and doesn't care
+        // whether a remote node is even up). No-op where the tier is off.
+        if let Some(v) = self.l0_lookup(app, ckey, now, &mut out) {
+            out.cache_hit = true;
+            self.finish_read(app, Some(v), now, &mut out);
+            return Ok(out);
+        }
+        if arch == ArchKind::Remote {
+            let node = self.remote_node_for(ckey);
+            if !self.reach_cache_node(app, node, now, &mut out) {
+                self.degraded_read(app, table, key, ckey, now, &mut out)?;
+                return Ok(out);
             }
-            ArchKind::Remote => {
-                // L0 front check: a hit skips the cache-node RPC entirely
-                // (and doesn't care whether that node is even up).
-                if let Some(v) = self.l0_lookup(app, ckey, now, &mut out) {
-                    out.cache_hit = true;
-                    self.finish_read(app, Some(v), now, &mut out);
-                    return Ok(out);
-                }
-                let node = self.remote_node_for(ckey);
-                if self.reach_cache_node(app, node, now, &mut out) {
-                    let lookup_start = now.as_nanos() + out.latency.as_nanos();
-                    let (hit, lat) = self.remote_lookup_at(app, ckey, now, now + out.latency);
-                    out.latency += lat;
-                    self.tracer.span(
-                        "cache.lookup",
-                        "cache",
-                        lookup_start,
-                        now.as_nanos() + out.latency.as_nanos(),
-                        0,
-                        SpanStatus::Ok,
-                    );
-                    match hit {
-                        Some(v) => {
-                            out.cache_hit = true;
-                            // A remote hit is the L0's fill source for hot
-                            // keys: offer it (TinyLFU decides residency).
-                            self.l0_admit(app, ckey, v, now, &mut out);
-                            self.finish_read(app, Some(v), now, &mut out);
-                        }
-                        None => {
-                            let val = self.storage_fill(app, table, key, ckey, now, &mut out)?;
-                            if !out.coalesced {
-                                if let Some(v) = val {
-                                    let _ = self.cache_rpc_attempt(app, node);
-                                    let at = now + out.latency;
-                                    out.latency +=
-                                        self.remote_update_at(app, ckey, Some(v), now, at);
-                                    self.l0_admit(app, ckey, v, now, &mut out);
-                                }
-                            }
-                            self.finish_read(app, val, now, &mut out);
-                        }
-                    }
-                } else {
-                    self.degraded_read(app, table, key, ckey, now, &mut out)?;
-                }
+            let lookup_start = now.as_nanos() + out.latency.as_nanos();
+            let (hit, lat) = self.remote_lookup(app, node, ckey, now, now + out.latency);
+            out.latency += lat;
+            self.tracer.span(
+                "cache.lookup",
+                "cache",
+                lookup_start,
+                now.as_nanos() + out.latency.as_nanos(),
+                0,
+                SpanStatus::Ok,
+            );
+            self.hit_or_fill(app, Some(node), table, key, ckey, hit, now, &mut out)?;
+            return Ok(out);
+        }
+        // The linked family. LinkedTtl's unsharded per-server replica may be
+        // stale (another server wrote since): the TTL bounds the window, and
+        // expiry shows up as a miss. A lease-owned shard's cached values are
+        // linearizable without storage contact while its owner holds the
+        // lease; a lapsed lease falls back to a version check and is renewed
+        // after the read's first storage contact.
+        let mut lapsed = None;
+        if arch == ArchKind::LeaseOwned {
+            let lease_cost = SimDuration::from_micros_f64(self.config.app_cost.lease_validate_us);
+            self.charge_app(app, CpuCategory::TxnLease, lease_cost);
+            out.latency += lease_cost;
+            let shard = self.sharder.owner_hashed(ckey.route_hash());
+            lapsed = Some(shard).filter(|&s| !self.sharder.lease_valid(s, now));
+        }
+        let lk_start = now.as_nanos() + out.latency.as_nanos();
+        out.latency += self.charge_linked_op(app);
+        let mut hit = self.linked[app].get(&ckey, now.as_nanos()).copied();
+        self.tracer.span(
+            "cache.lookup",
+            "app",
+            lk_start,
+            now.as_nanos() + out.latency.as_nanos(),
+            0,
+            SpanStatus::Ok,
+        );
+        if let Some(v) = hit.filter(|_| arch == ArchKind::LinkedVersion || lapsed.is_some()) {
+            // §5.5: a consistent read must verify the version in storage
+            // before returning the cached value.
+            let vc_start = now.as_nanos() + out.latency.as_nanos();
+            let (latest, lat) = self.version_check(app, table, key, now)?;
+            out.version_checks += 1;
+            out.sql_statements += 1;
+            out.latency += lat;
+            self.tracer.span(
+                "storage.version_check",
+                "storage",
+                vc_start,
+                now.as_nanos() + out.latency.as_nanos(),
+                0,
+                SpanStatus::Ok,
+            );
+            if let Some(shard) = lapsed.take() {
+                self.sharder.renew(shard, now);
             }
-            ArchKind::Linked => {
-                if !self.linked_shard_up(app) {
-                    self.degraded_read(app, table, key, ckey, now, &mut out)?;
-                    return Ok(out);
-                }
-                // L0 front check before the sharded linked lookup.
-                if let Some(v) = self.l0_lookup(app, ckey, now, &mut out) {
-                    out.cache_hit = true;
-                    self.finish_read(app, Some(v), now, &mut out);
-                    return Ok(out);
-                }
-                let lk_start = now.as_nanos() + out.latency.as_nanos();
-                out.latency += self.charge_linked_op(app);
-                let hit = self.linked[app].get(&ckey, now.as_nanos()).copied();
-                self.tracer.span(
-                    "cache.lookup",
-                    "app",
-                    lk_start,
-                    now.as_nanos() + out.latency.as_nanos(),
-                    0,
-                    SpanStatus::Ok,
-                );
-                match hit {
-                    Some(v) => {
-                        out.cache_hit = true;
-                        self.l0_admit(app, ckey, v, now, &mut out);
-                        self.finish_read(app, Some(v), now, &mut out);
-                    }
-                    None => {
-                        let val = self.storage_fill(app, table, key, ckey, now, &mut out)?;
-                        if !out.coalesced {
-                            if let Some(v) = val {
-                                self.linked[app].insert(ckey, v, v.bytes, now.as_nanos());
-                                self.l0_admit(app, ckey, v, now, &mut out);
-                            }
-                        }
-                        self.finish_read(app, val, now, &mut out);
-                    }
-                }
+            if latest != Some(v.version) {
+                // Stale (or deleted): refresh from storage.
+                self.linked[app].remove(&ckey);
+                hit = None;
             }
-            ArchKind::LinkedTtl => {
-                // Unsharded per-server cache: this server may hold a stale
-                // replica (another server wrote since). TTL bounds the
-                // staleness window; expiry shows up as a miss.
-                if !self.linked_shard_up(app) {
-                    self.degraded_read(app, table, key, ckey, now, &mut out)?;
-                    return Ok(out);
-                }
-                let lk_start = now.as_nanos() + out.latency.as_nanos();
-                out.latency += self.charge_linked_op(app);
-                let hit = self.linked[app].get(&ckey, now.as_nanos()).copied();
-                self.tracer.span(
-                    "cache.lookup",
-                    "app",
-                    lk_start,
-                    now.as_nanos() + out.latency.as_nanos(),
-                    0,
-                    SpanStatus::Ok,
-                );
-                match hit {
-                    Some(v) => {
-                        out.cache_hit = true;
-                        self.finish_read(app, Some(v), now, &mut out);
-                    }
-                    None => {
-                        let val = self.storage_fill(app, table, key, ckey, now, &mut out)?;
-                        if !out.coalesced {
-                            if let Some(v) = val {
-                                let ttl = self.config.linked_ttl.as_nanos();
-                                self.linked[app].insert_with_ttl(
-                                    ckey,
-                                    v,
-                                    v.bytes,
-                                    now.as_nanos(),
-                                    ttl,
-                                );
-                            }
-                        }
-                        self.finish_read(app, val, now, &mut out);
-                    }
-                }
-            }
-            ArchKind::LinkedVersion => {
-                if !self.linked_shard_up(app) {
-                    // Reading storage directly is trivially consistent.
-                    self.degraded_read(app, table, key, ckey, now, &mut out)?;
-                    return Ok(out);
-                }
-                let lk_start = now.as_nanos() + out.latency.as_nanos();
-                out.latency += self.charge_linked_op(app);
-                let hit = self.linked[app].get(&ckey, now.as_nanos()).copied();
-                self.tracer.span(
-                    "cache.lookup",
-                    "app",
-                    lk_start,
-                    now.as_nanos() + out.latency.as_nanos(),
-                    0,
-                    SpanStatus::Ok,
-                );
-                match hit {
-                    Some(v) => {
-                        // §5.5: a consistent read must verify the version in
-                        // storage before returning the cached value.
-                        let vc_start = now.as_nanos() + out.latency.as_nanos();
-                        let (latest, lat) = self.version_check(app, table, key, now)?;
-                        out.version_checks += 1;
-                        out.sql_statements += 1;
-                        out.latency += lat;
-                        self.tracer.span(
-                            "storage.version_check",
-                            "storage",
-                            vc_start,
-                            now.as_nanos() + out.latency.as_nanos(),
-                            0,
-                            SpanStatus::Ok,
-                        );
-                        if latest == Some(v.version) {
-                            out.cache_hit = true;
-                            self.finish_read(app, Some(v), now, &mut out);
-                        } else {
-                            // Stale (or deleted): refresh from storage.
-                            self.linked[app].remove(&ckey);
-                            let val = self.storage_fill(app, table, key, ckey, now, &mut out)?;
-                            if !out.coalesced {
-                                if let Some(fresh) = val {
-                                    self.linked[app].insert(
-                                        ckey,
-                                        fresh,
-                                        fresh.bytes,
-                                        now.as_nanos(),
-                                    );
-                                }
-                            }
-                            self.finish_read(app, val, now, &mut out);
-                        }
-                    }
-                    None => {
-                        let val = self.storage_fill(app, table, key, ckey, now, &mut out)?;
-                        if !out.coalesced {
-                            if let Some(v) = val {
-                                self.linked[app].insert(ckey, v, v.bytes, now.as_nanos());
-                            }
-                        }
-                        self.finish_read(app, val, now, &mut out);
-                    }
-                }
-            }
-            ArchKind::LeaseOwned => {
-                if !self.linked_shard_up(app) {
-                    // No cached copy to fence; storage reads are linearizable.
-                    self.degraded_read(app, table, key, ckey, now, &mut out)?;
-                    return Ok(out);
-                }
-                let shard = self.sharder.owner_hashed(ckey.route_hash());
-                let lease_cost =
-                    SimDuration::from_micros_f64(self.config.app_cost.lease_validate_us);
-                self.charge_app(app, CpuCategory::TxnLease, lease_cost);
-                out.latency += lease_cost;
-                out.latency += self.charge_linked_op(app);
-                let lease_ok = self.sharder.lease_valid(shard, now);
-                let hit = self.linked[app].get(&ckey, now.as_nanos()).copied();
-                match hit {
-                    Some(v) if lease_ok => {
-                        // Ownership makes the cached value linearizable
-                        // without any storage contact.
-                        out.cache_hit = true;
-                        self.finish_read(app, Some(v), now, &mut out);
-                    }
-                    Some(v) => {
-                        // Lease lapsed: fall back to a version check, then
-                        // renew the lease.
-                        let vc_start = now.as_nanos() + out.latency.as_nanos();
-                        let (latest, lat) = self.version_check(app, table, key, now)?;
-                        out.version_checks += 1;
-                        out.sql_statements += 1;
-                        out.latency += lat;
-                        self.tracer.span(
-                            "storage.version_check",
-                            "storage",
-                            vc_start,
-                            now.as_nanos() + out.latency.as_nanos(),
-                            0,
-                            SpanStatus::Ok,
-                        );
-                        self.sharder.renew(shard, now);
-                        if latest == Some(v.version) {
-                            out.cache_hit = true;
-                            self.finish_read(app, Some(v), now, &mut out);
-                        } else {
-                            self.linked[app].remove(&ckey);
-                            let val = self.storage_fill(app, table, key, ckey, now, &mut out)?;
-                            if !out.coalesced {
-                                if let Some(fresh) = val {
-                                    self.linked[app].insert(
-                                        ckey,
-                                        fresh,
-                                        fresh.bytes,
-                                        now.as_nanos(),
-                                    );
-                                }
-                            }
-                            self.finish_read(app, val, now, &mut out);
-                        }
-                    }
-                    None => {
-                        let val = self.storage_fill(app, table, key, ckey, now, &mut out)?;
-                        if !lease_ok {
-                            self.sharder.renew(shard, now);
-                        }
-                        if !out.coalesced {
-                            if let Some(v) = val {
-                                self.linked[app].insert(ckey, v, v.bytes, now.as_nanos());
-                            }
-                        }
-                        self.finish_read(app, val, now, &mut out);
-                    }
-                }
-            }
+        }
+        self.hit_or_fill(app, None, table, key, ckey, hit, now, &mut out)?;
+        if let Some(shard) = lapsed {
+            self.sharder.renew(shard, now);
         }
         Ok(out)
     }
 
+    /// The tail of every cached read: serve `hit`, or fill a miss from
+    /// storage and insert it into the request's cache (remote `node` when
+    /// given, else `app`'s linked shard); then offer the value to the L0
+    /// tier and reply.
+    #[allow(clippy::too_many_arguments)]
+    fn hit_or_fill(
+        &mut self,
+        app: usize,
+        node: Option<usize>,
+        table: &str,
+        key: i64,
+        ckey: InternedKey,
+        hit: Option<CachedVal>,
+        now: SimTime,
+        out: &mut ServeOutcome,
+    ) -> StoreResult<()> {
+        let val = match hit {
+            Some(v) => {
+                out.cache_hit = true;
+                Some(v)
+            }
+            None => self.storage_fill(app, table, key, ckey, now, out)?,
+        };
+        if let Some(v) = val.filter(|_| !out.coalesced) {
+            if !out.cache_hit {
+                let t = now.as_nanos();
+                match node {
+                    Some(node) => {
+                        let _ = self.cache_rpc_attempt(app, node);
+                        let at = now + out.latency;
+                        out.latency += self.remote_update(app, node, ckey, Some(v), now, at);
+                    }
+                    None if self.config.arch == ArchKind::LinkedTtl => {
+                        let ttl = self.config.linked_ttl.as_nanos();
+                        self.linked[app].insert_with_ttl(ckey, v, v.bytes, t, ttl);
+                    }
+                    None => {
+                        self.linked[app].insert(ckey, v, v.bytes, t);
+                    }
+                }
+            }
+            // A remote or linked hit is the L0's fill source for hot keys:
+            // offer it (TinyLFU decides residency).
+            self.l0_admit(app, ckey, v, now, out);
+        }
+        self.finish_read(app, val, now, out);
+        Ok(())
+    }
+
     /// Prewarm `table` with one read of each key at [`SimTime::ZERO`], as
-    /// a load: the deployment ends in the state that
-    /// `serve_kv_read(table, k, SimTime::ZERO)` per key leaves (cache
-    /// contents and policy order, TinyLFU sketches, L0 tiers, block caches,
-    /// the front-end and app round-robin pointers, sharder leases, the
-    /// elastic profiler and interned key ids, and the hit, miss and insert
-    /// counters), except that nothing is billed: no CPU meter is charged
-    /// and no latency or span is computed. The meters differ from a served
-    /// prewarm's until the next [`Deployment::reset_metrics`], so a prewarm
-    /// belongs before one, as in the experiment runners.
-    ///
-    /// Each key runs the cold-miss branch of its architecture's read path:
-    /// intern, route, feed the elastic profiler, probe the L0 tier and the
-    /// cache, fill from storage ([`SqlCluster::warm_point_read`]) and
-    /// insert. A probe that hits (a repeated key, or a deployment that has
-    /// already served) or a cache shard that is down or unreachable is an
-    /// error, since serving would take a path this load does not mirror;
-    /// keys before it stay warmed.
+    /// a load: each key runs [`Deployment::serve_kv_read`] itself, so the
+    /// deployment ends in the state serving leaves (cache contents and
+    /// policy order, TinyLFU sketches, L0 tiers, block caches, the
+    /// front-end and app round-robin pointers, sharder leases, the elastic
+    /// profiler and interned key ids, and the hit, miss and insert
+    /// counters), except that nothing is billed: storage reads are
+    /// [`SqlCluster::warm_point_read`] loads, and no CPU meter is charged.
+    /// The meters differ from a served prewarm's until the next
+    /// [`Deployment::reset_metrics`], so a prewarm belongs before one, as
+    /// in the experiment runners. An unknown table fails before any key is
+    /// read; a failing key stops the prewarm with the keys before it warm.
     ///
     /// With single-flight or batching on, a read's effects depend on its
-    /// simulated latency (a fill's completion time, a frame's admission
-    /// time), so prewarm is the per-key `serve_kv_read` loop itself.
+    /// fill and admission latencies (a fill's completion time, a frame's
+    /// admission time), which the unbilled pass does not compute, so those
+    /// deployments prewarm by serving, billed.
     pub fn prewarm_kv(
         &mut self,
         table: &str,
         keys: impl IntoIterator<Item = i64>,
     ) -> StoreResult<()> {
-        let now = SimTime::ZERO;
-        if self.config.fault_tolerance.single_flight || self.config.batching.enabled() {
-            for key in keys {
-                self.serve_kv_read(table, key, now)?;
-            }
-            return Ok(());
-        }
-        let value_col = self.cluster.catalog.get(table)?.column_index("v")?;
-        let mut row = Row::default();
-        let t = now.as_nanos();
-        for key in keys {
-            let ckey = self.intern_kv_key(table, key);
-            let app = self.route_app(ckey);
-            self.elastic.observe_hashed(ckey.route_hash());
-            if self.config.arch.has_linked_cache() && !self.linked_shard_up(app) {
-                return Err(shard_down(table, key));
-            }
-            match self.config.arch {
-                ArchKind::Base => {
-                    self.warm_fill(table, key, value_col, &mut row)?;
-                }
-                ArchKind::Remote => {
-                    must_miss(self.warm_l0_probe(app, ckey), table, key)?;
-                    let node = self.remote_node_for(ckey);
-                    if !self.cache_rpc_attempt(app, node) {
-                        return Err(shard_down(table, key));
-                    }
-                    must_miss(self.remote[node].get(&ckey, t).is_some(), table, key)?;
-                    if let Some(v) = self.warm_fill(table, key, value_col, &mut row)? {
-                        let _ = self.cache_rpc_attempt(app, node);
-                        self.remote[node].insert(ckey, v, v.bytes, t);
-                        self.warm_l0_admit(app, ckey, v);
-                    }
-                }
-                ArchKind::Linked => {
-                    must_miss(self.warm_l0_probe(app, ckey), table, key)?;
-                    must_miss(self.linked[app].get(&ckey, t).is_some(), table, key)?;
-                    if let Some(v) = self.warm_fill(table, key, value_col, &mut row)? {
-                        self.linked[app].insert(ckey, v, v.bytes, t);
-                        self.warm_l0_admit(app, ckey, v);
-                    }
-                }
-                ArchKind::LinkedTtl => {
-                    must_miss(self.linked[app].get(&ckey, t).is_some(), table, key)?;
-                    if let Some(v) = self.warm_fill(table, key, value_col, &mut row)? {
-                        let ttl = self.config.linked_ttl.as_nanos();
-                        self.linked[app].insert_with_ttl(ckey, v, v.bytes, t, ttl);
-                    }
-                }
-                ArchKind::LinkedVersion => {
-                    must_miss(self.linked[app].get(&ckey, t).is_some(), table, key)?;
-                    if let Some(v) = self.warm_fill(table, key, value_col, &mut row)? {
-                        self.linked[app].insert(ckey, v, v.bytes, t);
-                    }
-                }
-                ArchKind::LeaseOwned => {
-                    let shard = self.sharder.owner_hashed(ckey.route_hash());
-                    let lease_ok = self.sharder.lease_valid(shard, now);
-                    must_miss(self.linked[app].get(&ckey, t).is_some(), table, key)?;
-                    let val = self.warm_fill(table, key, value_col, &mut row)?;
-                    if !lease_ok {
-                        self.sharder.renew(shard, now);
-                    }
-                    if let Some(v) = val {
-                        self.linked[app].insert(ckey, v, v.bytes, t);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The storage half of a prewarm fill: `(table, key)`'s row as the
-    /// cache would hold it, read without billing. `value_col` is the
-    /// table's `v` column.
-    fn warm_fill(
-        &mut self,
-        table: &str,
-        key: i64,
-        value_col: usize,
-        row: &mut Row,
-    ) -> StoreResult<Option<CachedVal>> {
-        let version = self.cluster.warm_point_read(table, &Datum::Int(key), row)?;
-        Ok(version.map(|version| {
-            let (bytes, seed) = payload_identity(row.get(value_col).unwrap_or(&Datum::Null));
-            CachedVal {
-                version,
-                bytes,
-                seed,
-            }
-        }))
-    }
-
-    /// [`Deployment::l0_lookup`] without the charge: whether `app`'s L0
-    /// holds `ckey` at time zero (false when the tier is off).
-    fn warm_l0_probe(&mut self, app: usize, ckey: InternedKey) -> bool {
-        let t = SimTime::ZERO.as_nanos();
-        self.l0.get_mut(app).is_some_and(|l0| l0.get(&ckey, t).is_some())
-    }
-
-    /// [`Deployment::l0_admit`] without the charge: offer a prewarm fill to
-    /// `app`'s L0 (no-op when the tier is off).
-    fn warm_l0_admit(&mut self, app: usize, ckey: InternedKey, v: CachedVal) {
-        if let Some(l0) = self.l0.get_mut(app) {
-            l0.admit(ckey, v, v.version, v.bytes, SimTime::ZERO.as_nanos());
-        }
+        self.warm_value_col = self.cluster.catalog.get(table)?.column_index("v")?;
+        self.warming =
+            !self.config.fault_tolerance.single_flight && !self.config.batching.enabled();
+        let warmed = keys
+            .into_iter()
+            .try_for_each(|key| self.serve_kv_read(table, key, SimTime::ZERO).map(drop));
+        self.warming = false;
+        warmed
     }
 
     /// Serve a multi-key read as one client request (the app-side analogue
@@ -1873,34 +1728,14 @@ impl Deployment {
                         // every rider: charge it once.
                         out.retries = probe.retries;
                     }
-                    if !up {
+                    if up {
+                        let (hit, lat) =
+                            self.remote_lookup_role(app, node, ckeys[i], now, pos > 0);
+                        out.latency += lat;
+                        let (key, ckey) = (keys[i], ckeys[i]);
+                        self.hit_or_fill(app, Some(node), table, key, ckey, hit, now, &mut out)?;
+                    } else {
                         self.degraded_read(app, table, keys[i], ckeys[i], now, &mut out)?;
-                        outcomes[i] = out;
-                        continue;
-                    }
-                    let (hit, lat) =
-                        self.remote_lookup_role(app, node, ckeys[i], now, pos > 0);
-                    out.latency += lat;
-                    match hit {
-                        Some(v) => {
-                            out.cache_hit = true;
-                            self.l0_admit(app, ckeys[i], v, now, &mut out);
-                            self.finish_read(app, Some(v), now, &mut out);
-                        }
-                        None => {
-                            let val =
-                                self.storage_fill(app, table, keys[i], ckeys[i], now, &mut out)?;
-                            if !out.coalesced {
-                                if let Some(v) = val {
-                                    let _ = self.cache_rpc_attempt(app, node);
-                                    let at = now + out.latency;
-                                    out.latency +=
-                                        self.remote_update_at(app, ckeys[i], Some(v), now, at);
-                                    self.l0_admit(app, ckeys[i], v, now, &mut out);
-                                }
-                            }
-                            self.finish_read(app, val, now, &mut out);
-                        }
                     }
                     outcomes[i] = out;
                 }
@@ -1917,6 +1752,11 @@ impl Deployment {
         key: i64,
         now: SimTime,
     ) -> StoreResult<(Option<u64>, SimDuration)> {
+        if self.warming {
+            let pk = Datum::Int(key);
+            let version = self.cluster.warm_point_read(table, &pk, &mut self.warm_row)?;
+            return Ok((version, SimDuration::ZERO));
+        }
         let latency = self.kv_statement(app, table, KvStmt::Version, &[Datum::Int(key)], now)?;
         let version = self
             .receipt
@@ -2004,7 +1844,7 @@ impl Deployment {
                 let node = self.remote_node_for(ckey);
                 if self.cache_rpc_attempt(app, node) {
                     let at = now + out.latency;
-                    out.latency += self.remote_update_at(app, ckey, None, now, at);
+                    out.latency += self.remote_update(app, node, ckey, None, now, at);
                 } else {
                     // A crashed shard lost the entry anyway (restart is
                     // cold), so skipping the invalidation is safe; record
@@ -2084,7 +1924,7 @@ impl Deployment {
                 let node = self.remote_node_for(ckey);
                 if self.cache_rpc_attempt(app, node) {
                     let at = now + out.latency;
-                    out.latency += self.remote_update_at(app, ckey, None, now, at);
+                    out.latency += self.remote_update(app, node, ckey, None, now, at);
                 } else {
                     self.metrics
                         .counter(fault_counters::INVALIDATIONS_SKIPPED)
@@ -2269,33 +2109,16 @@ impl Deployment {
         let cost = self.config.app_cost;
         let op = SimDuration::from_micros_f64(cost.cache_server_op_us);
         let wire = SimDuration::from_micros_f64(cost.rpc_per_byte_ns * bytes as f64 / 1e3);
-        self.cache_cpu[src].charge(CpuCategory::CacheOp, op);
-        self.cache_cpu[src].charge(CpuCategory::RpcStack, wire);
-        self.cache_cpu[dst].charge(CpuCategory::CacheOp, op);
-        self.cache_cpu[dst].charge(CpuCategory::RpcStack, wire);
+        self.charge_cache(src, CpuCategory::CacheOp, op);
+        self.charge_cache(src, CpuCategory::RpcStack, wire);
+        self.charge_cache(dst, CpuCategory::CacheOp, op);
+        self.charge_cache(dst, CpuCategory::RpcStack, wire);
         self.metrics
             .counter(elastic_counters::MIGRATED_ENTRIES)
             .inc();
         self.metrics
             .counter(elastic_counters::MIGRATED_BYTES)
             .add(bytes);
-    }
-}
-
-/// A prewarm probe must miss: a hit (a repeated key, or one the deployment
-/// has served) would take a hit branch of `serve_kv_read`.
-fn must_miss(hit: bool, table: &str, key: i64) -> StoreResult<()> {
-    if hit {
-        return Err(StoreError::DuplicateKey(format!("{table}/{key} is already cached")));
-    }
-    Ok(())
-}
-
-/// A prewarm read whose cache shard is down or unreachable would take the
-/// degraded path of `serve_kv_read`.
-fn shard_down(table: &str, key: i64) -> StoreError {
-    StoreError::Unavailable {
-        what: format!("cache shard for {table}/{key} is down"),
     }
 }
 

@@ -14,7 +14,7 @@
 use crate::config::{ArchKind, DeploymentConfig};
 use crate::deployment::{
     batch_counters, elastic_counters, fault_counters, kv_catalog, l0_counters, ttl_counters,
-    Deployment,
+    Deployment, ServeOutcome,
 };
 use costmodel::{CostBreakdown, Pricing, ResourceUsage};
 use simnet::{
@@ -466,11 +466,49 @@ impl RunMetrics {
         }
     }
 
+    /// Count one measured read: its latency (with `exemplar`'s trace id,
+    /// when given), cache hit, version checks and statements, whether the
+    /// caller judged its value `stale`, and, when the L0 tier served it,
+    /// the L0 counters.
+    pub fn record_read(
+        &mut self,
+        out: &ServeOutcome,
+        latency_ns: u64,
+        stale: bool,
+        exemplar: Option<u64>,
+    ) {
+        self.reads += 1;
+        record_latency(&mut self.read_latency, latency_ns, exemplar);
+        self.cache_hits += out.cache_hit as u64;
+        self.version_checks += out.version_checks;
+        self.sql_statements += out.sql_statements;
+        self.stale_reads += stale as u64;
+        if out.l0_hit {
+            self.l0_hits += 1;
+            self.l0_age.record(out.l0_age_nanos);
+            self.l0_stale_serves += stale as u64;
+        }
+    }
+
+    /// Count one measured write or delete.
+    pub fn record_write(&mut self, out: &ServeOutcome, latency_ns: u64, exemplar: Option<u64>) {
+        self.writes += 1;
+        record_latency(&mut self.write_latency, latency_ns, exemplar);
+        self.sql_statements += out.sql_statements;
+    }
+
     /// Count `latency` against the per-request deadline budget.
     pub fn check_deadline(&mut self, latency: SimDuration, deadline: SimDuration) {
         if latency > deadline {
             self.deadline_exceeded += 1;
         }
+    }
+}
+
+fn record_latency(h: &mut Histogram, latency_ns: u64, exemplar: Option<u64>) {
+    match exemplar {
+        Some(trace_id) => h.record_with_exemplar(latency_ns, trace_id),
+        None => h.record(latency_ns),
     }
 }
 
@@ -677,11 +715,13 @@ pub(crate) fn build_report(
     }
 }
 
-/// Re-bill the cache tier's memory at its *time-averaged* configured
-/// capacity instead of the static configured maximum — the dollars an
-/// elastic deployment actually pays. Compute costs already track the
-/// measured busy time, so only the memory line moves.
-fn apply_elastic_billing(
+/// Re-bill the cache tier's memory at `mean_cache_bytes`, a time average,
+/// instead of the static configured maximum. Compute costs already track
+/// the measured busy time, so only the memory line moves. An elastic
+/// deployment pays for its time-averaged configured capacity; a TTL-governed
+/// cache for its time-averaged *resident* bytes, since expired entries hold
+/// no value and sweeps return their bytes.
+fn apply_memory_billing(
     report: &mut ExperimentReport,
     dep: &Deployment,
     mean_cache_bytes: f64,
@@ -697,33 +737,6 @@ fn apply_elastic_billing(
     };
     if let Some(t) = report.tiers.iter_mut().find(|t| t.name == tier_name) {
         t.mem_gb = (base_mem as f64 + mean_cache_bytes) / 1e9;
-        t.cost = pricing.monthly(&ResourceUsage::new(t.cores, t.mem_gb, t.disk_gb));
-    }
-    report.total_cost = report.tiers.iter().map(|t| t.cost).sum();
-    report.total_mem_gb = report.tiers.iter().map(|t| t.mem_gb).sum();
-}
-
-/// Re-bill the cache tier's memory at the time-averaged *resident* bytes —
-/// what a TTL-governed cache actually holds live. Mirrors
-/// [`apply_elastic_billing`]: with expiry in play, configured capacity
-/// overstates the footprint (expired entries hold no value, and sweeps
-/// return their bytes), so time-averaged residency is the honest basis.
-fn apply_ttl_billing(
-    report: &mut ExperimentReport,
-    dep: &Deployment,
-    mean_resident_bytes: f64,
-    pricing: &Pricing,
-) {
-    let cfg = &dep.config;
-    let (tier_name, base_mem) = match cfg.arch {
-        ArchKind::Remote => ("remote_cache", cfg.remote_cache_nodes as u64 * (1 << 30)),
-        _ if cfg.arch.has_linked_cache() => {
-            ("app", cfg.app_servers as u64 * cfg.app_base_mem_bytes)
-        }
-        _ => return,
-    };
-    if let Some(t) = report.tiers.iter_mut().find(|t| t.name == tier_name) {
-        t.mem_gb = (base_mem as f64 + mean_resident_bytes) / 1e9;
         t.cost = pricing.monthly(&ResourceUsage::new(t.cores, t.mem_gb, t.disk_gb));
     }
     report.total_cost = report.tiers.iter().map(|t| t.cost).sum();
@@ -1490,6 +1503,10 @@ fn run_kv_experiment_core(cfg: &KvExperimentConfig) -> StoreResult<(ExperimentRe
         if sampled {
             dep.tracer.start_request(tid);
         }
+        // Exemplar capture only runs with observability on, so plain runs
+        // keep byte-identical latency state; counts and sums are identical
+        // either way.
+        let exemplar = (obs.is_some() && sampled).then_some(tid);
         // Pick the tenant (a dedicated RNG stream; single-workload runs
         // skip the draw), apply its stress schedules, and stamp its adopted
         // TTL onto the caches before serving.
@@ -1529,33 +1546,12 @@ fn run_kv_experiment_core(cfg: &KvExperimentConfig) -> StoreResult<(ExperimentRe
                 );
                 if measuring {
                     let latency_ns = (out.latency + penalty).as_nanos();
-                    metrics.reads += 1;
-                    // Exemplar capture only runs with observability on, so
-                    // plain runs keep byte-identical latency state; counts
-                    // and sums are identical either way.
-                    if obs.is_some() && sampled {
-                        metrics.read_latency.record_with_exemplar(latency_ns, tid);
-                    } else {
-                        metrics.read_latency.record(latency_ns);
-                    }
-                    metrics.cache_hits += out.cache_hit as u64;
-                    metrics.version_checks += out.version_checks;
-                    metrics.sql_statements += out.sql_statements;
+                    let stale = out.seed != Some(generation.get(&req.key).copied().unwrap_or(0));
+                    metrics.record_read(&out, latency_ns, stale, exemplar);
                     metrics.check_deadline(out.latency + penalty, deadline);
                     rt.reads += 1;
                     rt.cache_hits += out.cache_hit as u64;
-                    let expect = generation.get(&req.key).copied().unwrap_or(0);
-                    if out.seed != Some(expect) {
-                        metrics.stale_reads += 1;
-                        rt.stale_reads += 1;
-                    }
-                    if out.l0_hit {
-                        metrics.l0_hits += 1;
-                        metrics.l0_age.record(out.l0_age_nanos);
-                        if out.seed != Some(expect) {
-                            metrics.l0_stale_serves += 1;
-                        }
-                    }
+                    rt.stale_reads += stale as u64;
                     if let Some(o) = obs.as_mut() {
                         o.observe(crate::obs::RequestSample {
                             trace_id: tid,
@@ -1596,14 +1592,8 @@ fn run_kv_experiment_core(cfg: &KvExperimentConfig) -> StoreResult<(ExperimentRe
                 );
                 if measuring {
                     let latency_ns = (out.latency + penalty).as_nanos();
-                    metrics.writes += 1;
+                    metrics.record_write(&out, latency_ns, exemplar);
                     rt.writes += 1;
-                    if obs.is_some() && sampled {
-                        metrics.write_latency.record_with_exemplar(latency_ns, tid);
-                    } else {
-                        metrics.write_latency.record(latency_ns);
-                    }
-                    metrics.sql_statements += out.sql_statements;
                     metrics.check_deadline(out.latency + penalty, deadline);
                     if let Some(o) = obs.as_mut() {
                         o.observe(crate::obs::RequestSample {
@@ -1665,7 +1655,7 @@ fn run_kv_experiment_core(cfg: &KvExperimentConfig) -> StoreResult<(ExperimentRe
         report.elastic_peak_cache_bytes = cap_peak;
         if dep.elastic.enabled() {
             let mean = report.elastic_mean_cache_bytes;
-            apply_elastic_billing(&mut report, &dep, mean, &cfg.pricing);
+            apply_memory_billing(&mut report, &dep, mean, &cfg.pricing);
         }
         if dep.ttl_enabled() {
             // TTL billing refines elastic billing when both are on: the
@@ -1674,7 +1664,7 @@ fn run_kv_experiment_core(cfg: &KvExperimentConfig) -> StoreResult<(ExperimentRe
             report.ttl_mean_resident_bytes =
                 ttl_res_integral / duration.as_secs_f64().max(1e-9);
             let mean = report.ttl_mean_resident_bytes;
-            apply_ttl_billing(&mut report, &dep, mean, &cfg.pricing);
+            apply_memory_billing(&mut report, &dep, mean, &cfg.pricing);
         }
     }
     if let Some(mix) = &cfg.tenants {
@@ -1789,22 +1779,8 @@ pub fn run_trace_experiment(
             KvOp::Read => {
                 let out = dep.serve_kv_read("kv", req.key as i64, now)?;
                 if measuring {
-                    metrics.reads += 1;
-                    metrics.read_latency.record(out.latency.as_nanos());
-                    metrics.cache_hits += out.cache_hit as u64;
-                    metrics.version_checks += out.version_checks;
-                    metrics.sql_statements += out.sql_statements;
-                    let expect = generation.get(&req.key).copied().unwrap_or(0);
-                    if out.seed != Some(expect) {
-                        metrics.stale_reads += 1;
-                    }
-                    if out.l0_hit {
-                        metrics.l0_hits += 1;
-                        metrics.l0_age.record(out.l0_age_nanos);
-                        if out.seed != Some(expect) {
-                            metrics.l0_stale_serves += 1;
-                        }
-                    }
+                    let stale = out.seed != Some(generation.get(&req.key).copied().unwrap_or(0));
+                    metrics.record_read(&out, out.latency.as_nanos(), stale, None);
                 }
             }
             KvOp::Write => {
@@ -1816,9 +1792,7 @@ pub fn run_trace_experiment(
                 };
                 let out = dep.serve_kv_write("kv", req.key as i64, value, now)?;
                 if measuring {
-                    metrics.writes += 1;
-                    metrics.write_latency.record(out.latency.as_nanos());
-                    metrics.sql_statements += out.sql_statements;
+                    metrics.record_write(&out, out.latency.as_nanos(), None);
                 }
             }
         }

@@ -108,17 +108,10 @@ pub fn run_session_experiment(cfg: &SessionExperimentConfig) -> StoreResult<Expe
             SessionOp::Get { id } => {
                 let out = dep.serve_kv_read("sessions", id as i64, now)?;
                 if measuring {
-                    metrics.reads += 1;
-                    metrics.read_latency.record(out.latency.as_nanos());
-                    metrics.cache_hits += out.cache_hit as u64;
-                    metrics.version_checks += out.version_checks;
-                    metrics.sql_statements += out.sql_statements;
-                    let expect = truth.get(&id).copied();
-                    if out.seed != expect {
-                        // Stale state or a resurrected tombstone: the
-                        // "incorrect query behavior" of §2.3.
-                        metrics.stale_reads += 1;
-                    }
+                    // Stale state or a resurrected tombstone: the
+                    // "incorrect query behavior" of §2.3.
+                    let stale = out.seed != truth.get(&id).copied();
+                    metrics.record_read(&out, out.latency.as_nanos(), stale, None);
                 }
             }
             SessionOp::Create { id } => {
@@ -129,9 +122,7 @@ pub fn run_session_experiment(cfg: &SessionExperimentConfig) -> StoreResult<Expe
                 let out = dep.serve_kv_write("sessions", id as i64, value, now)?;
                 truth.insert(id, 0);
                 if measuring {
-                    metrics.writes += 1;
-                    metrics.write_latency.record(out.latency.as_nanos());
-                    metrics.sql_statements += out.sql_statements;
+                    metrics.record_write(&out, out.latency.as_nanos(), None);
                 }
             }
             SessionOp::Advance { id, step } => {
@@ -142,18 +133,14 @@ pub fn run_session_experiment(cfg: &SessionExperimentConfig) -> StoreResult<Expe
                 let out = dep.serve_kv_write("sessions", id as i64, value, now)?;
                 truth.insert(id, step);
                 if measuring {
-                    metrics.writes += 1;
-                    metrics.write_latency.record(out.latency.as_nanos());
-                    metrics.sql_statements += out.sql_statements;
+                    metrics.record_write(&out, out.latency.as_nanos(), None);
                 }
             }
             SessionOp::End { id } => {
                 let out = dep.serve_kv_delete("sessions", id as i64, now)?;
                 truth.remove(&id);
                 if measuring {
-                    metrics.writes += 1;
-                    metrics.write_latency.record(out.latency.as_nanos());
-                    metrics.sql_statements += out.sql_statements;
+                    metrics.record_write(&out, out.latency.as_nanos(), None);
                 }
             }
         }

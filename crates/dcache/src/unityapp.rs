@@ -86,6 +86,7 @@ fn serve_get_table(
 ) -> StoreResult<ServeOutcome> {
     let ckey = dep.intern_bytes(&object_cache_key(t));
     let app = dep.route_app(ckey);
+    let node = dep.remote_node_for(ckey);
     let mut out = ServeOutcome::default();
 
     let arch = dep.config.arch;
@@ -93,7 +94,7 @@ fn serve_get_table(
     let cached: Option<CachedVal> = match arch {
         ArchKind::Base => None,
         ArchKind::Remote => {
-            let (hit, lat) = dep.remote_lookup(app, ckey, now);
+            let (hit, lat) = dep.remote_lookup(app, node, ckey, now, now);
             out.latency += lat;
             hit
         }
@@ -188,7 +189,7 @@ fn serve_get_table(
     match arch {
         ArchKind::Base => {}
         ArchKind::Remote => {
-            out.latency += dep.remote_update(app, ckey, Some(object), now);
+            out.latency += dep.remote_update(app, node, ckey, Some(object), now, now);
         }
         ArchKind::Linked | ArchKind::LinkedVersion | ArchKind::LeaseOwned => {
             out.latency += dep.charge_linked_op(app);
@@ -236,7 +237,8 @@ fn serve_update_table(
     match dep.config.arch {
         ArchKind::Base => {}
         ArchKind::Remote => {
-            out.latency += dep.remote_update(app, ckey, None, now);
+            let node = dep.remote_node_for(ckey);
+            out.latency += dep.remote_update(app, node, ckey, None, now, now);
         }
         ArchKind::Linked | ArchKind::LinkedVersion | ArchKind::LeaseOwned | ArchKind::LinkedTtl => {
             // Rich objects can't be patched in place: invalidate, and let
@@ -334,17 +336,11 @@ fn run_unity_loop(
                     UnityFlavor::Kv => dep.serve_kv_read("objects", req.table as i64, now)?,
                 };
                 if measuring {
-                    metrics.reads += 1;
-                    metrics.read_latency.record(out.latency.as_nanos());
-                    metrics.cache_hits += out.cache_hit as u64;
-                    metrics.version_checks += out.version_checks;
-                    metrics.sql_statements += out.sql_statements;
-                    if let (Some(v), Some(&expect)) = (out.version, last_version.get(&req.table))
-                    {
-                        if v < expect {
-                            metrics.stale_reads += 1;
-                        }
-                    }
+                    let stale = matches!(
+                        (out.version, last_version.get(&req.table)),
+                        (Some(v), Some(&expect)) if v < expect
+                    );
+                    metrics.record_read(&out, out.latency.as_nanos(), stale, None);
                 }
             }
             UnityOp::UpdateTable => {
@@ -367,9 +363,7 @@ fn run_unity_loop(
                     last_version.insert(req.table, v);
                 }
                 if measuring {
-                    metrics.writes += 1;
-                    metrics.write_latency.record(out.latency.as_nanos());
-                    metrics.sql_statements += out.sql_statements;
+                    metrics.record_write(&out, out.latency.as_nanos(), None);
                 }
             }
         }

@@ -20,13 +20,15 @@
 //! position hint the read before it left; some cases pass them descending
 //! or shuffled, so every hint misses, and some first write a few
 //! never-loaded keys with a `REPLACE` that skips the caches, so the prewarm
-//! finds them in the engines' tails.
+//! finds them in the engines' tails. Some cases repeat loaded and missing
+//! keys, so the prewarm takes the hit paths (version checks included), and
+//! some crash cache shard 0 halfway through the prewarm and restart it
+//! before the stream, so the prewarm takes the degraded and retry paths.
 
 use costmodel::Pricing;
-use dcache::deployment::{kv_catalog, Deployment};
+use dcache::deployment::{fault_counters, kv_catalog, Deployment};
 use dcache::{ArchKind, BatchingConfig, DeploymentConfig, L0Config};
 use simnet::{SimDuration, SimTime};
-use storekit::error::StoreError;
 use storekit::value::Datum;
 use storekit::{DurabilityConfig, FsyncPolicy};
 use workloads::tenants::namespaced_key;
@@ -40,6 +42,9 @@ const MISSING: u64 = 6;
 /// Never-loaded keys that [`Case::inserting`] cases write before the
 /// prewarm, after the missing ones.
 const INSERTED: u64 = 4;
+/// In [`Case::repeating`] cases, every this-many prewarmed key is read a
+/// second time, along with the first two missing keys.
+const REPEAT_EVERY: usize = 16;
 /// Requests in each stream.
 const REQUESTS: usize = 2_400;
 /// Simulated time between requests: the stream spans 12 s, past the
@@ -76,6 +81,14 @@ struct Case {
     /// Whether [`INSERTED`] keys are written through SQL before the
     /// prewarm, which then reads them.
     inserts: bool,
+    /// Whether the prewarm reads some keys twice.
+    repeats: bool,
+    /// Whether cache shard 0 is down for the second half of each prewarm
+    /// batch.
+    crashes: bool,
+    /// The stream request before which shard 0 restarts (0: before the
+    /// stream).
+    restart_at: usize,
 }
 
 impl Case {
@@ -90,7 +103,31 @@ impl Case {
             serves,
             order: Order::Ascending,
             inserts: false,
+            repeats: false,
+            crashes: false,
+            restart_at: 0,
         }
+    }
+
+    fn repeating(mut self) -> Case {
+        self.repeats = true;
+        self
+    }
+
+    fn crashing(mut self) -> Case {
+        self.crashes = true;
+        self
+    }
+
+    /// Shard 0 stays down for the stream's first `requests` requests, and
+    /// a 3 ms deadline cuts retries short: a down shard's reads draw their
+    /// retry jitter from the deployment's fault RNG, so a prewarm that
+    /// retried a different number of times shows up in their latencies.
+    fn down_until(mut self, requests: usize) -> Case {
+        self.crashes = true;
+        self.restart_at = requests;
+        self.cfg.fault_tolerance.request_deadline = SimDuration::from_millis(3);
+        self
     }
 
     fn in_order(mut self, order: Order) -> Case {
@@ -121,9 +158,14 @@ impl Case {
     /// The prewarm's key batches: one, or one per tenant, each in the
     /// case's order.
     fn prewarm_batches(&self) -> Vec<Vec<i64>> {
+        let repeated = (0..PREWARMED)
+            .step_by(REPEAT_EVERY)
+            .chain(LOADED..LOADED + 2)
+            .filter(|_| self.repeats);
         let indices = (0..PREWARMED)
             .chain(LOADED..LOADED + MISSING)
-            .chain(self.inserted());
+            .chain(self.inserted())
+            .chain(repeated);
         let mut batches: Vec<Vec<i64>> = if self.tenants {
             (0..2)
                 .map(|t| indices.clone().filter(|i| i % 2 == t).map(|i| self.key(i)).collect())
@@ -287,6 +329,38 @@ fn cases() -> Vec<Case> {
     let mut case = Case::new("tenant keys, shuffled", ArchKind::Remote, |_| {});
     case.tenants = true;
     cases.push(case.in_order(Order::Shuffled));
+    for arch in ArchKind::ALL {
+        cases.push(Case::new("repeated keys", arch, |_| {}).repeating());
+        if arch != ArchKind::Base {
+            cases.push(Case::new("shard down", arch, |_| {}).crashing());
+        }
+    }
+    cases.extend([
+        Case::new("remote + L0, repeated keys, shuffled", ArchKind::Remote, |c| {
+            c.l0 = small_l0()
+        })
+        .repeating()
+        .in_order(Order::Shuffled),
+        Case::new("linked, TinyLFU, evicting, repeated keys", ArchKind::Linked, |c| {
+            evicting(c);
+            c.cache_admission = true;
+        })
+        .repeating(),
+        Case::new("remote + L0, shard down", ArchKind::Remote, |c| c.l0 = small_l0()).crashing(),
+        Case::new("remote, shard down into the stream", ArchKind::Remote, |_| {})
+            .down_until(REQUESTS / 4),
+        Case::new("remote + L0, shard down into the stream", ArchKind::Remote, |c| {
+            c.l0 = small_l0()
+        })
+        .down_until(REQUESTS / 4),
+        Case::new("linked, shard down into the stream", ArchKind::Linked, |_| {})
+            .down_until(REQUESTS / 4),
+        Case::new("linked + L0, shard down, repeated keys", ArchKind::Linked, |c| {
+            c.l0 = small_l0()
+        })
+        .crashing()
+        .repeating(),
+    ]);
     cases
 }
 
@@ -343,15 +417,40 @@ fn heartbeat(d: &mut Deployment, now: SimTime, pricing: &Pricing) {
     }
 }
 
+/// Prewarm `keys` on `d`, by serving each or by `prewarm_kv`.
+fn prewarm(d: &mut Deployment, serves: bool, keys: &[i64]) {
+    if serves {
+        for &k in keys {
+            d.serve_kv_read("kv", k, SimTime::ZERO).unwrap();
+        }
+    } else {
+        d.prewarm_kv("kv", keys.iter().copied()).unwrap();
+    }
+}
+
 fn check(case: &Case) {
     let label = format!("{} ({:?})", case.label, case.cfg.arch);
     let mut fast = case.deployment();
     let mut served = case.deployment();
     for keys in case.prewarm_batches() {
-        for &k in &keys {
-            served.serve_kv_read("kv", k, SimTime::ZERO).unwrap();
+        let (head, tail) = keys.split_at(keys.len() / 2);
+        for (d, serves) in [(&mut fast, false), (&mut served, true)] {
+            prewarm(d, serves, head);
+            if case.crashes {
+                d.crash_cache_shard(0);
+            }
+            prewarm(d, serves, tail);
+            if case.crashes && case.restart_at == 0 {
+                d.restart_cache_shard(0);
+            }
         }
-        fast.prewarm_kv("kv", keys).unwrap();
+    }
+    for d in [&fast, &served] {
+        let hits = d.linked_stats().hits + d.remote_stats().hits;
+        let cached = case.cfg.arch != ArchKind::Base;
+        assert_eq!(hits > 0, case.repeats && cached, "{label}: prewarm hits");
+        let degraded = d.metrics.counter_value(fault_counters::DEGRADED_READS);
+        assert_eq!(degraded > 0, case.crashes, "{label}: degraded prewarm reads");
     }
     // Only the opt-in tiers fall back to serving, and so bill the prewarm.
     assert_eq!(billed(&fast) > SimDuration::ZERO, case.serves, "{label}: prewarm billing");
@@ -367,6 +466,10 @@ fn check(case: &Case) {
         if i % HEARTBEAT == 0 {
             heartbeat(&mut fast, now, &pricing);
             heartbeat(&mut served, now, &pricing);
+        }
+        if case.crashes && i == case.restart_at && i > 0 {
+            fast.restart_cache_shard(0);
+            served.restart_cache_shard(0);
         }
         let key = case.key(splitmix64(&mut rng) % (LOADED + MISSING + 2));
         let op = splitmix64(&mut rng);
@@ -390,32 +493,21 @@ fn prewarm_kv_leaves_what_serving_each_key_leaves() {
     }
     println!(
         "prewarm oracle: {} cases, {REQUESTS} requests each, after {} prewarmed keys \
-         ({} more in the inserting cases)",
+         ({} more in the inserting cases, {} repeated in the repeating ones; {} cases \
+         with a shard down)",
         cases.len(),
         PREWARMED + MISSING,
-        INSERTED
+        INSERTED,
+        PREWARMED as usize / REPEAT_EVERY + 2,
+        cases.iter().filter(|c| c.crashes).count(),
     );
 }
 
 #[test]
-fn prewarm_kv_refuses_what_it_cannot_mirror() {
-    for arch in [ArchKind::Remote, ArchKind::Linked, ArchKind::LinkedVersion] {
-        let case = Case::new("refusals", arch, |_| {});
-        // A repeated key would hit.
-        let mut d = case.deployment();
-        let err = d.prewarm_kv("kv", [1, 2, 1]).unwrap_err();
-        assert!(matches!(err, StoreError::DuplicateKey(_)), "{arch:?}: {err}");
-        // So would a key the deployment has already served.
-        let mut d = case.deployment();
-        d.serve_kv_read("kv", 5, SimTime::ZERO).unwrap();
-        assert!(d.prewarm_kv("kv", [5]).is_err(), "{arch:?}: served key");
-        // A down shard would take the degraded path.
-        let mut d = case.deployment();
-        d.crash_cache_shard(0);
-        let err = d.prewarm_kv("kv", 0..50).unwrap_err();
-        assert!(matches!(err, StoreError::Unavailable { .. }), "{arch:?}: {err}");
-    }
+fn prewarm_kv_rejects_an_unknown_table() {
     // An unknown table fails before any key is touched.
-    let mut d = Case::new("refusals", ArchKind::Linked, |_| {}).deployment();
+    let mut d = Case::new("unknown table", ArchKind::Linked, |_| {}).deployment();
+    let before = snapshot(&d);
     assert!(d.prewarm_kv("ghost", [1]).is_err());
+    assert_eq!(snapshot(&d), before);
 }

@@ -4,13 +4,16 @@
 //! does to it. A retried cache RPC shows up as N `cache.rpc_attempt` spans
 //! (attempt 0..N-1) under a single trace id; a degraded read adds a
 //! `read.degraded` span to the same trace; and arming the tracer never
-//! changes what the simulator computes.
+//! changes what the simulator computes. Each architecture's hops on a
+//! miss, a hit and a stale refresh are pinned by span name.
 
+use dcache::deployment::{kv_catalog, Deployment};
 use dcache::experiment::{run_kv_experiment, run_kv_experiment_with_telemetry, KvExperimentConfig};
 use dcache::{ArchKind, DeploymentConfig};
 use simnet::{FaultSchedule, NodeId, SimDuration, SimTime};
 use std::collections::BTreeMap;
-use telemetry::{SpanRecord, SpanStatus};
+use storekit::value::Datum;
+use telemetry::{SpanRecord, SpanStatus, Tracer};
 use workloads::{KvWorkloadConfig, SizeDist};
 
 const SEED: u64 = 7;
@@ -237,4 +240,72 @@ fn tracing_does_not_perturb_the_run() {
     assert_eq!(baseline.cache_hit_ratio, traced.cache_hit_ratio);
     assert_eq!(baseline.stale_reads, traced.stale_reads);
     assert_eq!(baseline.sql_statements, traced.sql_statements);
+}
+
+/// The span names one read records, in order, on `d` at `now`.
+fn read_spans(d: &mut Deployment, key: i64, now: SimTime) -> Vec<&'static str> {
+    d.tracer = Tracer::with_capacity(64);
+    d.tracer.start_request(1);
+    d.serve_kv_read("kv", key, now).unwrap();
+    d.tracer.end_request();
+    let names = d.tracer.sink().iter().map(|s| s.name).collect();
+    d.tracer = Tracer::disabled();
+    names
+}
+
+fn loaded(arch: ArchKind) -> Deployment {
+    let mut d = Deployment::new(DeploymentConfig::test_small(arch), kv_catalog("kv"));
+    d.cluster
+        .bulk_load(
+            "kv",
+            (0..16i64).map(|k| vec![Datum::Int(k), Datum::Payload { len: 1_000, seed: 0 }]),
+        )
+        .unwrap();
+    d
+}
+
+/// Each architecture's hops, pinned by name: a cold miss, a hit (after
+/// every app server has read the key, so LinkedTtl's round-robin replicas
+/// all hold it) and, for the version-checked archs, a hit whose row
+/// changed behind the cache.
+#[test]
+fn every_arch_records_its_serving_path() {
+    const LOOKUP: &str = "cache.lookup";
+    const FILL: &str = "storage.fill";
+    const CHECK: &str = "storage.version_check";
+    const REPLY: &str = "client.reply";
+    const ATTEMPT: &str = "cache.rpc_attempt";
+    let us = |n: u64| SimTime::from_nanos(n * 1_000);
+    for arch in ArchKind::ALL {
+        let (miss, hit): (&[&str], &[&str]) = match arch {
+            ArchKind::Base => (&[REPLY], &[REPLY]),
+            ArchKind::Remote => (&[ATTEMPT, LOOKUP, FILL, REPLY], &[ATTEMPT, LOOKUP, REPLY]),
+            ArchKind::Linked | ArchKind::LinkedTtl | ArchKind::LeaseOwned => {
+                (&[LOOKUP, FILL, REPLY], &[LOOKUP, REPLY])
+            }
+            ArchKind::LinkedVersion => (&[LOOKUP, FILL, REPLY], &[LOOKUP, CHECK, REPLY]),
+        };
+        let mut d = loaded(arch);
+        assert_eq!(read_spans(&mut d, 1, us(1)), miss, "{arch}: cold miss");
+        for i in 0..d.config.app_servers as u64 {
+            d.serve_kv_read("kv", 1, us(2 + i)).unwrap();
+        }
+        assert_eq!(read_spans(&mut d, 1, us(10)), hit, "{arch}: hit");
+
+        // A version-checked hit whose row changed: LeaseOwned checks only
+        // once its lease has lapsed (leases last 10 s).
+        if !matches!(arch, ArchKind::LinkedVersion | ArchKind::LeaseOwned) {
+            continue;
+        }
+        d.cluster
+            .execute(
+                "UPDATE kv SET v = ? WHERE k = 1",
+                &[Datum::Payload { len: 1_000, seed: 9 }],
+                us(20),
+            )
+            .unwrap();
+        let late = SimTime::from_nanos(20_000_000_000);
+        let stale = [LOOKUP, CHECK, FILL, REPLY];
+        assert_eq!(read_spans(&mut d, 1, late), stale, "{arch}: stale refresh");
+    }
 }

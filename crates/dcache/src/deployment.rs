@@ -31,7 +31,7 @@ use crate::lease::AutoSharder;
 use cachekit::{Cache, InternedKey, KeyInterner};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simnet::{CpuCategory, CpuMeter, Delivery, MetricSet, Network, NodeId, SimDuration, SimTime};
+use simnet::{CpuCategory, CpuMeter, MetricSet, Network, NodeId, SimDuration, SimTime};
 use std::collections::HashMap;
 use storekit::cluster::{CachedStatement, QueryReceipt, SqlCluster};
 use storekit::error::{StoreError, StoreResult};
@@ -642,10 +642,7 @@ impl Deployment {
     fn cache_rpc_attempt(&mut self, app: usize, node: usize) -> bool {
         let from = NodeId(app as u32);
         let to = cache_node_id(node);
-        matches!(
-            self.net.send(&mut self.net_rng, from, to, 32),
-            Delivery::After(_)
-        )
+        self.net.deliver(&mut self.net_rng, from, to)
     }
 
     /// A failed attempt still burned its RPC stack CPU and waited out the

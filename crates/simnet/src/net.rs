@@ -159,31 +159,32 @@ impl Network {
         !self.node_down.get(node.0 as usize).copied().unwrap_or(false)
     }
 
+    /// Decide whether one message from `from` to `to` gets through, for a
+    /// caller that does not need its delay: the liveness, partition and
+    /// loss checks of [`Network::send`], with the same draws from `rng`.
+    /// Updates delivery counters.
+    pub fn deliver(&mut self, rng: &mut impl Rng, from: NodeId, to: NodeId) -> bool {
+        let lost = !self.is_node_up(from)
+            || !self.is_node_up(to)
+            || self.faults.is_partitioned(from, to)
+            || (self.faults.drop_prob > 0.0 && rng.gen_bool(self.faults.drop_prob.clamp(0.0, 1.0)));
+        if lost {
+            self.dropped += 1;
+        } else {
+            self.delivered += 1;
+        }
+        !lost
+    }
+
     /// Decide the fate of one message of `bytes` from `from` to `to`,
-    /// consuming randomness from `rng`. Updates delivery counters.
-    pub fn send(
-        &mut self,
-        rng: &mut impl Rng,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-    ) -> Delivery {
-        if !self.is_node_up(from) || !self.is_node_up(to) {
-            self.dropped += 1;
-            return Delivery::Dropped;
-        }
-        if self.faults.is_partitioned(from, to) {
-            self.dropped += 1;
-            return Delivery::Dropped;
-        }
-        if self.faults.drop_prob > 0.0 && rng.gen_bool(self.faults.drop_prob.clamp(0.0, 1.0)) {
-            self.dropped += 1;
+    /// consuming randomness from `rng`: [`Network::deliver`], then the
+    /// link's delay. Updates delivery counters.
+    pub fn send(&mut self, rng: &mut impl Rng, from: NodeId, to: NodeId, bytes: u64) -> Delivery {
+        if !self.deliver(rng, from, to) {
             return Delivery::Dropped;
         }
         let class = self.classify(from, to);
-        let delay = self.link(class).delivery_time(bytes) + self.faults.extra_delay;
-        self.delivered += 1;
-        Delivery::After(delay)
+        Delivery::After(self.link(class).delivery_time(bytes) + self.faults.extra_delay)
     }
 
     /// Pure latency query (no faults, no counters) — used by cost paths that
@@ -294,6 +295,33 @@ mod tests {
         net.reset_counters();
         assert_eq!(net.delivered, 0);
         assert_eq!(net.dropped, 0);
+    }
+
+    #[test]
+    fn deliver_decides_as_send_does() {
+        // Loss, a partition and a crashed node, over one message stream:
+        // the same outcomes, counters and random draws either way.
+        let setup = || {
+            let mut net = Network::new();
+            net.faults.drop_prob = 0.3;
+            net.faults.partition(NodeId(0), NodeId(2));
+            net.set_node_down(NodeId(3), true);
+            net
+        };
+        let (mut by_send, mut by_deliver) = (setup(), setup());
+        let (mut send_rng, mut deliver_rng) = (rng(), rng());
+        for i in 0..400u32 {
+            let (from, to) = (NodeId(i % 2), NodeId(1 + i % 3));
+            let sent = by_send.send(&mut send_rng, from, to, 32);
+            let delivered = by_deliver.deliver(&mut deliver_rng, from, to);
+            assert_eq!(matches!(sent, Delivery::After(_)), delivered, "message {i}");
+        }
+        assert_eq!(
+            (by_deliver.delivered, by_deliver.dropped),
+            (by_send.delivered, by_send.dropped)
+        );
+        assert!(by_send.delivered > 0 && by_send.dropped > 0);
+        assert_eq!(send_rng.gen::<u64>(), deliver_rng.gen::<u64>());
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::block::{BlockCache, BlockConfig};
 use crate::cost::StorageCostConfig;
 use crate::durability::{DurabilityConfig, DurabilityStats, DurableStore};
 use crate::error::{StoreError, StoreResult};
-use crate::kv::{index_prefix, record_key_into, record_prefix, InlineBytes, KvEngine};
+use crate::kv::{index_prefix, record_key_into, record_prefix, KvEngine, LoadRun};
 use crate::raft::{ApplyOp, LogEntry, RaftGroup};
 use crate::row::Row;
 use crate::schema::Catalog;
@@ -131,9 +131,6 @@ fn region_index(key: &[u8], regions: usize) -> usize {
 fn region_of_hash(key_hash: u64, regions: usize) -> usize {
     (key_hash % regions as u64) as usize
 }
-
-/// One replica set's bulk-load writes: `(key, value, version)`.
-type Run = Vec<(InlineBytes, Option<InlineBytes>, u64)>;
 
 /// Storage pods grouped by the regions they host: `(regions, pods)` per
 /// distinct set, both ascending.
@@ -675,12 +672,18 @@ impl SqlCluster {
     /// as SQL inserts would be. Returns the number of rows loaded.
     ///
     /// Pods that host the same regions receive the same writes, so the load
-    /// gathers one run per distinct replica set; in the paper's deployment
-    /// (3 pods, replication 3) every pod hosts every region and there is
-    /// one run. The run goes once into each distinct engine the set's pods
-    /// hold: pods that share an engine load it once and keep sharing it,
-    /// with no copy, and a pod that has split off or been wiped loads the
-    /// run into its own engine.
+    /// builds one [`LoadRun`] per distinct replica set; in the paper's
+    /// deployment (3 pods, replication 3) every pod hosts every region and
+    /// there is one run. Each row is encoded once, into the cluster's
+    /// scratch key buffer and a row buffer, and appended as an engine entry
+    /// to the run of each set that hosts its region. The run goes once into
+    /// each distinct engine the set's pods hold: pods that share an engine
+    /// load it once and keep sharing it, and a pod that has split off or
+    /// been wiped loads the run into its own engine. Rows in ascending key
+    /// order into empty engines (every benchmark's set-up) leave each run's
+    /// pages as its engine's arena, so the load holds no copy of the
+    /// dataset beside the engines; a table with secondary indexes
+    /// interleaves index and record keys, and its runs are sorted.
     pub fn bulk_load<I>(&mut self, table: &str, rows: I) -> StoreResult<usize>
     where
         I: IntoIterator<Item = Vec<Datum>>,
@@ -694,23 +697,14 @@ impl SqlCluster {
                 hosts[r].push(set);
             }
         }
-        // Size each run for its share of the regions.
-        let rows = rows.into_iter();
-        let writes = rows.size_hint().0 * (1 + schema.indexes.len());
-        let mut runs: Vec<Run> = sets
-            .iter()
-            .map(|(regions, _)| Vec::with_capacity(writes * regions.len() / region_count))
-            .collect();
-        let mut gather = |key: InlineBytes, value: InlineBytes, version: u64| {
-            if let Some((&last, rest)) = hosts[region_index(&key, region_count)].split_last() {
-                for &set in rest {
-                    runs[set].push((key.clone(), Some(value.clone()), version));
-                }
-                runs[last].push((key, Some(value), version));
+        let mut runs: Vec<LoadRun> = sets.iter().map(|_| LoadRun::new()).collect();
+        let mut push = |key: &[u8], value: &[u8], version: u64| {
+            for &set in &hosts[region_index(key, region_count)] {
+                runs[set].push(key, Some(value), version);
             }
         };
         // Rows before an invalid one still load, as they would one by one.
-        let mut record = Vec::new();
+        let mut record = std::mem::take(&mut self.point_key);
         let mut encoded = Vec::new();
         let mut count = 0usize;
         let mut outcome = Ok(());
@@ -726,14 +720,14 @@ impl SqlCluster {
             record_key_into(&mut record, table, pk);
             encoded.clear();
             row.encode_into(&mut encoded);
-            let record = InlineBytes::from(record.as_slice());
             for &col in &schema.indexes {
                 let ik = crate::kv::index_key(table, col, row.get(col).unwrap_or(&Datum::Null), pk);
-                gather(ik.into(), record.clone(), version);
+                push(&ik, &record, version);
             }
-            gather(record, encoded.as_slice().into(), version);
+            push(&record, &encoded, version);
             count += 1;
         }
+        self.point_key = record;
         for ((_, pods), run) in sets.iter().zip(runs) {
             self.load_run(pods, run);
         }
@@ -753,7 +747,7 @@ impl SqlCluster {
     /// Load one replica set's run into each distinct engine its `pods`
     /// hold. Only the pods of one set share an engine, so no other pod
     /// sees the run.
-    fn load_run(&mut self, pods: &[usize], run: Run) {
+    fn load_run(&mut self, pods: &[usize], run: LoadRun) {
         let mut engines: Vec<usize> = pods.iter().map(|&pod| self.storages[pod].engine).collect();
         engines.sort_unstable();
         engines.dedup();

@@ -52,11 +52,18 @@
 //! freeing them there does not always return the memory: the peak RSS
 //! rises. Small pages keep the peak near the steady state.
 //!
-//! [`KvEngine::bulk_load`] sorts a batch of writes, keeps each key's last
-//! write in place and merges the batch with what is stored into a new run.
-//! Replicas that start empty, as [`KvEngine::new`] builds them, and receive
-//! the same batch end up equal, so `SqlCluster::bulk_load` builds one
-//! engine per replica set and `clone`s it into the set's other pods.
+//! A load reaches the arena as a [`LoadRun`]: writes appended as entries
+//! in the engine's own 32 KiB pages, in the order they were pushed. When
+//! the run's keys are strictly ascending and the engine is empty, as
+//! [`KvEngine::new`] builds it, [`KvEngine::bulk_load`] adopts the run's
+//! pages as the arena and indexes them: no entry is copied. Any other run
+//! (keys out of order, a key repeated, or an engine that holds keys) is
+//! sorted by key and version through a vector of 4-byte positions, keeps
+//! each key's last write, and is merged with what is stored into new
+//! pages; the run's pages are freed after the merge. Replicas that receive
+//! the same run end up equal, so `SqlCluster::bulk_load` builds one run
+//! per replica set and loads it into each distinct engine of the set's
+//! pods.
 //!
 //! Keys are raw byte strings produced by the order-preserving encoders in
 //! this module, so prefix and range scans work for both primary-key and
@@ -383,6 +390,10 @@ impl Pages {
         &self.pages[pos / ENTRY_PAGE][pos % ENTRY_PAGE]
     }
 
+    fn last(&self) -> Option<&Entry> {
+        self.pages.last()?.last()
+    }
+
     fn get_mut(&mut self, pos: usize) -> &mut Entry {
         &mut self.pages[pos / ENTRY_PAGE][pos % ENTRY_PAGE]
     }
@@ -584,6 +595,47 @@ fn merge(
     })
 }
 
+/// A batch of `(key, value, version)` writes for [`KvEngine::bulk_load`],
+/// appended as entries in the engine's own pages. It notes whether its
+/// keys arrived strictly ascending, the one order an empty engine adopts
+/// as its arena without copying, and totals what the writes add to
+/// `bytes_written` and `next_version`.
+#[derive(Debug, Clone, Default)]
+pub struct LoadRun {
+    entries: Pages,
+    /// Some key was at or below the key pushed before it.
+    unordered: bool,
+    /// The writes' value bytes, every write counted.
+    bytes_written: u64,
+    /// One past the highest version pushed.
+    next_version: u64,
+}
+
+impl LoadRun {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append a write (`None` = tombstone). A key pushed twice keeps its
+    /// higher version's write.
+    pub fn push(&mut self, key: &[u8], value: Option<&[u8]>, version: u64) {
+        self.unordered |= self.entries.last().is_some_and(|last| last.key() >= key);
+        self.bytes_written += value.map_or(0, |v| v.len() as u64);
+        self.next_version = self.next_version.max(version + 1);
+        self.entries.push(Entry::new(key, value, version));
+    }
+}
+
+impl<K: AsRef<[u8]>, V: AsRef<[u8]>> FromIterator<(K, Option<V>, u64)> for LoadRun {
+    fn from_iter<I: IntoIterator<Item = (K, Option<V>, u64)>>(writes: I) -> Self {
+        let mut run = LoadRun::new();
+        for (key, value, version) in writes {
+            run.push(key.as_ref(), value.as_ref().map(AsRef::as_ref), version);
+        }
+        run
+    }
+}
+
 /// How an engine holds its keys; see [`KvEngine::layout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvLayout {
@@ -716,32 +768,54 @@ impl KvEngine {
         }
     }
 
-    /// Apply a batch of `(key, value, version)` writes in one pass. The end
-    /// state is that of [`KvEngine::put_at`] on each write in version order:
-    /// the writes are sorted by key and version, each key keeps its last
-    /// write, and the batch is merged with the stored keys into a new run.
-    /// A key already in the engine takes the loaded write, which must follow
-    /// its stored version.
-    pub fn bulk_load(&mut self, mut writes: Vec<(InlineBytes, Option<InlineBytes>, u64)>) {
-        writes.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.2.cmp(&b.2)));
-        for (_, value, version) in &writes {
-            self.record_write(value.as_deref(), *version);
+    /// Apply a batch of writes in one pass. The end state is that of
+    /// [`KvEngine::put_at`] on each write in version order, and every write
+    /// counts in `bytes_written`. A key already in the engine takes the
+    /// loaded write, which must follow its stored version.
+    ///
+    /// A strictly ascending run into an empty engine becomes the arena as
+    /// built. Any other run is sorted by key and version through a vector
+    /// of positions, keeps each key's last write and is merged with the
+    /// stored keys into a new run.
+    pub fn bulk_load(&mut self, run: LoadRun) {
+        let LoadRun {
+            mut entries,
+            unordered,
+            bytes_written,
+            next_version,
+        } = run;
+        self.bytes_written += bytes_written;
+        self.next_version = self.next_version.max(next_version);
+        if !unordered && self.entries.len() == 0 {
+            self.run_len = entries.len();
+            self.entries = entries;
+            self.reindex();
+            return;
         }
+        let mut order: Vec<u32> = (0..entries.len())
+            .map(|pos| u32::try_from(pos).expect("fewer than 2^32 writes"))
+            .collect();
+        // Equal keys order by version, then by push order, so the write
+        // kept for a key never depends on the sort.
+        order.sort_unstable_by(|&a, &b| {
+            let (x, y) = (entries.get(a as usize), entries.get(b as usize));
+            x.key()
+                .cmp(y.key())
+                .then(x.version.cmp(&y.version))
+                .then(a.cmp(&b))
+        });
         // `dedup_by` passes each write with the kept write before it; a
         // later write of the same key takes the kept slot.
-        writes.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
+        order.dedup_by(|later, kept| {
+            let (l, k) = (entries.get(*later as usize), entries.get(*kept as usize));
+            let same = l.key() == k.key();
             if same {
-                debug_assert!(kept.2 < later.2, "out-of-order MVCC apply");
+                debug_assert!(k.version < l.version, "out-of-order MVCC apply");
                 std::mem::swap(later, kept);
             }
             same
         });
-        self.rebuild(
-            writes
-                .into_iter()
-                .map(|(key, value, version)| Entry::new(&key, value.as_deref(), version)),
-        );
+        self.rebuild(order.into_iter().map(move |pos| entries.take(pos as usize)));
     }
 
     /// Merge the run, the tail and the key-ordered `loaded` entries (which
@@ -1168,12 +1242,7 @@ mod tests {
         for (k, v, ver) in &sorted {
             by_put.put_at(k, v.as_deref(), *ver);
         }
-        loaded.bulk_load(
-            writes
-                .iter()
-                .map(|(k, v, ver)| (InlineBytes::from(k.as_slice()), v.clone().map(InlineBytes::from), *ver))
-                .collect(),
-        );
+        loaded.bulk_load(writes.iter().cloned().collect());
         assert_eq!(loaded.next_version(), by_put.next_version());
         assert_eq!(loaded.bytes_written(), by_put.bytes_written());
         assert_eq!(loaded.live_keys(), by_put.live_keys());

@@ -1,9 +1,9 @@
 //! Bulk-load and replica-divergence oracle.
 //!
 //! `SqlCluster` keeps one engine per group of pods that host the same
-//! regions and have applied the same log. `bulk_load` gathers one sorted
-//! run per replica set and loads it once into each distinct engine the
-//! set's pods hold. A commit puts each entry once into each distinct engine
+//! regions and have applied the same log. `bulk_load` builds one run per
+//! replica set and loads it once into each distinct engine the set's pods
+//! hold. A commit puts each entry once into each distinct engine
 //! of the replicas applying it, and a pod takes its own copy when its
 //! batch differs from that of a pod it shares an engine with. This oracle
 //! pins the end state against the plainest possible model: every pod's
@@ -16,7 +16,10 @@
 //! shared set), 5 pods / 3 replicas (no two pods alike), a single pod, a
 //! second load onto loaded pods, a pod wiped between two loads, an invalid
 //! row mid-stream and durable pods, whose load snapshots are checked by
-//! crashing and recovering each pod.
+//! crashing and recovering each pod. Rows arrive ascending (the order an
+//! empty engine adopts as built), and on both multi-pod shapes also
+//! descending, shuffled, with a key repeated, and ascending but for the
+//! last row (the orders the load sorts).
 //!
 //! The divergence case drives SQL `REPLACE` and `DELETE`, Raft replicas
 //! that crash, miss writes and catch up several entries in one tick,
@@ -389,6 +392,55 @@ fn single_pod_loads_everything() {
     let mut c = cluster(1, 1);
     let mut reference = Reference::new(&c);
     load_and_check(&mut c, &mut reference, "users", user_rows(0..200), "1 pod");
+}
+
+/// `rows` in a splitmix64-driven Fisher-Yates order.
+fn shuffled(mut rows: Vec<Vec<Datum>>, mut seed: u64) -> Vec<Vec<Datum>> {
+    for i in (1..rows.len()).rev() {
+        seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        rows.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+    }
+    rows
+}
+
+#[test]
+fn row_orders_take_both_branches_of_the_load() {
+    // Ascending rows into empty engines become the engines' pages as
+    // built; every other order is sorted, and a key loaded twice keeps its
+    // later row while both rows count in bytes written.
+    let ascending = kv_rows(0..300, 1);
+    let mut descending = ascending.clone();
+    descending.reverse();
+    let mut duplicate = ascending.clone();
+    duplicate.insert(200, vec![Datum::Int(150), Datum::Bytes(vec![2; 40])]);
+    let mut last_out_of_order = kv_rows(1..300, 1);
+    last_out_of_order.extend(kv_rows(0..1, 1));
+    let orders = [
+        ("descending", descending),
+        ("shuffled", shuffled(ascending, 7919)),
+        ("duplicate key", duplicate),
+        ("last row out of order", last_out_of_order),
+    ];
+    for (nodes, replicas) in [(3, 3), (5, 3)] {
+        for (order, rows) in &orders {
+            let case = format!("{nodes} pods / {replicas} replicas, {order} rows");
+            let mut c = cluster(nodes, replicas);
+            let mut reference = Reference::new(&c);
+            load_and_check(&mut c, &mut reference, "kv", rows.clone(), &case);
+            let key = record_key("kv", &Datum::Int(150));
+            let leader = c.region(region_of(&c, &key)).leader().expect("a leader");
+            let want = rows.iter().rev().find(|row| row[0] == Datum::Int(150));
+            let got = c.engine(leader).get_latest(&key).expect("key 150 loaded");
+            assert_eq!(
+                Some(got.value),
+                want.map(|row| Row(row.clone()).encode()).as_deref(),
+                "{case}: key 150 holds its last row"
+            );
+        }
+    }
 }
 
 #[test]

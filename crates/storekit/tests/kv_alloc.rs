@@ -12,16 +12,20 @@
 //! - rewriting a stored row with `put_at` overwrites it in place: no
 //!   allocation, where keeping superseded versions would spill them to the
 //!   heap;
-//! - no allocation made by `bulk_load`, `clone` or a `put_at` of a new key
-//!   (tail merges and index growth included) is larger than 64 KiB. Once
-//!   glibc frees a multi-megabyte buffer it moves later large ones onto
-//!   its brk heap, whose freed memory is not returned, so one flat buffer
-//!   per engine raises the process's peak RSS.
+//! - no allocation made by building and loading a `LoadRun`, `clone` or a
+//!   `put_at` of a new key (tail merges and index growth included) is
+//!   larger than 64 KiB. Once glibc frees a multi-megabyte buffer it moves
+//!   later large ones onto its brk heap, whose freed memory is not
+//!   returned, so one flat buffer per engine raises the process's peak RSS.
 //!
 //! Through a 3-pod / 3-replica cluster it pins that the replicas share one
 //! engine: a bulk load holds what one engine of the same rows holds, plus
 //! at most [`CLUSTER_SLACK`] allocations, and a pod that diverges (a Raft
-//! replica that misses a write) adds exactly one engine copy.
+//! replica that misses a write) adds exactly one engine copy. The cluster's
+//! load of ascending rows builds its engine in place: no allocation of the
+//! load reaches 64 KiB, and its peak live bytes exceed the bytes its engine
+//! holds afterwards by at most [`LOAD_PEAK_SLACK`], so it keeps no
+//! dataset-sized copy of the rows beside the engine.
 //!
 //! The test binary holds this one test, so no sibling thread can move the
 //! counters.
@@ -30,7 +34,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use simnet::SimTime;
 use storekit::cluster::{ClusterConfig, QueryReceipt, SqlCluster};
-use storekit::kv::{record_key, InlineBytes, KvEngine};
+use storekit::kv::{record_key, KvEngine};
 use storekit::row::Row;
 use storekit::schema::{Catalog, ColumnDef, ColumnType, TableSchema};
 use storekit::value::Datum;
@@ -38,16 +42,27 @@ use storekit::value::Datum;
 struct CountingAlloc;
 
 /// Allocations made, allocations made less those freed, and the largest
-/// allocation since the last [`largest_since`] reset.
+/// allocation since the last [`largest_in`] reset.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicI64 = AtomicI64::new(0);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
+/// Bytes allocated less those freed, and their highest value since the
+/// last [`peak_bytes_in`] reset.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
+
+/// Count `delta` more live bytes, and raise the peak to the new total.
+fn add_bytes(delta: i64) {
+    let now = LIVE_BYTES.fetch_add(delta, Ordering::Relaxed) + delta;
+    PEAK_BYTES.fetch_max(now, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         LIVE.fetch_add(1, Ordering::Relaxed);
         LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        add_bytes(layout.size() as i64);
         System.alloc(layout)
     }
 
@@ -55,17 +70,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         LIVE.fetch_add(1, Ordering::Relaxed);
         LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        add_bytes(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         LARGEST.fetch_max(new_size, Ordering::Relaxed);
+        add_bytes(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -81,8 +99,19 @@ const MAX_ALLOCATION: usize = 64 << 10;
 /// Allocations a cluster's bulk load may hold beyond its one engine's.
 const CLUSTER_SLACK: i64 = 4;
 
+/// Bytes a cluster's load of ascending rows may hold at its peak beyond
+/// what its engine holds after it: the row the iterator yields, the load's
+/// small buffers and one growth of the page table (24 bytes per 512 rows).
+/// A run gathered beside the engine would hold about `ROWS` x 72 bytes
+/// (1.4 MB here); the load measured 1.2 KB.
+const LOAD_PEAK_SLACK: i64 = 64 << 10;
+
 fn live() -> i64 {
     LIVE.load(Ordering::SeqCst)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.load(Ordering::SeqCst)
 }
 
 /// The largest allocation `f` makes, and its result.
@@ -90,6 +119,15 @@ fn largest_in<T>(f: impl FnOnce() -> T) -> (usize, T) {
     LARGEST.store(0, Ordering::SeqCst);
     let out = f();
     (LARGEST.load(Ordering::SeqCst), out)
+}
+
+/// The peak of live bytes while `f` runs, above those live when it starts,
+/// and its result.
+fn peak_bytes_in<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let base = live_bytes();
+    PEAK_BYTES.store(base, Ordering::SeqCst);
+    let out = f();
+    (PEAK_BYTES.load(Ordering::SeqCst) - base, out)
 }
 
 fn kv_row(k: i64) -> Vec<Datum> {
@@ -121,28 +159,32 @@ fn kv_catalog() -> Catalog {
 
 #[test]
 fn bulk_loaded_rows_live_in_pages_of_at_most_64_kib() {
-    // One engine, loaded directly.
-    let base = live();
-    let writes: Vec<_> = (0..ROWS)
+    // One engine, loaded directly: building the run and loading it.
+    let rows: Vec<(Vec<u8>, Vec<u8>)> = (0..ROWS)
         .map(|k| {
             let key = record_key("kv", &Datum::Int(k));
             let row = Row(kv_row(k)).encode();
             assert_eq!((key.len(), row.len()), (14, 28), "the kv table's row shape");
-            (
-                InlineBytes::from(key),
-                Some(InlineBytes::from(row)),
-                k as u64 + 1,
-            )
+            (key, row)
         })
         .collect();
+    let base = live();
     let mut kv = KvEngine::new();
-    let (largest, ()) = largest_in(|| kv.bulk_load(writes));
+    let (largest, ()) = largest_in(|| {
+        kv.bulk_load(
+            (1..)
+                .zip(&rows)
+                .map(|(version, (key, row))| (key, Some(row), version))
+                .collect(),
+        )
+    });
     let held = live() - base;
+    drop(rows);
     let engine_held = held;
-    println!("engine: largest bulk_load allocation {largest} bytes");
+    println!("engine: largest run-and-load allocation {largest} bytes");
     assert!(
         largest < MAX_ALLOCATION,
-        "bulk_load made a {largest}-byte allocation"
+        "building and loading a run made a {largest}-byte allocation"
     );
     println!("engine: {held} live allocations for {ROWS} rows");
     assert!(
@@ -253,11 +295,28 @@ fn bulk_loaded_rows_live_in_pages_of_at_most_64_kib() {
     // Through the cluster: three replicas of every row, still pages only,
     // and the replicas share one engine.
     let mut cluster = SqlCluster::new(kv_catalog(), ClusterConfig::default());
-    let base = live();
-    cluster
-        .bulk_load("kv", (0..ROWS).map(kv_row))
-        .expect("valid rows");
+    let (base, base_bytes) = (live(), live_bytes());
+    let (peak_bytes, (largest, loaded)) =
+        peak_bytes_in(|| largest_in(|| cluster.bulk_load("kv", (0..ROWS).map(kv_row))));
+    assert_eq!(loaded.expect("valid rows"), ROWS as usize);
     let held = live() - base;
+    let held_bytes = live_bytes() - base_bytes;
+    println!("cluster: largest bulk_load allocation {largest} bytes");
+    assert!(
+        largest < MAX_ALLOCATION,
+        "the cluster's bulk_load made a {largest}-byte allocation"
+    );
+    println!(
+        "cluster: load peaked at {peak_bytes} live bytes, {:.3}x the {held_bytes} \
+         its engine holds after it",
+        peak_bytes as f64 / held_bytes as f64
+    );
+    assert!(
+        peak_bytes <= held_bytes + LOAD_PEAK_SLACK,
+        "the load peaked at {peak_bytes} live bytes, {} above the {held_bytes} its engine \
+         holds (slack {LOAD_PEAK_SLACK})",
+        peak_bytes - held_bytes
+    );
     println!(
         "cluster: {held} live allocations for {ROWS} rows x 3 replicas \
          (one engine of them: {engine_held})"

@@ -31,7 +31,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use storekit::kv::{InlineBytes, KvEngine, INLINE_BYTES};
+use storekit::kv::{InlineBytes, KvEngine, LoadRun, INLINE_BYTES};
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -171,7 +171,7 @@ fn bulk_batch(
     rng: &mut Rng,
     pool: &[Vec<u8>],
     oracle: &mut Oracle,
-) -> Vec<(InlineBytes, Option<InlineBytes>, u64)> {
+) -> Vec<(Vec<u8>, Option<Vec<u8>>, u64)> {
     let n = 1 + rng.below(24) as usize;
     let mut writes: Vec<(Vec<u8>, Option<Vec<u8>>, u64)> = Vec::with_capacity(n);
     let mut version = oracle.next_version;
@@ -192,9 +192,6 @@ fn bulk_batch(
         writes.swap(i, rng.below(i as u64 + 1) as usize);
     }
     writes
-        .into_iter()
-        .map(|(k, v, ver)| (InlineBytes::from(k), v.map(InlineBytes::from), ver))
-        .collect()
 }
 
 fn differential_run(seed: u64, ops: usize) {
@@ -258,12 +255,14 @@ fn differential_run(seed: u64, ops: usize) {
                 // Bulk load into a fresh engine.
                 kv = KvEngine::new();
                 oracle = Oracle::new();
-                kv.bulk_load(bulk_batch(&mut rng, &pool, &mut oracle));
+                let batch = bulk_batch(&mut rng, &pool, &mut oracle);
+                kv.bulk_load(batch.into_iter().collect());
                 check_state(&kv, &oracle, &ctx);
             }
             _ => {
                 // Bulk load into the populated engine.
-                kv.bulk_load(bulk_batch(&mut rng, &pool, &mut oracle));
+                let batch = bulk_batch(&mut rng, &pool, &mut oracle);
+                kv.bulk_load(batch.into_iter().collect());
                 check_state(&kv, &oracle, &ctx);
             }
         }
@@ -423,10 +422,10 @@ fn layout_run(seed: u64, ops: usize, edges: &mut Edges) {
                     })
                     .collect();
                 let batch = bulk_batch(&mut rng, &pool, &mut oracle);
-                keys.extend(batch.iter().map(|w| w.0.to_vec()));
+                keys.extend(batch.iter().map(|w| w.0.clone()));
                 keys.sort();
                 keys.dedup();
-                kv.bulk_load(batch);
+                kv.bulk_load(batch.into_iter().collect());
                 tail.0.clear();
                 tail.check(&kv, &ctx);
                 check_state(&kv, &oracle, &ctx);
@@ -570,17 +569,13 @@ fn hinted_reads_match_get_latest() {
             .map(|_| fresh_key(&mut rng))
             .filter(|k| !absent.contains(k))
             .collect();
-        let mut load = Vec::new();
+        let mut load = LoadRun::new();
         for (i, key) in pool.iter().enumerate() {
             // Every fifth key is loaded as a tombstone.
             let value = (i % 5 != 0).then(|| rng.bytes());
             let version = oracle.next_version;
             oracle.put_at(key, value.as_deref(), version);
-            load.push((
-                InlineBytes::from(key.as_slice()),
-                value.map(InlineBytes::from),
-                version,
-            ));
+            load.push(key, value.as_deref(), version);
         }
         kv.bulk_load(load);
         let mut arena = Arena::sorted(&oracle);
@@ -636,8 +631,11 @@ fn hinted_reads_match_get_latest() {
 fn reloading_a_key_replaces_its_value() {
     let mut kv = KvEngine::new();
     let key = vec![0xFF; INLINE_BYTES + 1];
-    let load =
-        |value: &[u8], version| vec![(InlineBytes::from(key.clone()), Some(value.into()), version)];
+    let load = |value: &[u8], version| {
+        let mut run = LoadRun::new();
+        run.push(&key, Some(value), version);
+        run
+    };
     kv.bulk_load(load(b"first", 1));
     kv.bulk_load(load(b"second", 2));
     let latest = kv.get_latest(&key).unwrap();

@@ -16,6 +16,11 @@ pub struct ZipfSampler {
     zeta_n: f64,
     theta_denom: f64, // 1 - alpha, cached
     eta: f64,
+    /// `1 + 0.5^alpha`: the CDF bound, scaled by ζ(n,α), below which a
+    /// draw is rank 1.
+    rank1_bound: f64,
+    /// `1 / theta_denom`, the exponent of the generic inversion.
+    inv_theta: f64,
 }
 
 impl ZipfSampler {
@@ -38,6 +43,8 @@ impl ZipfSampler {
             zeta_n,
             theta_denom,
             eta,
+            rank1_bound: 1.0 + 0.5f64.powf(alpha),
+            inv_theta: 1.0 / theta_denom,
         }
     }
 
@@ -65,7 +72,7 @@ impl ZipfSampler {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.alpha) {
+        if uz < self.rank1_bound {
             return 1;
         }
         if self.theta_denom.abs() < 1e-12 {
@@ -75,7 +82,7 @@ impl ZipfSampler {
             let r = rank as u64;
             return r.min(self.n - 1);
         }
-        let rank = (self.n as f64) * (self.eta * u - self.eta + 1.0).powf(1.0 / self.theta_denom);
+        let rank = (self.n as f64) * (self.eta * u - self.eta + 1.0).powf(self.inv_theta);
         (rank as u64).min(self.n - 1)
     }
 

@@ -1,90 +1,24 @@
-//! Criterion micro-benchmarks of the substrates.
+//! Criterion micro-benchmarks of the substrates perfbench does not time on
+//! their own.
 //!
-//! These measure *host* performance of the building blocks (not simulated
-//! cost): cache operations per policy, Zipf sampling, SQL parse/plan/
-//! execute, row codec, wire codec, MVCC reads, and a whole simulated
-//! request through each architecture. Useful for keeping the experiment
-//! harness fast and for spotting regressions in the hot paths.
+//! These measure *host* performance of building blocks (not simulated
+//! cost): SQL parse and plan, the row codec and the wire codec. Cache
+//! operations, MVCC reads, point SELECTs and whole simulated requests are
+//! timed by perfbench's isolated layers and replay (`perfbench/`).
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dcache::deployment::{kv_catalog, Deployment};
-use dcache::{ArchKind, DeploymentConfig};
-use simnet::SimTime;
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use dcache::deployment::kv_catalog;
 use storekit::row::Row;
-use storekit::sql::exec::MemStore;
 use storekit::sql::{parse, plan};
 use storekit::value::Datum;
-use workloads::ZipfSampler;
-
-fn bench_cache_ops(c: &mut Criterion) {
-    use cachekit::{Cache, PolicyKind};
-    let mut group = c.benchmark_group("cache_ops");
-    for policy in PolicyKind::ALL {
-        group.bench_with_input(
-            BenchmarkId::new("get_hit", policy.label()),
-            &policy,
-            |b, &policy| {
-                let mut cache: Cache<u64, u64> = Cache::new(1 << 20, policy);
-                for k in 0..1_000u64 {
-                    cache.insert(k, k, 100, 0);
-                }
-                let mut k = 0u64;
-                b.iter(|| {
-                    k = (k + 7) % 1_000;
-                    black_box(cache.get(&k, 0));
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("insert_evict", policy.label()),
-            &policy,
-            |b, &policy| {
-                let mut cache: Cache<u64, u64> = Cache::new(64 << 10, policy);
-                let mut k = 0u64;
-                b.iter(|| {
-                    k += 1;
-                    cache.insert(black_box(k), k, 100, 0);
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_zipf(c: &mut Criterion) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let z = ZipfSampler::new(100_000, 1.2);
-    let mut rng = StdRng::seed_from_u64(7);
-    c.bench_function("zipf_sample_100k_keys", |b| {
-        b.iter(|| black_box(z.sample_key(&mut rng)))
-    });
-}
 
 fn bench_sql(c: &mut Criterion) {
     let mut group = c.benchmark_group("sql");
     let sql = "SELECT v, _version FROM kv WHERE k = ?";
     group.bench_function("parse", |b| b.iter(|| black_box(parse(sql).unwrap())));
-
-    let mut store = MemStore::new(kv_catalog("kv"));
-    for k in 0..1_000i64 {
-        store
-            .run(
-                "INSERT INTO kv VALUES (?, ?)",
-                &[k.into(), Datum::Bytes(vec![0; 64])],
-            )
-            .unwrap();
-    }
     let stmt = parse(sql).unwrap();
-    let catalog = store.catalog.clone();
+    let catalog = kv_catalog("kv");
     group.bench_function("plan", |b| b.iter(|| black_box(plan(&catalog, &stmt).unwrap())));
-    group.bench_function("point_select_end_to_end", |b| {
-        let mut k = 0i64;
-        b.iter(|| {
-            k = (k + 1) % 1_000;
-            black_box(store.run(sql, &[k.into()]).unwrap());
-        })
-    });
     group.finish();
 }
 
@@ -123,59 +57,5 @@ fn bench_wire_codec(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_mvcc(c: &mut Criterion) {
-    use storekit::kv::KvEngine;
-    let mut kv = KvEngine::new();
-    for k in 0..10_000u64 {
-        for _ in 0..4 {
-            kv.put(k.to_be_bytes().to_vec(), vec![0; 64]);
-        }
-    }
-    c.bench_function("mvcc_get_latest_10k_keys_4_versions", |b| {
-        let mut k = 0u64;
-        b.iter(|| {
-            k = (k + 13) % 10_000;
-            black_box(kv.get_latest(&k.to_be_bytes()));
-        })
-    });
-}
-
-fn bench_serve_paths(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simulated_request");
-    group.sample_size(20);
-    for arch in [ArchKind::Base, ArchKind::Linked, ArchKind::LinkedVersion] {
-        group.bench_with_input(BenchmarkId::new("read", arch.label()), &arch, |b, &arch| {
-            let mut d = Deployment::new(DeploymentConfig::test_small(arch), kv_catalog("kv"));
-            d.cluster
-                .bulk_load(
-                    "kv",
-                    (0..1_000i64).map(|k| {
-                        vec![Datum::Int(k), Datum::Payload { len: 1_024, seed: 0 }]
-                    }),
-                )
-                .unwrap();
-            let mut i = 0u64;
-            b.iter(|| {
-                i += 1;
-                let key = (i % 1_000) as i64;
-                black_box(
-                    d.serve_kv_read("kv", key, SimTime::from_nanos(i * 1_000))
-                        .unwrap(),
-                );
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_cache_ops,
-    bench_zipf,
-    bench_sql,
-    bench_row_codec,
-    bench_wire_codec,
-    bench_mvcc,
-    bench_serve_paths
-);
+criterion_group!(benches, bench_sql, bench_row_codec, bench_wire_codec);
 criterion_main!(benches);

@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::{CpuCategory, CpuMeter, MetricSet, Network, NodeId, SimDuration, SimTime};
 use std::collections::HashMap;
-use storekit::cluster::{CachedStatement, QueryReceipt, SqlCluster};
+use storekit::cluster::{CachedStatement, QueryReceipt, SqlCluster, WarmTable};
 use storekit::error::{StoreError, StoreResult};
 use storekit::row::Row;
 use storekit::schema::Catalog;
@@ -331,10 +331,42 @@ pub struct Deployment {
     /// loads ([`SqlCluster::warm_point_read`]) and the billing helpers
     /// return before computing a cost.
     warming: bool,
-    /// The row buffer warm storage reads decode into, and the position of
-    /// the prewarmed table's `v` column in it.
+    /// The row buffer warm storage reads decode into, the prewarmed table
+    /// (resolved once per prewarm) and the position of its `v` column.
     warm_row: Row,
+    warm_table: Option<WarmTable>,
     warm_value_col: usize,
+    /// The app-side charges that depend on `config` alone, priced once;
+    /// `config` must not change after construction.
+    fixed: AppCharges,
+    /// The byte-priced charges of the last database round trip.
+    db_rpc: DbRpcMemo,
+}
+
+/// The charges of one database round trip that depend on its request and
+/// response bytes, kept for the next round trip of the same sizes: every
+/// version probe of a table, for one, repeats them.
+#[derive(Debug, Clone, Copy, Default)]
+struct DbRpcMemo {
+    /// `(request, response)` bytes these charges were priced for.
+    bytes: Option<(u64, u64)>,
+    /// Both RPC sides.
+    rpc: SimDuration,
+    /// Deserializing the response.
+    deser: SimDuration,
+    /// The link's delivery of the request and of the response.
+    wire: SimDuration,
+}
+
+/// App-side charges of a serve that depend on the deployment's cost
+/// configuration alone, priced once in [`Deployment::new`]. Each is exactly
+/// the duration its per-request pricing gave.
+#[derive(Debug, Clone, Copy)]
+struct AppCharges {
+    /// Preparing one database request.
+    request_prep: SimDuration,
+    /// One linked-cache operation.
+    linked_op: SimDuration,
 }
 
 /// The four statement shapes the KV serve paths issue, pre-planned per
@@ -441,7 +473,13 @@ impl Deployment {
             receipt: QueryReceipt::default(),
             warming: false,
             warm_row: Row::default(),
+            warm_table: None,
             warm_value_col: 0,
+            fixed: AppCharges {
+                request_prep: SimDuration::from_micros_f64(config.app_cost.request_prep_us),
+                linked_op: SimDuration::from_micros_f64(config.app_cost.local_cache_op_us),
+            },
+            db_rpc: DbRpcMemo::default(),
             cluster,
             config,
         }
@@ -745,7 +783,7 @@ impl Deployment {
                 out.coalesced = true;
                 // Park until the leader's fill lands, plus the wakeup work.
                 out.latency += done_at.since(now);
-                let op = SimDuration::from_micros_f64(self.config.app_cost.local_cache_op_us);
+                let op = self.fixed.linked_op;
                 self.charge_app(app, CpuCategory::AppLogic, op);
                 out.latency += op;
                 self.tracer.span(
@@ -981,20 +1019,23 @@ impl Deployment {
 
     /// App-side costs of one database statement round trip.
     pub(crate) fn charge_app_db_rpc(&mut self, app: usize, receipt: &QueryReceipt) -> SimDuration {
-        let cost = &self.config.app_cost;
-        let prep = SimDuration::from_micros_f64(cost.request_prep_us);
-        let rpc = cost.rpc_side_cost(receipt.request_bytes)
-            + cost.rpc_side_cost(receipt.response_bytes);
-        let deser = cost.serialize_cost(receipt.response_bytes);
+        let (req, resp) = (receipt.request_bytes, receipt.response_bytes);
+        if self.db_rpc.bytes != Some((req, resp)) {
+            let cost = &self.config.app_cost;
+            let link = &self.config.cluster.link;
+            self.db_rpc = DbRpcMemo {
+                bytes: Some((req, resp)),
+                rpc: cost.rpc_side_cost(req) + cost.rpc_side_cost(resp),
+                deser: cost.serialize_cost(resp),
+                wire: link.delivery_time(req) + link.delivery_time(resp),
+            };
+        }
+        let DbRpcMemo { rpc, deser, wire, .. } = self.db_rpc;
+        let prep = self.fixed.request_prep;
         self.charge_app(app, CpuCategory::AppLogic, prep);
         self.charge_app(app, CpuCategory::RpcStack, rpc);
         self.charge_app(app, CpuCategory::Serialization, deser);
-        let link = &self.config.cluster.link;
-        prep + rpc
-            + deser
-            + link.delivery_time(receipt.request_bytes)
-            + link.delivery_time(receipt.response_bytes)
-            + receipt.latency
+        prep + rpc + deser + wire + receipt.latency
     }
 
     /// The common tail: serve `bytes` back to the client. Framing and copy
@@ -1031,6 +1072,13 @@ impl Deployment {
         Ok(latency)
     }
 
+    /// A warm storage read of the prewarmed table's row `key` into
+    /// `warm_row` ([`SqlCluster::warm_point_read`]).
+    fn warm_read(&mut self, key: i64) -> StoreResult<Option<u64>> {
+        let table = self.warm_table.as_ref().expect("warming has a resolved table");
+        self.cluster.warm_point_read(table, &Datum::Int(key), &mut self.warm_row)
+    }
+
     /// Fetch `(value, version)` from the database through the SQL path.
     pub(crate) fn storage_read(
         &mut self,
@@ -1040,8 +1088,7 @@ impl Deployment {
         now: SimTime,
     ) -> StoreResult<(Option<CachedVal>, SimDuration)> {
         if self.warming {
-            let pk = Datum::Int(key);
-            let version = self.cluster.warm_point_read(table, &pk, &mut self.warm_row)?;
+            let version = self.warm_read(key)?;
             let val = version.map(|version| {
                 let datum = self.warm_row.get(self.warm_value_col).unwrap_or(&Datum::Null);
                 let (bytes, seed) = payload_identity(datum);
@@ -1312,7 +1359,7 @@ impl Deployment {
         if self.warming {
             return SimDuration::ZERO;
         }
-        let op = SimDuration::from_micros_f64(self.config.app_cost.local_cache_op_us);
+        let op = self.fixed.linked_op;
         self.charge_app(app, CpuCategory::CacheOp, op);
         op
     }
@@ -1633,12 +1680,14 @@ impl Deployment {
         keys: impl IntoIterator<Item = i64>,
     ) -> StoreResult<()> {
         self.warm_value_col = self.cluster.catalog.get(table)?.column_index("v")?;
+        self.warm_table = Some(self.cluster.warm_table(table)?);
         self.warming =
             !self.config.fault_tolerance.single_flight && !self.config.batching.enabled();
         let warmed = keys
             .into_iter()
             .try_for_each(|key| self.serve_kv_read(table, key, SimTime::ZERO).map(drop));
         self.warming = false;
+        self.warm_table = None;
         warmed
     }
 
@@ -1750,9 +1799,7 @@ impl Deployment {
         now: SimTime,
     ) -> StoreResult<(Option<u64>, SimDuration)> {
         if self.warming {
-            let pk = Datum::Int(key);
-            let version = self.cluster.warm_point_read(table, &pk, &mut self.warm_row)?;
-            return Ok((version, SimDuration::ZERO));
+            return Ok((self.warm_read(key)?, SimDuration::ZERO));
         }
         let latency = self.kv_statement(app, table, KvStmt::Version, &[Datum::Int(key)], now)?;
         let version = self
@@ -2902,5 +2949,68 @@ mod tests {
         assert_eq!(d.elastic_cache_capacity_bytes(), 0);
         d.apply_elastic_plan(test_plan(1 << 20, 2), t(1));
         assert_eq!(d.metrics.counter_value(elastic_counters::RESIZES), 0);
+    }
+
+    #[test]
+    fn app_charges_are_priced_from_their_fields() {
+        // Distinct, non-round app costs: a charge priced from the wrong
+        // field, or off by one nanosecond, moves a meter.
+        let mut config = DeploymentConfig::test_small(ArchKind::LinkedVersion);
+        config.app_cost = crate::config::AppCostConfig {
+            client_rpc_fixed_us: 101.3,
+            client_rpc_per_byte_ns: 0.137,
+            serialize_per_byte_ns: 0.417,
+            serialize_fixed_us: 2.19,
+            request_prep_us: 43.7,
+            rpc_fixed_us: 33.1,
+            rpc_per_byte_ns: 0.913,
+            local_cache_op_us: 1.37,
+            cache_server_op_us: 6.23,
+            rpc_batched_key_us: 2.71,
+            object_assemble_per_part_us: 5.93,
+            object_assemble_per_byte_ns: 0.319,
+            lease_validate_us: 0.43,
+            expiry_sweep_entry_us: 0.31,
+        };
+        let cost = config.app_cost;
+        let mut d = Deployment::new(config, kv_catalog("kv"));
+        let value = |len: u64| Datum::Payload { len, seed: 1 };
+        d.cluster
+            .bulk_load("kv", (0..20i64).map(|k| vec![Datum::Int(k), value(300 + 70 * k as u64)]))
+            .unwrap();
+        // Fills, version-checked hits, fills of missing keys and writes,
+        // so consecutive round trips repeat one size and change the other.
+        let serves = [(3, false), (3, false), (25, false), (3, true), (7, false), (26, false)];
+        let serves = serves.iter().chain(&[(3, false), (7, true), (7, false), (7, false)]);
+        let mut want = CpuMeter::new();
+        for (i, &(key, write)) in serves.enumerate() {
+            let now = t(100 * (i as u64 + 1));
+            let out = if write {
+                let len = 500 + i as u64;
+                want.charge(CpuCategory::Serialization, cost.serialize_cost(len));
+                d.serve_kv_write("kv", key, value(len), now).unwrap()
+            } else {
+                d.serve_kv_read("kv", key, now).unwrap()
+            };
+            assert_eq!(out.sql_statements, 1, "serve {i}");
+            let (req, resp) = (d.receipt.request_bytes, d.receipt.response_bytes);
+            let rpc = cost.rpc_side_cost(req) + cost.rpc_side_cost(resp);
+            want.charge(CpuCategory::AppLogic, SimDuration::from_micros_f64(cost.request_prep_us));
+            want.charge(CpuCategory::RpcStack, rpc);
+            want.charge(CpuCategory::Serialization, cost.serialize_cost(resp));
+            want.charge(CpuCategory::CacheOp, SimDuration::from_micros_f64(cost.local_cache_op_us));
+        }
+        let mut got = CpuMeter::new();
+        for meter in &d.app_cpu {
+            got.merge(meter);
+        }
+        for cat in [
+            CpuCategory::AppLogic,
+            CpuCategory::RpcStack,
+            CpuCategory::Serialization,
+            CpuCategory::CacheOp,
+        ] {
+            assert_eq!(got.category(cat), want.category(cat), "{cat}");
+        }
     }
 }

@@ -29,7 +29,9 @@ use crate::block::{BlockCache, BlockConfig};
 use crate::cost::StorageCostConfig;
 use crate::durability::{DurabilityConfig, DurabilityStats, DurableStore};
 use crate::error::{StoreError, StoreResult};
-use crate::kv::{index_prefix, record_key_into, record_prefix, KvEngine, LoadRun};
+use crate::kv::{
+    encode_key_datum, index_prefix, record_key_into, record_prefix, KvEngine, LoadRun,
+};
 use crate::raft::{ApplyOp, LogEntry, RaftGroup};
 use crate::row::Row;
 use crate::schema::Catalog;
@@ -296,8 +298,9 @@ pub struct SqlCluster {
     /// `(catalog, sql)`, and the catalog is fixed at construction (DDL is
     /// test-only), so repeated statement shapes skip the parser on the wall
     /// clock. Simulated CPU is untouched — cached executions still charge
-    /// the full `parse_plan_cost`, exactly like TiDB bills a plan-cache hit
-    /// to its front-end in the paper's deployment.
+    /// the full `parse_plan_cost` (priced once, when the statement is
+    /// prepared), exactly like TiDB bills a plan-cache hit to its front-end
+    /// in the paper's deployment.
     plan_cache: std::collections::HashMap<String, CachedStatement>,
     /// Scratch buffer for record keys and encoded rows, reused across
     /// statements.
@@ -312,6 +315,9 @@ pub struct SqlCluster {
     /// [`SqlCluster::warm_point_read`]'s engine reads. Resized to the
     /// engine count on use.
     warm_hints: Vec<usize>,
+    /// The statement charges that depend on `config` alone, priced once;
+    /// `config` must not change after construction.
+    fixed: FixedCharges,
     /// Scratch buffer for the apply work of one raft proposal or heartbeat.
     apply_ops: Vec<ApplyOp>,
     /// Scratch buffer for that work per pod: `(pod, first, end)` log indices.
@@ -323,13 +329,54 @@ pub struct SqlCluster {
 /// handful of shapes).
 const PLAN_CACHE_CAP: usize = 256;
 
-/// A statement parsed + planned once against this cluster's (immutable)
-/// catalog, for [`SqlCluster::execute_cached`]. Charges stay those of the
-/// original text — only the wall-clock parser work is skipped.
+/// A statement parsed, planned and priced once against one cluster, for
+/// [`SqlCluster::execute_cached`]. It carries its front-end connection,
+/// parse and plan charge, priced from the preparing cluster's costs, so an
+/// execution charges exactly what the original text would without redoing
+/// the parser work or the float arithmetic. Run it on the cluster that
+/// prepared it (or one with the same costs).
 #[derive(Debug, Clone)]
 pub struct CachedStatement {
     physical: PhysicalPlan,
     sql_bytes: usize,
+    parse_plan: SimDuration,
+}
+
+/// A table resolved for warm reads ([`SqlCluster::warm_table`]): its
+/// record-key prefix, which each warm read extends by the primary key.
+#[derive(Debug, Clone)]
+pub struct WarmTable {
+    prefix: Vec<u8>,
+}
+
+/// Bytes of a storage fetch RPC's request: the encoded key and a header.
+const FETCH_REQ_BYTES: u64 = 48;
+
+/// The charges of a statement that depend on the cluster's cost and link
+/// configuration alone, priced once in [`SqlCluster::new`]. Each is exactly
+/// the duration its per-statement pricing gave.
+#[derive(Debug, Clone, Copy)]
+struct FixedCharges {
+    /// Transaction-layer lease validation of one consistent read.
+    lease_check: SimDuration,
+    /// Front-end post-processing of a one-row result.
+    post_one_row: SimDuration,
+    /// One side of a fetch RPC's request ([`FETCH_REQ_BYTES`]).
+    fetch_req_side: SimDuration,
+    /// The link's delivery time of that request.
+    fetch_req_delivery: SimDuration,
+}
+
+impl FixedCharges {
+    fn new(config: &ClusterConfig) -> Self {
+        let cost = &config.cost;
+        FixedCharges {
+            lease_check: SimDuration::from_micros_f64(cost.txn_lease_check_us),
+            post_one_row: SimDuration::from_micros_f64(cost.frontend_per_row_us),
+            fetch_req_side: cost.rpc_side_cost(FETCH_REQ_BYTES),
+            fetch_req_delivery: config.link.delivery_time(FETCH_REQ_BYTES),
+        }
+    }
 }
 
 impl SqlCluster {
@@ -380,6 +427,7 @@ impl SqlCluster {
             point_key: Vec::new(),
             spare_row: Row::default(),
             warm_hints: Vec::new(),
+            fixed: FixedCharges::new(&config),
             apply_ops: Vec::new(),
             apply_ranges: Vec::new(),
             config,
@@ -783,10 +831,11 @@ impl SqlCluster {
         out
     }
 
-    /// Parse + plan a statement once for repeated [`execute_cached`] calls.
-    /// A cached statement is a pure wall-clock optimization: execution
-    /// charges the full `parse_plan_cost` of the original text,
-    /// byte-identical to [`execute`].
+    /// Parse, plan and price a statement once for repeated
+    /// [`execute_cached`] calls on this cluster. A cached statement is a
+    /// pure wall-clock optimization: execution charges the full
+    /// `parse_plan_cost` of the original text, byte-identical to
+    /// [`execute`].
     ///
     /// [`execute_cached`]: SqlCluster::execute_cached
     /// [`execute`]: SqlCluster::execute
@@ -794,6 +843,7 @@ impl SqlCluster {
         Ok(CachedStatement {
             physical: plan(&self.catalog, &parse(sql)?)?,
             sql_bytes: sql.len(),
+            parse_plan: self.config.cost.parse_plan_cost(sql.len()),
         })
     }
 
@@ -816,6 +866,14 @@ impl SqlCluster {
     /// The statement-execution core: run `stmt`, charging the pods that do
     /// the work, and fill `receipt` with what it cost and returned.
     ///
+    /// The executor runs the prepared plan against the storage tier with
+    /// static dispatch, and a point SELECT (a version probe, a fill) takes
+    /// its straight-line branch. The statement's constant charges (its
+    /// parse and plan, the lease check, a one-row result's
+    /// post-processing, a fetch RPC's request side) were priced when the
+    /// statement was prepared and the cluster built; only charges that
+    /// depend on what the statement reads or writes are priced per call.
+    ///
     /// Every field of `receipt` is replaced, but its buffers are kept: the
     /// `rows` and `versions` vectors keep their capacity and the first
     /// row's datum buffer takes the next point read. A caller that keeps
@@ -833,7 +891,7 @@ impl SqlCluster {
         now: SimTime,
         receipt: &mut QueryReceipt,
     ) -> StoreResult<()> {
-        if let Some(batch) = self.run_statement(&stmt.physical, stmt.sql_bytes, params, receipt)? {
+        if let Some(batch) = self.run_statement(stmt, params, receipt)? {
             receipt.write_version = Some(self.commit_batch(batch, now, receipt)?);
         }
         Ok(())
@@ -844,8 +902,7 @@ impl SqlCluster {
     /// post-processing. A write's batch is returned uncommitted.
     fn run_statement(
         &mut self,
-        physical: &PhysicalPlan,
-        sql_bytes: usize,
+        stmt: &CachedStatement,
         params: &[Datum],
         receipt: &mut QueryReceipt,
     ) -> StoreResult<Option<WriteBatch>> {
@@ -859,18 +916,19 @@ impl SqlCluster {
         // Front-end admission: connection handling, parse and plan.
         let fe = self.next_frontend % self.frontends.len();
         self.next_frontend = self.next_frontend.wrapping_add(1);
-        let cost = self.config.cost.parse_plan_cost(sql_bytes);
+        let cost = stmt.parse_plan;
         self.frontends[fe].cpu.charge(CpuCategory::SqlFrontend, cost);
         *receipt = QueryReceipt {
             frontend_cpu: cost,
             latency: cost,
-            request_bytes: sql_bytes as u64 + params.iter().map(|d| d.encoded_size()).sum::<u64>(),
+            request_bytes: stmt.sql_bytes as u64
+                + params.iter().map(|d| d.encoded_size()).sum::<u64>(),
             ..QueryReceipt::default()
         };
 
         // Transaction layer: consistent reads validate the leader lease.
-        if physical.is_read() {
-            let lease_cost = SimDuration::from_micros_f64(self.config.cost.txn_lease_check_us);
+        if stmt.physical.is_read() {
+            let lease_cost = self.fixed.lease_check;
             self.frontends[fe].cpu.charge(CpuCategory::TxnLease, lease_cost);
             receipt.frontend_cpu += lease_cost;
             receipt.latency += lease_cost;
@@ -884,21 +942,24 @@ impl SqlCluster {
                 regions: &self.regions,
                 cost: &self.config.cost,
                 link: &self.config.link,
+                fixed: self.fixed,
                 receipt,
                 point_key: &mut self.point_key,
                 region_count: self.config.regions.max(1) as usize,
             };
             let spare = &mut self.spare_row;
-            execute(&self.catalog, physical, params, &mut store, &mut out, spare)?;
+            execute(&self.catalog, &stmt.physical, params, &mut store, &mut out, spare)?;
         }
         receipt.rows = out.rows;
         receipt.versions = out.versions;
         receipt.stats = out.stats;
 
         // Front-end post-processing per returned row.
-        let post = SimDuration::from_micros_f64(
-            self.config.cost.frontend_per_row_us * receipt.rows.len() as f64,
-        );
+        let post = match receipt.rows.len() {
+            0 => SimDuration::ZERO,
+            1 => self.fixed.post_one_row,
+            n => SimDuration::from_micros_f64(self.config.cost.frontend_per_row_us * n as f64),
+        };
         self.frontends[fe].cpu.charge(CpuCategory::SqlFrontend, post);
         receipt.frontend_cpu += post;
         receipt.latency += post;
@@ -1036,12 +1097,12 @@ impl SqlCluster {
         params: &[Datum],
         _now: SimTime,
     ) -> StoreResult<DelayedWrite> {
-        let physical = plan(&self.catalog, &parse(sql)?)?;
-        if physical.is_read() {
+        let stmt = self.prepare_cached(sql)?;
+        if stmt.physical.is_read() {
             return Err(StoreError::Unsupported("delayed read".to_string()));
         }
         let mut receipt = QueryReceipt::default();
-        let batch = self.run_statement(&physical, sql.len(), params, &mut receipt)?;
+        let batch = self.run_statement(&stmt, params, &mut receipt)?;
         Ok(DelayedWrite {
             batch: batch.unwrap_or_default(),
             receipt,
@@ -1080,6 +1141,15 @@ impl SqlCluster {
         m
     }
 
+    /// Resolve `table` once for a run of [`SqlCluster::warm_point_read`]s.
+    /// An unknown table fails here, before any read changes state.
+    pub fn warm_table(&self, table: &str) -> StoreResult<WarmTable> {
+        self.catalog.get(table)?;
+        Ok(WarmTable {
+            prefix: record_prefix(table),
+        })
+    }
+
     /// A point read of `table`'s row with primary key `pk` into `row`, as
     /// a load rather than a statement: it leaves the state that a billed
     /// point SELECT of the row leaves (one front-end round-robin turn, the
@@ -1094,14 +1164,15 @@ impl SqlCluster {
     /// probing its hash index; any other order reads the same rows.
     pub fn warm_point_read(
         &mut self,
-        table: &str,
+        table: &WarmTable,
         pk: &Datum,
         row: &mut Row,
     ) -> StoreResult<Option<u64>> {
-        self.catalog.get(table)?;
         self.next_frontend = self.next_frontend.wrapping_add(1);
         let mut key = std::mem::take(&mut self.point_key);
-        record_key_into(&mut key, table, pk);
+        key.clear();
+        key.extend_from_slice(&table.prefix);
+        encode_key_datum(&mut key, pk);
         self.warm_hints.resize(self.engines.len(), 0);
         let read = point_read(
             &mut self.storages,
@@ -1142,6 +1213,7 @@ struct ClusterRowStore<'a> {
     regions: &'a Vec<RaftGroup>,
     cost: &'a StorageCostConfig,
     link: &'a LinkSpec,
+    fixed: FixedCharges,
     receipt: &'a mut QueryReceipt,
     /// The cluster's scratch buffer for record keys and encoded rows: the
     /// store is rebuilt per query, so a buffer of its own would allocate
@@ -1177,13 +1249,16 @@ impl<'a> ClusterRowStore<'a> {
         self.receipt.block_hits += hits;
         self.receipt.block_misses += misses;
         let kv = self.cost.kv_read_cost(bytes, rows_scanned);
-        let miss_cpu = SimDuration::from_micros_f64(self.cost.block_miss_us * misses as f64);
         self.storages[pod].cpu.charge(CpuCategory::KvExec, kv);
-        self.storages[pod].cpu.charge(CpuCategory::KvExec, miss_cpu);
-        self.receipt.storage_cpu += kv + miss_cpu;
-        self.receipt.latency += kv
-            + miss_cpu
-            + SimDuration::from_micros_f64(self.cost.disk_read_latency_us * misses as f64);
+        self.receipt.storage_cpu += kv;
+        self.receipt.latency += kv;
+        if misses > 0 {
+            let miss_cpu = SimDuration::from_micros_f64(self.cost.block_miss_us * misses as f64);
+            self.storages[pod].cpu.charge(CpuCategory::KvExec, miss_cpu);
+            self.receipt.storage_cpu += miss_cpu;
+            self.receipt.latency += miss_cpu
+                + SimDuration::from_micros_f64(self.cost.disk_read_latency_us * misses as f64);
+        }
     }
 
     /// Charge the front-end↔storage round trip for a fetch. Both sides'
@@ -1193,13 +1268,12 @@ impl<'a> ClusterRowStore<'a> {
     /// receipts' `frontend_cpu` by exactly this amount per fetch (pinned by
     /// `fetch_rpc_frontend_side_is_unbilled`).
     fn charge_fetch_rpc(&mut self, pod: usize, resp_bytes: u64) {
-        let req = 48u64; // encoded key + header
-        let fe_cost = self.cost.rpc_side_cost(req) + self.cost.rpc_side_cost(resp_bytes);
+        let fe_cost = self.fixed.fetch_req_side + self.cost.rpc_side_cost(resp_bytes);
         self.storages[pod].cpu.charge(CpuCategory::RpcStack, fe_cost);
         self.receipt.storage_cpu += fe_cost;
         self.receipt.frontend_cpu += fe_cost;
         self.receipt.storage_rpcs += 1;
-        self.receipt.latency += self.link.delivery_time(req)
+        self.receipt.latency += self.fixed.fetch_req_delivery
             + self.link.delivery_time(resp_bytes)
             + fe_cost * 2;
     }
@@ -1563,9 +1637,10 @@ mod tests {
         let (mut billed, mut warmed) = (load(), load());
         let stmt = billed.prepare_cached("SELECT v, _version FROM kv WHERE k = ?").unwrap();
         let mut row = Row::default();
+        let table = warmed.warm_table("kv").unwrap();
         for &k in keys {
             let r = billed.execute_cached(&stmt, &[k.into()], t(0)).unwrap();
-            let version = warmed.warm_point_read("kv", &Datum::Int(k), &mut row).unwrap();
+            let version = warmed.warm_point_read(&table, &Datum::Int(k), &mut row).unwrap();
             match r.rows.first() {
                 Some(got) => {
                     assert_eq!(version.map(|v| v as i64), got.get(1).and_then(|d| d.as_int()));
@@ -1578,7 +1653,7 @@ mod tests {
             meters(&warmed).iter().flatten().all(|&(_, d)| d == SimDuration::ZERO),
             "warm_point_read charged a meter"
         );
-        assert!(warmed.warm_point_read("ghost", &Datum::Int(1), &mut row).is_err());
+        assert!(warmed.warm_table("ghost").is_err());
         // Both clusters now answer every key alike: block hits and misses,
         // latency, and which front-end pays.
         billed.reset_metrics();

@@ -22,6 +22,10 @@ use crate::sql::plan::{
 use crate::value::Datum;
 
 /// Where rows live. Reads return rows with their MVCC versions.
+///
+/// [`execute`] is generic over the store, so its calls into the store are
+/// static: on the cluster's store a point SELECT's one `point_get` is a
+/// direct call the compiler can inline into the executor.
 pub trait RowStore {
     /// Decode the live row under primary key `pk` into `row`, reusing its
     /// datum buffer, and return the row's MVCC version. `None`, with `row`
@@ -127,65 +131,85 @@ fn matches_all(row: &Row, preds: &[BoundPredicate], params: &[Datum]) -> StoreRe
     Ok(true)
 }
 
-/// The rows an access path produced. A point get yields at most one row
-/// and fills no buffer; the other paths return theirs in a `Vec`.
+/// The rows a non-point access path produced, or a point get's at most one
+/// row for the write paths that share this loop.
 type Candidates =
     std::iter::Chain<std::option::IntoIter<(Row, u64)>, std::vec::IntoIter<(Row, u64)>>;
 
+/// Point-get the row under primary key `value` into `spare`'s buffer,
+/// updating stats. On a miss the buffer stays in `spare`.
+fn fetch_point<S: RowStore + ?Sized>(
+    store: &mut S,
+    table: &str,
+    value: &Literal,
+    params: &[Datum],
+    stats: &mut ExecStats,
+    spare: &mut Row,
+) -> StoreResult<Option<(Row, u64)>> {
+    stats.used_index = true;
+    let pk = resolve(value, params)?;
+    let mut row = std::mem::take(spare);
+    match store.point_get(table, pk, &mut row)? {
+        Some(version) => {
+            stats.rows_visited += 1;
+            stats.bytes_read += row.encoded_size();
+            Ok(Some((row, version)))
+        }
+        None => {
+            *spare = row;
+            Ok(None)
+        }
+    }
+}
+
 /// Fetch candidate rows for an access path, updating stats. A point get
-/// decodes into `spare`'s buffer, which stays in `spare` on a miss.
-fn fetch(
-    store: &mut dyn RowStore,
+/// goes through [`fetch_point`].
+fn fetch<S: RowStore + ?Sized>(
+    store: &mut S,
     table: &str,
     access: &Access,
     params: &[Datum],
     stats: &mut ExecStats,
     spare: &mut Row,
 ) -> StoreResult<Candidates> {
-    let (point, rows) = match access {
+    let rows = match access {
         Access::PointGet { value } => {
-            stats.used_index = true;
-            let pk = resolve(value, params)?;
-            let mut row = std::mem::take(spare);
-            match store.point_get(table, pk, &mut row)? {
-                Some(version) => (Some((row, version)), Vec::new()),
-                None => {
-                    *spare = row;
-                    (None, Vec::new())
-                }
-            }
+            let point = fetch_point(store, table, value, params, stats, spare)?;
+            return Ok(point.into_iter().chain(Vec::new()));
         }
         Access::IndexEq { column, value } => {
             stats.used_index = true;
             let v = resolve(value, params)?;
-            (None, store.index_lookup(table, *column, v)?)
+            store.index_lookup(table, *column, v)?
         }
         Access::IndexRange { column, lo, hi } => {
             stats.used_index = true;
             let lo = lo.as_ref().map(|l| resolve(l, params)).transpose()?;
             let hi = hi.as_ref().map(|h| resolve(h, params)).transpose()?;
-            (None, store.index_range(table, *column, lo, hi)?)
+            store.index_range(table, *column, lo, hi)?
         }
         Access::PkRange { lo, hi } => {
             stats.used_index = true;
             let lo = lo.as_ref().map(|l| resolve(l, params)).transpose()?;
             let hi = hi.as_ref().map(|h| resolve(h, params)).transpose()?;
-            (None, store.pk_range(table, lo, hi)?)
+            store.pk_range(table, lo, hi)?
         }
         Access::FullScan => {
             stats.full_scans += 1;
-            (None, store.full_scan(table)?)
+            store.full_scan(table)?
         }
     };
-    for (row, _) in point.iter().chain(&rows) {
+    for (row, _) in &rows {
         stats.rows_visited += 1;
         stats.bytes_read += row.encoded_size();
     }
-    Ok(point.into_iter().chain(rows))
+    Ok(None.into_iter().chain(rows))
 }
 
 /// Execute a plan into `out`, replacing its contents but keeping its
-/// buffers. See module docs for the read/write split.
+/// buffers. See module docs for the read/write split. The store is a type
+/// parameter, so every call into it is static; only writes read the
+/// catalog, for their table's schema.
 ///
 /// `spare` lends the executor a row buffer: point gets (a point SELECT,
 /// REPLACE's duplicate-key check, an UPDATE or DELETE by primary key)
@@ -193,11 +217,11 @@ fn fetch(
 /// The first row of `out`'s previous result becomes the spare before the
 /// plan runs, so a caller that keeps `out` and `spare` across statements
 /// reads a row of fixed-width datums without allocating.
-pub fn execute(
+pub fn execute<S: RowStore + ?Sized>(
     catalog: &Catalog,
     plan: &PhysicalPlan,
     params: &[Datum],
-    store: &mut dyn RowStore,
+    store: &mut S,
     out: &mut ExecOutcome,
     spare: &mut Row,
 ) -> StoreResult<()> {
@@ -208,7 +232,7 @@ pub fn execute(
     out.stats = ExecStats::default();
     out.write = None;
     let (stats, batch) = match plan {
-        PhysicalPlan::Select(s) => return execute_select(catalog, s, params, store, out, spare),
+        PhysicalPlan::Select(s) => return execute_select(s, params, store, out, spare),
         PhysicalPlan::Insert { table, values, replace } => {
             execute_insert(catalog, table, values, *replace, params, store, spare)?
         }
@@ -232,57 +256,85 @@ pub fn execute(
 /// A left row, its version, and the right row it joined with.
 type Joined = (Row, u64, Option<Row>);
 
-fn execute_select(
-    catalog: &Catalog,
+/// A SELECT. The planner resolved the table, and the catalog only grows,
+/// so no catalog lookup is needed. A point get fetches its at most one row
+/// as an `Option`, so filtering, projecting and counting it is straight-line
+/// code with no buffer or iterator chain.
+fn execute_select<S: RowStore + ?Sized>(
     s: &SelectPlan,
     params: &[Datum],
-    store: &mut dyn RowStore,
+    store: &mut S,
     out: &mut ExecOutcome,
     spare: &mut Row,
 ) -> StoreResult<()> {
     let mut stats = ExecStats::default();
-    let candidates = fetch(store, &s.table, &s.access, params, &mut stats, spare)?;
-    let mut returned = 0u64;
-    if s.join.is_none() && s.order_by.is_none() {
-        // Nothing reorders or multiplies rows: project each surviving row
-        // as it arrives.
-        for (row, version) in candidates {
-            if !matches_all(&row, &s.residual, params)? {
-                continue;
-            }
-            if s.limit.is_none_or(|limit| returned < limit) {
-                returned += 1;
-                emit(out, &s.projection, (row, version, None));
-            }
-            if s.limit.is_some_and(|limit| returned >= limit) {
-                break;
-            }
+    let returned = match &s.access {
+        Access::PointGet { value } => {
+            let row = fetch_point(store, &s.table, value, params, &mut stats, spare)?;
+            select_rows(s, params, row, store, out, &mut stats, spare)?
         }
-    } else {
-        let joined = join_and_sort(s, params, candidates, store, &mut stats)?;
-        returned = joined.len() as u64;
-        for j in joined {
-            emit(out, &s.projection, j);
+        access => {
+            let rows = fetch(store, &s.table, access, params, &mut stats, spare)?;
+            select_rows(s, params, rows, store, out, &mut stats, spare)?
         }
-    }
+    };
     if matches!(s.projection, BoundProjection::CountStar) {
         out.rows.push(Row(vec![Datum::Int(returned as i64)]));
         out.versions.push(0);
     }
     stats.rows_returned = out.rows.len() as u64;
-    // Validate plan-time arity assumptions eagerly (catalog may be stale).
-    catalog.get(&s.table)?;
     out.stats = stats;
     Ok(())
 }
 
-/// Filter, join, sort and limit the candidates into one buffer: the path
-/// for selects with a join or an ORDER BY.
-fn join_and_sort(
+/// Filter, join, sort, limit and project fetched `rows` into `out`, and
+/// return how many result rows there are (what `COUNT(*)` counts). A row
+/// no result keeps goes back to `spare`.
+fn select_rows<S: RowStore + ?Sized>(
     s: &SelectPlan,
     params: &[Datum],
-    candidates: Candidates,
-    store: &mut dyn RowStore,
+    rows: impl IntoIterator<Item = (Row, u64)>,
+    store: &mut S,
+    out: &mut ExecOutcome,
+    stats: &mut ExecStats,
+    spare: &mut Row,
+) -> StoreResult<u64> {
+    if s.join.is_some() || s.order_by.is_some() {
+        let joined = join_and_sort(s, params, rows, store, stats)?;
+        let returned = joined.len() as u64;
+        for j in joined {
+            emit(out, &s.projection, j);
+        }
+        return Ok(returned);
+    }
+    // Nothing reorders or multiplies rows: project each surviving row as
+    // it arrives.
+    let mut returned = 0u64;
+    for (row, version) in rows {
+        if !matches_all(&row, &s.residual, params)? {
+            *spare = row;
+            continue;
+        }
+        if s.limit.is_none_or(|limit| returned < limit) {
+            returned += 1;
+            emit(out, &s.projection, (row, version, None));
+        } else {
+            *spare = row;
+        }
+        if s.limit.is_some_and(|limit| returned >= limit) {
+            break;
+        }
+    }
+    Ok(returned)
+}
+
+/// Filter, join, sort and limit the candidates into one buffer: the path
+/// for selects with a join or an ORDER BY.
+fn join_and_sort<S: RowStore + ?Sized>(
+    s: &SelectPlan,
+    params: &[Datum],
+    candidates: impl IntoIterator<Item = (Row, u64)>,
+    store: &mut S,
     stats: &mut ExecStats,
 ) -> StoreResult<Vec<Joined>> {
     // LIMIT can only short-circuit when no sort reorders rows afterwards.
@@ -475,13 +527,13 @@ fn index_rewrites<'a>(
         .flat_map(|(del, put)| [del, put])
 }
 
-fn execute_insert(
+fn execute_insert<S: RowStore + ?Sized>(
     catalog: &Catalog,
     table: &str,
     values: &[Literal],
     replace: bool,
     params: &[Datum],
-    store: &mut dyn RowStore,
+    store: &mut S,
     spare: &mut Row,
 ) -> StoreResult<(ExecStats, WriteBatch)> {
     let schema = catalog.get(table)?;
@@ -523,14 +575,14 @@ fn execute_insert(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn execute_update(
+fn execute_update<S: RowStore + ?Sized>(
     catalog: &Catalog,
     table: &str,
     access: &Access,
     residual: &[BoundPredicate],
     assignments: &[(usize, Literal)],
     params: &[Datum],
-    store: &mut dyn RowStore,
+    store: &mut S,
     spare: &mut Row,
 ) -> StoreResult<(ExecStats, WriteBatch)> {
     let schema = catalog.get(table)?;
@@ -557,13 +609,13 @@ fn execute_update(
     Ok((stats, batch))
 }
 
-fn execute_delete(
+fn execute_delete<S: RowStore + ?Sized>(
     catalog: &Catalog,
     table: &str,
     access: &Access,
     residual: &[BoundPredicate],
     params: &[Datum],
-    store: &mut dyn RowStore,
+    store: &mut S,
     spare: &mut Row,
 ) -> StoreResult<(ExecStats, WriteBatch)> {
     let schema = catalog.get(table)?;

@@ -521,7 +521,7 @@ pub(crate) fn build_report(
     duration: SimDuration,
     pricing: &Pricing,
 ) -> ExperimentReport {
-    let cfg = &dep.config;
+    let cfg = dep.config();
     let mut tiers = Vec::new();
 
     let app_mem = cfg.app_servers as u64
@@ -727,7 +727,7 @@ fn apply_memory_billing(
     mean_cache_bytes: f64,
     pricing: &Pricing,
 ) {
-    let cfg = &dep.config;
+    let cfg = dep.config();
     let (tier_name, base_mem) = match cfg.arch {
         ArchKind::Remote => ("remote_cache", cfg.remote_cache_nodes as u64 * (1 << 30)),
         _ if cfg.arch.has_linked_cache() => {
@@ -807,10 +807,10 @@ fn outcome_status(out: &crate::deployment::ServeOutcome) -> telemetry::SpanStatu
 /// stack equal the meters' busy nanoseconds exactly, so per-tier cores in
 /// the report equal `total_matching("{arch};{tier}") / duration_ns`.
 pub fn cpu_profile(dep: &Deployment) -> telemetry::CpuProfile {
-    let arch = dep.config.arch.label();
+    let arch = dep.config().arch.label();
     let mut profile = telemetry::CpuProfile::new();
     dep.app_cpu_total().fold_into(&mut profile, &[arch, "app"]);
-    if dep.config.arch == ArchKind::Remote {
+    if dep.config().arch == ArchKind::Remote {
         dep.cache_cpu_total()
             .fold_into(&mut profile, &[arch, "remote_cache"]);
     }
@@ -834,7 +834,7 @@ fn export_registry(
 ) -> telemetry::Registry {
     use telemetry::InstrumentKind::{Counter, Gauge, Summary};
     let mut reg = telemetry::Registry::new();
-    let arch = dep.config.arch.label();
+    let arch = dep.config().arch.label();
     let labels: &[(&str, &str)] = &[("arch", arch)];
 
     reg.describe(

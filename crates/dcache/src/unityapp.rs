@@ -89,7 +89,7 @@ fn serve_get_table(
     let node = dep.remote_node_for(ckey);
     let mut out = ServeOutcome::default();
 
-    let arch = dep.config.arch;
+    let arch = dep.config().arch;
     // 1. Try the object cache (if the architecture has one).
     let cached: Option<CachedVal> = match arch {
         ArchKind::Base => None,
@@ -124,7 +124,7 @@ fn serve_get_table(
             ArchKind::LeaseOwned => {
                 let shard = dep.sharder.owner_hashed(ckey.route_hash());
                 let lease_cost =
-                    SimDuration::from_micros_f64(dep.config.app_cost.lease_validate_us);
+                    SimDuration::from_micros_f64(dep.config().app_cost.lease_validate_us);
                 dep.charge_app(app, CpuCategory::TxnLease, lease_cost);
                 out.latency += lease_cost;
                 if dep.sharder.lease_valid(shard, now) {
@@ -173,8 +173,8 @@ fn serve_get_table(
     }
     // Application logic: fold the result rows into the rich object.
     let assemble = SimDuration::from_micros_f64(
-        dep.config.app_cost.object_assemble_per_part_us * parts.max(1) as f64
-            + dep.config.app_cost.object_assemble_per_byte_ns * total_bytes as f64 / 1e3,
+        dep.config().app_cost.object_assemble_per_part_us * parts.max(1) as f64
+            + dep.config().app_cost.object_assemble_per_byte_ns * total_bytes as f64 / 1e3,
     );
     dep.charge_app(app, CpuCategory::AppLogic, assemble);
     out.latency += assemble;
@@ -197,7 +197,7 @@ fn serve_get_table(
         }
         ArchKind::LinkedTtl => {
             out.latency += dep.charge_linked_op(app);
-            let ttl = dep.config.linked_ttl.as_nanos();
+            let ttl = dep.config().linked_ttl.as_nanos();
             dep.linked[app].insert_with_ttl(ckey, object, object.bytes, now.as_nanos(), ttl);
         }
     }
@@ -226,7 +226,7 @@ fn serve_update_table(
         .first()
         .map(|d| d.encoded_size().saturating_sub(5))
         .unwrap_or(0);
-    let ser = dep.config.app_cost.serialize_cost(payload_bytes);
+    let ser = dep.config().app_cost.serialize_cost(payload_bytes);
     dep.charge_app(app, CpuCategory::Serialization, ser);
     out.latency += ser;
     let receipt = dep.cluster.execute(sql, &params, now)?;
@@ -234,7 +234,7 @@ fn serve_update_table(
     out.version = receipt.write_version;
     out.latency += dep.charge_app_db_rpc(app, &receipt);
 
-    match dep.config.arch {
+    match dep.config().arch {
         ArchKind::Base => {}
         ArchKind::Remote => {
             let node = dep.remote_node_for(ckey);

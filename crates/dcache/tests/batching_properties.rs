@@ -41,7 +41,7 @@ fn cpu_ns(d: &Deployment) -> u64 {
 /// Exact per-follower saving: the fixed per-RPC cost minus the per-key
 /// marginal, on both message sides of both meters (app + cache node).
 fn saved_per_follower_ns(d: &Deployment) -> u64 {
-    let cost = d.config.app_cost;
+    let cost = d.config().app_cost;
     SimDuration::from_micros_f64(4.0 * (cost.rpc_fixed_us - cost.rpc_batched_key_us)).as_nanos()
 }
 

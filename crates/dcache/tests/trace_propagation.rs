@@ -287,7 +287,7 @@ fn every_arch_records_its_serving_path() {
         };
         let mut d = loaded(arch);
         assert_eq!(read_spans(&mut d, 1, us(1)), miss, "{arch}: cold miss");
-        for i in 0..d.config.app_servers as u64 {
+        for i in 0..d.config().app_servers as u64 {
             d.serve_kv_read("kv", 1, us(2 + i)).unwrap();
         }
         assert_eq!(read_spans(&mut d, 1, us(10)), hit, "{arch}: hit");

@@ -280,7 +280,11 @@ pub struct DelayedWrite {
 
 /// The deployed cluster.
 pub struct SqlCluster {
-    pub config: ClusterConfig,
+    /// Fixed at construction: charges priced from it once
+    /// ([`FixedCharges`], a [`CachedStatement`]'s parse and plan) must
+    /// agree with those priced from it per call. Read it through
+    /// [`SqlCluster::config`].
+    config: ClusterConfig,
     pub catalog: Catalog,
     pub frontends: Vec<FrontendPod>,
     pub storages: Vec<StoragePod>,
@@ -359,12 +363,13 @@ const FETCH_REQ_BYTES: u64 = 48;
 struct FixedCharges {
     /// Transaction-layer lease validation of one consistent read.
     lease_check: SimDuration,
-    /// Front-end post-processing of a one-row result.
-    post_one_row: SimDuration,
     /// One side of a fetch RPC's request ([`FETCH_REQ_BYTES`]).
     fetch_req_side: SimDuration,
     /// The link's delivery time of that request.
     fetch_req_delivery: SimDuration,
+    /// Front-end post-processing of a one-row result (a version probe's,
+    /// a fill's).
+    post_one_row: SimDuration,
 }
 
 impl FixedCharges {
@@ -372,9 +377,9 @@ impl FixedCharges {
         let cost = &config.cost;
         FixedCharges {
             lease_check: SimDuration::from_micros_f64(cost.txn_lease_check_us),
-            post_one_row: SimDuration::from_micros_f64(cost.frontend_per_row_us),
             fetch_req_side: cost.rpc_side_cost(FETCH_REQ_BYTES),
             fetch_req_delivery: config.link.delivery_time(FETCH_REQ_BYTES),
+            post_one_row: SimDuration::from_micros_f64(cost.frontend_per_row_us),
         }
     }
 }
@@ -432,6 +437,11 @@ impl SqlCluster {
             apply_ranges: Vec::new(),
             config,
         }
+    }
+
+    /// The configuration this cluster was built with.
+    pub fn config(&self) -> &ClusterConfig {
+        &self.config
     }
 
     /// Which region a raw key belongs to.
@@ -871,8 +881,8 @@ impl SqlCluster {
     /// its straight-line branch. The statement's constant charges (its
     /// parse and plan, the lease check, a one-row result's
     /// post-processing, a fetch RPC's request side) were priced when the
-    /// statement was prepared and the cluster built; only charges that
-    /// depend on what the statement reads or writes are priced per call.
+    /// statement was prepared and the cluster built; charges that depend
+    /// on what the statement reads or writes are priced per call.
     ///
     /// Every field of `receipt` is replaced, but its buffers are kept: the
     /// `rows` and `versions` vectors keep their capacity and the first
@@ -956,7 +966,6 @@ impl SqlCluster {
 
         // Front-end post-processing per returned row.
         let post = match receipt.rows.len() {
-            0 => SimDuration::ZERO,
             1 => self.fixed.post_one_row,
             n => SimDuration::from_micros_f64(self.config.cost.frontend_per_row_us * n as f64),
         };
@@ -1252,6 +1261,7 @@ impl<'a> ClusterRowStore<'a> {
         self.storages[pod].cpu.charge(CpuCategory::KvExec, kv);
         self.receipt.storage_cpu += kv;
         self.receipt.latency += kv;
+        // Most reads hit the block cache: price the misses only if any.
         if misses > 0 {
             let miss_cpu = SimDuration::from_micros_f64(self.cost.block_miss_us * misses as f64);
             self.storages[pod].cpu.charge(CpuCategory::KvExec, miss_cpu);

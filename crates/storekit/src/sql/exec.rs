@@ -131,11 +131,6 @@ fn matches_all(row: &Row, preds: &[BoundPredicate], params: &[Datum]) -> StoreRe
     Ok(true)
 }
 
-/// The rows a non-point access path produced, or a point get's at most one
-/// row for the write paths that share this loop.
-type Candidates =
-    std::iter::Chain<std::option::IntoIter<(Row, u64)>, std::vec::IntoIter<(Row, u64)>>;
-
 /// Point-get the row under primary key `value` into `spare`'s buffer,
 /// updating stats. On a miss the buffer stays in `spare`.
 fn fetch_point<S: RowStore + ?Sized>(
@@ -162,21 +157,17 @@ fn fetch_point<S: RowStore + ?Sized>(
     }
 }
 
-/// Fetch candidate rows for an access path, updating stats. A point get
-/// goes through [`fetch_point`].
+/// Fetch the candidate rows of a non-point access path, updating stats.
+/// Every caller takes a point get through [`fetch_point`] instead.
 fn fetch<S: RowStore + ?Sized>(
     store: &mut S,
     table: &str,
     access: &Access,
     params: &[Datum],
     stats: &mut ExecStats,
-    spare: &mut Row,
-) -> StoreResult<Candidates> {
+) -> StoreResult<Vec<(Row, u64)>> {
     let rows = match access {
-        Access::PointGet { value } => {
-            let point = fetch_point(store, table, value, params, stats, spare)?;
-            return Ok(point.into_iter().chain(Vec::new()));
-        }
+        Access::PointGet { .. } => unreachable!("a point get goes through fetch_point"),
         Access::IndexEq { column, value } => {
             stats.used_index = true;
             let v = resolve(value, params)?;
@@ -203,7 +194,34 @@ fn fetch<S: RowStore + ?Sized>(
         stats.rows_visited += 1;
         stats.bytes_read += row.encoded_size();
     }
-    Ok(None.into_iter().chain(rows))
+    Ok(rows)
+}
+
+/// Run `visit` on each candidate row of a write's access path, in fetch
+/// order, and lend the row it hands back to `spare`. A point get fetches
+/// its at most one row through [`fetch_point`], with no buffer.
+fn for_each_candidate<S: RowStore + ?Sized>(
+    store: &mut S,
+    table: &str,
+    access: &Access,
+    params: &[Datum],
+    stats: &mut ExecStats,
+    spare: &mut Row,
+    mut visit: impl FnMut(&mut S, Row) -> StoreResult<Row>,
+) -> StoreResult<()> {
+    match access {
+        Access::PointGet { value } => {
+            if let Some((row, _)) = fetch_point(store, table, value, params, stats, spare)? {
+                *spare = visit(store, row)?;
+            }
+        }
+        access => {
+            for (row, _) in fetch(store, table, access, params, stats)? {
+                *spare = visit(store, row)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Execute a plan into `out`, replacing its contents but keeping its
@@ -274,7 +292,7 @@ fn execute_select<S: RowStore + ?Sized>(
             select_rows(s, params, row, store, out, &mut stats, spare)?
         }
         access => {
-            let rows = fetch(store, &s.table, access, params, &mut stats, spare)?;
+            let rows = fetch(store, &s.table, access, params, &mut stats)?;
             select_rows(s, params, rows, store, out, &mut stats, spare)?
         }
     };
@@ -587,11 +605,10 @@ fn execute_update<S: RowStore + ?Sized>(
 ) -> StoreResult<(ExecStats, WriteBatch)> {
     let schema = catalog.get(table)?;
     let mut stats = ExecStats::default();
-    let candidates = fetch(store, table, access, params, &mut stats, spare)?;
     let mut batch = WriteBatch::default();
-    for (old, _ver) in candidates {
+    let update = |store: &mut S, old: Row| -> StoreResult<Row> {
         if !matches_all(&old, residual, params)? {
-            continue;
+            return Ok(old);
         }
         let mut new = old.clone();
         for (col, lit) in assignments {
@@ -604,8 +621,9 @@ fn execute_update<S: RowStore + ?Sized>(
         batch
             .mutations
             .insert(0, record_put(store.scratch(), table, &pk, &new));
-        *spare = old;
-    }
+        Ok(old)
+    };
+    for_each_candidate(store, table, access, params, &mut stats, spare, update)?;
     Ok((stats, batch))
 }
 
@@ -620,11 +638,10 @@ fn execute_delete<S: RowStore + ?Sized>(
 ) -> StoreResult<(ExecStats, WriteBatch)> {
     let schema = catalog.get(table)?;
     let mut stats = ExecStats::default();
-    let candidates = fetch(store, table, access, params, &mut stats, spare)?;
     let mut batch = WriteBatch::default();
-    for (old, _ver) in candidates {
+    let delete = |store: &mut S, old: Row| -> StoreResult<Row> {
         if !matches_all(&old, residual, params)? {
-            continue;
+            return Ok(old);
         }
         batch.mutations.push(Mutation {
             key: encoded(store.scratch(), |k| {
@@ -633,8 +650,9 @@ fn execute_delete<S: RowStore + ?Sized>(
             value: None,
         });
         batch.mutations.extend(index_deletes(schema, &old));
-        *spare = old;
-    }
+        Ok(old)
+    };
+    for_each_candidate(store, table, access, params, &mut stats, spare, delete)?;
     Ok((stats, batch))
 }
 

@@ -139,7 +139,7 @@ impl Reference {
             durable: c
                 .storages
                 .iter()
-                .map(|_| DurableStore::new(c.config.durability, regions))
+                .map(|_| DurableStore::new(c.config().durability, regions))
                 .collect(),
             tso: 0,
             logs: (0..regions).map(|_| Vec::new()).collect(),
@@ -172,7 +172,7 @@ impl Reference {
         }
         if loaded == rows.len() && c.durability_enabled() {
             for (kv, durable) in self.pods.iter().zip(&mut self.durable) {
-                durable.snapshot_now(kv, &c.config.cost);
+                durable.snapshot_now(kv, &c.config().cost);
             }
         }
         loaded
@@ -225,8 +225,8 @@ impl Reference {
                 }
                 if c.durability_enabled() {
                     let durable = &mut self.durable[pod];
-                    durable.on_apply(r, entry.version, &entry.writes, entry.bytes, &c.config.cost);
-                    durable.maybe_snapshot(kv, &c.config.cost);
+                    durable.on_apply(r, entry.version, &entry.writes, entry.bytes, &c.config().cost);
+                    durable.maybe_snapshot(kv, &c.config().cost);
                 }
             }
             *applied = self.logs[r].len();
@@ -256,7 +256,7 @@ impl Reference {
     /// Rebuild `pod` from its snapshot and synced WAL, rejoin each region
     /// at the durable prefix, and catch up every region.
     fn recover_pod(&mut self, c: &SqlCluster, pod: usize) {
-        let outcome = self.durable[pod].crash_and_recover(&c.config.cost);
+        let outcome = self.durable[pod].crash_and_recover(&c.config().cost);
         self.pods[pod] = outcome.kv;
         for r in self.regions_of(pod) {
             self.down.remove(&(r, pod));

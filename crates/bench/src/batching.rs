@@ -1,10 +1,9 @@
 //! Shared builder for the batched-RPC ablation.
 //!
-//! One sweep definition, three consumers: the `ablation_batching` bin (full
-//! budget, table + JSON + §4 crossover narrative), the golden suite (small
-//! fixed-seed snapshot), and the determinism tests (jobs=1 vs jobs=N
-//! byte-equality). Keeping the config construction here guarantees they all
-//! measure the same thing.
+//! One sweep definition, two consumers: the `ablation_batching` bin (full
+//! budget, table + JSON + §4 crossover narrative) and the determinism tests
+//! (jobs=1 vs jobs=N byte-equality). Keeping the config construction here
+//! guarantees they measure the same thing.
 //!
 //! The sweep holds the workload fixed (Remote architecture, 95% reads) and
 //! varies `max_batch` × value size. `max_batch = 1` disables batching — the
@@ -13,7 +12,7 @@
 //! fill at the configured arrival rate; what the sweep shows is the
 //! latency-for-CPU trade the paper's §4 batching analysis prices out.
 
-use crate::golden::small_kv;
+use crate::small_kv;
 use crate::sweep::SweepRunner;
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::{ArchKind, BatchingConfig, ExperimentReport};
@@ -62,7 +61,7 @@ pub fn window_us(cfg: &KvExperimentConfig, max_batch: u32) -> f64 {
 }
 
 /// The experiment for one sweep cell at the given request budget, built on
-/// the same fixed-seed small-KV base the golden figures use.
+/// the fixed-seed [`small_kv`] base.
 pub fn experiment(spec: &BatchSpec, warmup: u64, measured: u64) -> KvExperimentConfig {
     let mut cfg = small_kv(ArchKind::Remote, 0.95, spec.value_bytes);
     cfg.warmup_requests = warmup;
@@ -112,7 +111,7 @@ mod tests {
                 value_bytes: VALUE_SIZES[0]
             }
         );
-        // Deterministic order is what the golden + determinism suites key on.
+        // Deterministic order is what the results files and determinism suite key on.
         assert_eq!(specs, sweep_specs());
     }
 

@@ -20,7 +20,7 @@
 
 use bench::batching::{cpu_us_per_request, run_sweep, sweep_specs};
 use bench::sweep::SweepRunner;
-use bench::{print_table, request_budget, usd, write_json};
+use bench::{print_table, usd, write_json};
 use costmodel::{RpcTax, TheoryModel, TheoryParams};
 use telemetry::json_fields;
 
@@ -44,7 +44,7 @@ json_fields! { Point {
 
 fn main() {
     println!("Ablation: batched remote-cache RPC (batch size x value size)");
-    let (warmup, measured) = request_budget(20_000, 40_000);
+    let (warmup, measured) = (20_000, 40_000);
 
     let specs = sweep_specs();
     let reports = run_sweep(&SweepRunner::from_env(), &specs, warmup, measured);

@@ -11,7 +11,7 @@
 //! costs only the transient refill after each rotation.
 
 use bench::sweep::SweepRunner;
-use bench::{print_table, ratio, request_budget, usd, write_json};
+use bench::{print_table, ratio, usd, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
 use telemetry::json_fields;
@@ -27,7 +27,7 @@ json_fields! { Point { churn_period, cache_hit_ratio, total_cost, saving_vs_base
 
 fn main() {
     println!("Ablation: popularity churn (100K keys, 1KB, r=0.95, 100K QPS, cache ~5% of keyspace)");
-    let (warmup, measured) = request_budget(120_000, 120_000);
+    let (warmup, measured) = (120_000, 120_000);
 
     let run = |arch: ArchKind, churn: Option<u64>| {
         let mut workload = KvWorkloadConfig::paper_synthetic(0.95, 1_024, 42);

@@ -7,7 +7,7 @@
 //! preserving linearizability (fencing handles the Figure 8 hazard).
 
 use bench::sweep::SweepRunner;
-use bench::{print_table, ratio, request_budget, usd, write_json};
+use bench::{print_table, ratio, usd, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
 use telemetry::json_fields;
@@ -27,7 +27,7 @@ json_fields! { Point {
 
 fn main() {
     println!("Ablation: consistency mechanisms (Linked vs +Version vs LeaseOwned)");
-    let (warmup, measured) = request_budget(100_000, 100_000);
+    let (warmup, measured) = (100_000, 100_000);
     let mut points = Vec::new();
 
     const VARIANTS: [ArchKind; 4] = [

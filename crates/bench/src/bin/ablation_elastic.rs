@@ -25,7 +25,7 @@ use bench::elastic::{
     elastic_dollars, run_sweep, saving, static_peak_dollars, sweep_specs, TROUGH,
 };
 use bench::sweep::SweepRunner;
-use bench::{print_table, ratio, request_budget, usd, write_json};
+use bench::{print_table, ratio, usd, write_json};
 use telemetry::json_fields;
 
 struct Point {
@@ -56,7 +56,7 @@ fn main() {
     println!(
         "Ablation: elastic cache provisioning over a diurnal day (trough = {TROUGH} x peak)"
     );
-    let (warmup, measured) = request_budget(16_000, 32_000);
+    let (warmup, measured) = (16_000, 32_000);
 
     let specs = sweep_specs();
     let reports = run_sweep(&SweepRunner::from_env(), &specs, warmup, measured);

@@ -8,7 +8,7 @@
 //! few percent, nowhere near the architecture gaps).
 
 use bench::sweep::SweepRunner;
-use bench::{print_table, ratio, request_budget, usd, write_json};
+use bench::{print_table, ratio, usd, write_json};
 use cachekit::PolicyKind;
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
@@ -26,7 +26,7 @@ json_fields! { Point { policy, cache_hit_ratio, total_cost, saving_vs_base } }
 fn main() {
     println!("Ablation: eviction policy on the Linked architecture");
     println!("(cache sized to ~10% of the 100KB-value working set to force eviction)");
-    let (warmup, measured) = request_budget(120_000, 120_000);
+    let (warmup, measured) = (120_000, 120_000);
 
     let make_cfg = |arch: ArchKind, policy: PolicyKind, admission: bool| {
         // Milder skew than the headline runs (alpha = 1.0) so eviction

@@ -11,7 +11,7 @@
 //!   Base and Linked+Version pay the election penalty on every read.
 
 use bench::sweep::SweepRunner;
-use bench::{print_table, request_budget, usd, write_json};
+use bench::{print_table, usd, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
 use telemetry::json_fields;
@@ -29,7 +29,7 @@ json_fields! { Point { arch, crashed, total_cost, failovers, read_p50_us, read_p
 
 fn main() {
     println!("Ablation: storage leader failure mid-run (elections recover; 20K keys, 1KB)");
-    let (warmup, measured) = request_budget(80_000, 80_000);
+    let (warmup, measured) = (80_000, 80_000);
 
     let run = |arch: ArchKind, crash: bool| {
         let mut workload = KvWorkloadConfig::paper_synthetic(0.95, 1_024, 42);

@@ -17,7 +17,7 @@
 //!   but pays retries on the wire; Linked loses a whole app server's shard.
 
 use bench::sweep::SweepRunner;
-use bench::{print_table, request_budget, usd, write_json};
+use bench::{print_table, usd, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
 use simnet::{FaultSchedule, NodeId, SimDuration, SimTime};
@@ -44,7 +44,7 @@ json_fields! { Point {
 
 fn main() {
     println!("Ablation: periodic cache-shard crashes (rotating shards; 20K keys, 1KB)");
-    let (warmup, measured) = request_budget(60_000, 60_000);
+    let (warmup, measured) = (60_000, 60_000);
 
     let run = |arch: ArchKind, interval: Option<SimDuration>, recovery: SimDuration| {
         let mut workload = KvWorkloadConfig::paper_synthetic(0.95, 1_024, 42);

@@ -24,7 +24,7 @@
 
 use bench::hotkey::{cpu_us_per_request, l0_absorption, run_sweep, sweep_specs};
 use bench::sweep::SweepRunner;
-use bench::{print_table, request_budget, usd, write_json};
+use bench::{print_table, usd, write_json};
 use costmodel::{RpcTax, TheoryModel, TheoryParams};
 use telemetry::json_fields;
 
@@ -54,7 +54,7 @@ json_fields! { Point {
 
 fn main() {
     println!("Ablation: in-process hot-key L0 tier (bytes x skew x value size)");
-    let (warmup, measured) = request_budget(20_000, 40_000);
+    let (warmup, measured) = (20_000, 40_000);
 
     let specs = sweep_specs();
     let reports = run_sweep(&SweepRunner::from_env(), &specs, warmup, measured);

@@ -24,7 +24,7 @@ use bench::recovery::{
     cold_refill_cores, durability_tax, mean_recovery_ms, run_sweep, sweep_specs, READ_RATIO,
 };
 use bench::sweep::SweepRunner;
-use bench::{print_table, request_budget, usd, write_json};
+use bench::{print_table, usd, write_json};
 use telemetry::json_fields;
 
 struct Point {
@@ -57,7 +57,7 @@ fn main() {
         "Ablation: crash-consistent storage under periodic pod failures ({}% writes)",
         ((1.0 - READ_RATIO) * 100.0) as u32
     );
-    let (warmup, measured) = request_budget(16_000, 32_000);
+    let (warmup, measured) = (16_000, 32_000);
 
     let specs = sweep_specs();
     let reports = run_sweep(&SweepRunner::from_env(), &specs, warmup, measured);

@@ -7,7 +7,7 @@
 //! Figure 4b's trend.
 
 use bench::sweep::SweepRunner;
-use bench::{print_table, ratio, request_budget, write_json};
+use bench::{print_table, ratio, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
 use telemetry::json_fields;
@@ -22,7 +22,7 @@ json_fields! { Point { per_byte_multiplier, value_bytes, linked_saving } }
 
 fn main() {
     println!("Ablation: per-byte (de)serialization/RPC cost sensitivity");
-    let (warmup, measured) = request_budget(80_000, 80_000);
+    let (warmup, measured) = (80_000, 80_000);
 
     let run = |arch: ArchKind, mult: f64, value_bytes: u64| {
         let workload = KvWorkloadConfig::paper_synthetic(0.95, value_bytes, 42);

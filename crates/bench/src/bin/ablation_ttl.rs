@@ -25,7 +25,7 @@ use bench::ttl::{
     cell_dollars, isolation_experiment, isolation_label, isolation_specs, run_sweep, sweep_specs,
     tenant_hit, Plane, MEM_PRICE_MULT,
 };
-use bench::{print_table, ratio, request_budget, usd, write_json};
+use bench::{print_table, ratio, usd, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
 use simnet::SimDuration;
@@ -84,9 +84,9 @@ fn main() {
         "Ablation: TTL control plane vs MRC planner vs static-peak \
          (83MB footprint, {MEM_PRICE_MULT}x DRAM price)"
     );
-    // Same budget as the golden suite and `tests/ttl_acceptance.rs`, so the
-    // printed cells are the blessed cells.
-    let (warmup, measured) = request_budget(8_000, 12_000);
+    // Same budget as `tests/ttl_acceptance.rs`, so the printed cells are
+    // the cells that suite bounds.
+    let (warmup, measured) = (8_000, 12_000);
     let runner = SweepRunner::from_env();
 
     // ---- Section 1: the control-plane head-to-head grid. ----
@@ -250,7 +250,7 @@ fn main() {
 /// freshness with misses; long TTLs are cheap but stale; ownership leases
 /// beat the whole frontier.
 fn frontier(runner: &SweepRunner) -> Vec<FrontierPoint> {
-    let (warmup, measured) = request_budget(100_000, 100_000);
+    let (warmup, measured) = (100_000, 100_000);
     let run = |arch: ArchKind, ttl_ms: u64| {
         let workload = KvWorkloadConfig {
             keys: 20_000,

@@ -11,7 +11,7 @@
 //! "accept incorrectness" (TTL replicas). Ownership leases get both.
 
 use bench::sweep::SweepRunner;
-use bench::{print_table, ratio, request_budget, usd, write_json};
+use bench::{print_table, ratio, usd, write_json};
 use dcache::sessionapp::{run_session_experiment, SessionExperimentConfig};
 use dcache::ArchKind;
 use telemetry::json_fields;
@@ -31,7 +31,7 @@ json_fields! { Point {
 fn main() {
     println!("Session-state service (Section 2.3): 10K live sessions, 40K QPS,");
     println!("88% Get / 10% Advance / 2% lifecycle churn, ~4KB states\n");
-    let (warmup, measured) = request_budget(80_000, 80_000);
+    let (warmup, measured) = (80_000, 80_000);
 
     let archs: Vec<ArchKind> = ArchKind::ALL.to_vec();
     let reports = SweepRunner::from_env().run_map(&archs, |_, &arch| {

@@ -7,7 +7,7 @@
 //! 1 KB and ~7.3× at 1 MB versus Base, with Remote in between.
 
 use bench::sweep::SweepRunner;
-use bench::{print_table, ratio, request_budget, usd, write_json};
+use bench::{print_table, ratio, usd, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
 use telemetry::json_fields;
@@ -51,7 +51,7 @@ fn sweep(
     xs: &[(f64, f64, u64)], // (x display value, read_ratio, value_bytes)
     points: &mut Vec<Point>,
 ) {
-    let (warmup, measured) = request_budget(120_000, 120_000);
+    let (warmup, measured) = (120_000, 120_000);
     let specs: Vec<(f64, f64, u64, ArchKind)> = xs
         .iter()
         .flat_map(|&(x, r, v)| ArchKind::PAPER.iter().map(move |&a| (x, r, v, a)))

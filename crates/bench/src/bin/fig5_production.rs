@@ -8,7 +8,7 @@
 //! ahead of Remote (gRPC + (de)serialization CPU), cf. §5.3.
 
 use bench::sweep::SweepRunner;
-use bench::{print_table, ratio, request_budget, usd, write_json};
+use bench::{print_table, ratio, usd, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::unityapp::{run_unity_kv_experiment, UnityExperimentConfig};
 use dcache::{ArchKind, ExperimentReport};
@@ -77,7 +77,7 @@ const HEADER: [&str; 8] = [
 
 fn main() {
     println!("Reproducing Figure 5: production workloads");
-    let (warmup, measured) = request_budget(120_000, 120_000);
+    let (warmup, measured) = (120_000, 120_000);
     let mut points = Vec::new();
 
     let runner = SweepRunner::from_env();

@@ -7,7 +7,7 @@
 //! version check (panel d) dramatically inflating the storage share.
 
 use bench::sweep::SweepRunner;
-use bench::{print_table, request_budget, write_json};
+use bench::{print_table, write_json};
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::ArchKind;
 use telemetry::json_fields;
@@ -33,7 +33,7 @@ json_fields! { Breakdown {
 
 fn main() {
     println!("Reproducing Figure 6: CPU breakdown by tier, per architecture");
-    let (warmup, measured) = request_budget(100_000, 100_000);
+    let (warmup, measured) = (100_000, 100_000);
     let mut out = Vec::new();
 
     const SIZES: [u64; 3] = [1u64 << 10, 100 << 10, 1 << 20];

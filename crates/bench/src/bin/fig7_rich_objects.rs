@@ -8,7 +8,7 @@
 //! eight statements.
 
 use bench::sweep::SweepRunner;
-use bench::{print_table, ratio, request_budget, usd, write_json};
+use bench::{print_table, ratio, usd, write_json};
 use dcache::unityapp::{
     run_unity_kv_experiment, run_unity_object_experiment, UnityExperimentConfig,
 };
@@ -31,7 +31,7 @@ json_fields! { Point {
 
 fn main() {
     println!("Reproducing Figure 7: Unity Catalog-Object vs -KV");
-    let (warmup, measured) = request_budget(100_000, 100_000);
+    let (warmup, measured) = (100_000, 100_000);
     let mut points = Vec::new();
 
     type Runner =

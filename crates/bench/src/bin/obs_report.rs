@@ -20,18 +20,14 @@
 //! architecture (the scenario's outage is designed to burn the p99
 //! budget), and a second run must reproduce every artifact byte-for-byte.
 
-use bench::obs::{run_sweep, GOLDEN_MEASURED, GOLDEN_WARMUP};
+use bench::obs::{run_sweep, BUDGET};
 use bench::sweep::SweepRunner;
-use bench::{print_table, quick_mode, results_dir, shown_path};
+use bench::{print_table, results_dir, shown_path};
 use telemetry::json::push_json_str;
 
 fn main() {
     println!("Observability report: time series + SLO alerts + tail attribution");
-    let (warmup, measured) = if quick_mode() {
-        (GOLDEN_WARMUP, GOLDEN_MEASURED)
-    } else {
-        (GOLDEN_WARMUP * 4, GOLDEN_MEASURED * 4)
-    };
+    let (warmup, measured) = BUDGET;
     let out_dir = results_dir().join("obs");
     std::fs::create_dir_all(&out_dir).expect("create results/obs");
     let runner = SweepRunner::from_env();

@@ -1,10 +1,12 @@
 //! Run every figure reproduction.
 //!
-//! `cargo run -p bench --release --bin repro_all [-- --quick] [--jobs N]`
+//! `cargo run -p bench --release --bin repro_all [-- --jobs N]`
 //!
 //! Prints each figure's tables and leaves the raw series under `results/`.
 //! This is the one-command path to regenerate everything EXPERIMENTS.md
-//! reports.
+//! reports; the committed `results/` tree is one such run, with its stdout
+//! in `results/repro_all.log`, and `tests/reproduce.rs` checks that a
+//! fresh run rewrites both byte for byte.
 //!
 //! With `--jobs N > 1` (default: available parallelism) the figure binaries
 //! run as N concurrent child processes, each pinned to `--jobs 1`
@@ -46,7 +48,6 @@ struct BinResult {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     let self_path = std::env::current_exe().expect("own path");
     let bin_dir = self_path.parent().expect("bin dir").to_path_buf();
     let runner = SweepRunner::from_env();
@@ -61,9 +62,6 @@ fn main() {
 
     let results = runner.run_map(BINS, |_, &bin| {
         let mut cmd = Command::new(bin_dir.join(bin));
-        if quick {
-            cmd.arg("--quick");
-        }
         // Child sweeps stay sequential: parallelism lives at the bin level
         // here, and each bin writes its own results/ files, so per-bin
         // output bytes can't depend on the worker count either way.

@@ -22,7 +22,7 @@
 //!    byte-for-byte.
 
 use bench::sweep::SweepRunner;
-use bench::{print_table, request_budget, results_dir, shown_path, write_json};
+use bench::{print_table, results_dir, shown_path, write_json};
 use dcache::experiment::{run_kv_experiment_with_telemetry, KvExperimentConfig, TelemetryBundle};
 use dcache::{ArchKind, ExperimentReport};
 use telemetry::{json, json_fields};
@@ -64,7 +64,7 @@ fn run_arch(arch: ArchKind, warmup: u64, measured: u64) -> (ExperimentReport, Te
 
 fn main() {
     println!("Telemetry report: tracing + metrics + CPU attribution for Remote and Linked");
-    let (warmup, measured) = request_budget(30_000, 30_000);
+    let (warmup, measured) = (30_000, 30_000);
     let out_dir = results_dir().join("telemetry");
     std::fs::create_dir_all(&out_dir).expect("create results/telemetry");
 

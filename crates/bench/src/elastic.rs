@@ -1,10 +1,10 @@
 //! Shared builder for the elastic-provisioning ablation.
 //!
-//! One sweep definition, three consumers: the `ablation_elastic` bin (full
+//! One sweep definition, two consumers: the `ablation_elastic` bin (full
 //! budget, table + JSON + the headline elastic-vs-static-peak dollar
-//! comparison), the golden suite (small fixed-seed snapshot), and the
-//! determinism tests (jobs=1 vs jobs=N byte-equality). Keeping the config
-//! construction here guarantees they all measure the same thing.
+//! comparison) and the determinism tests (jobs=1 vs jobs=N byte-equality).
+//! Keeping the config construction here guarantees they measure the same
+//! thing.
 //!
 //! Every cell runs the same diurnal day — a sinusoidal swing between peak
 //! and a 25% trough, compressed onto the virtual clock — once with the
@@ -15,7 +15,7 @@
 //! the dollar gap between the two, per architecture, next to the hit-ratio
 //! cost of running leaner.
 
-use crate::golden::small_kv;
+use crate::small_kv;
 use crate::sweep::SweepRunner;
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::{ArchKind, ExperimentReport};
@@ -68,7 +68,7 @@ pub fn sweep_specs() -> Vec<ElasticSpec> {
         .collect()
 }
 
-/// The experiment for one sweep cell: the golden small-KV base on a
+/// The experiment for one sweep cell: the [`small_kv`] base on a
 /// diurnal day, with the controller on or off. Warmup should span several
 /// decision intervals (`warmup / PEAK_QPS > 2 · DECISION_INTERVAL_SECS`)
 /// so the controller's first convergence step — and its refill churn —
@@ -152,7 +152,7 @@ mod tests {
             }
         );
         // Each arch's static cell immediately precedes its elastic cell —
-        // the pairing the bin and golden rely on.
+        // the pairing the bin relies on.
         for pair in specs.chunks(2) {
             assert_eq!(pair[0].arch, pair[1].arch);
             assert!(!pair[0].elastic && pair[1].elastic);

@@ -1,10 +1,9 @@
 //! Shared builder for the hot-key L0-tier ablation.
 //!
-//! One sweep definition, three consumers: the `ablation_hotkey` bin (full
-//! budget, table + JSON + L0-vs-batching crossover narrative), the golden
-//! suite (small fixed-seed snapshot), and the determinism tests (jobs=1 vs
-//! jobs=N byte-equality). Keeping the config construction here guarantees
-//! they all measure the same thing.
+//! One sweep definition, two consumers: the `ablation_hotkey` bin (full
+//! budget, table + JSON + L0-vs-batching crossover narrative) and the
+//! determinism tests (jobs=1 vs jobs=N byte-equality). Keeping the config
+//! construction here guarantees they measure the same thing.
 //!
 //! The sweep layers the in-process L0 tier in front of the two
 //! architectures that support it (Remote and Linked) and varies L0 bytes ×
@@ -15,7 +14,7 @@
 //! measures what relaxing coherence to a bounded-staleness window buys and
 //! what staleness it actually serves.
 
-use crate::golden::small_kv;
+use crate::small_kv;
 use crate::sweep::SweepRunner;
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::{ArchKind, ExperimentReport, L0Config, L0Consistency};
@@ -94,7 +93,7 @@ pub fn sweep_specs() -> Vec<HotkeySpec> {
 }
 
 /// The experiment for one sweep cell at the given request budget, built on
-/// the same fixed-seed small-KV base the golden figures use.
+/// the fixed-seed [`small_kv`] base.
 pub fn experiment(spec: &HotkeySpec, warmup: u64, measured: u64) -> KvExperimentConfig {
     let mut cfg = small_kv(spec.arch, 0.95, spec.value_bytes);
     cfg.workload.alpha = spec.alpha;
@@ -165,7 +164,7 @@ mod tests {
                 serve_stale: false,
             }
         );
-        // Deterministic order is what the golden + determinism suites key on.
+        // Deterministic order is what the results files and determinism suite key on.
         assert_eq!(specs, sweep_specs());
         // Exactly one serve-stale cell per arch, at the production corner.
         let stale: Vec<&HotkeySpec> = specs.iter().filter(|s| s.serve_stale).collect();

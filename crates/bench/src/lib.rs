@@ -2,33 +2,43 @@
 //!
 //! Every `fig*` binary prints a human-readable table of the series the
 //! paper plots and writes the raw numbers as JSON under `results/` so
-//! EXPERIMENTS.md can cite them. Binaries accept `--quick` to run a reduced
-//! request budget (useful in CI; the shapes survive, the noise grows).
+//! EXPERIMENTS.md can cite them. The committed `results/` tree is one
+//! full run, and `tests/reproduce.rs` checks that a fresh run rewrites it
+//! byte for byte.
 
+use dcache::experiment::KvExperimentConfig;
+use dcache::{ArchKind, DeploymentConfig};
 use std::path::{Path, PathBuf};
 use telemetry::json::{to_json_pretty, ToJson};
+use workloads::{KvWorkloadConfig, SizeDist};
 
 pub mod batching;
 pub mod elastic;
-pub mod golden;
 pub mod hotkey;
 pub mod obs;
 pub mod recovery;
 pub mod sweep;
 pub mod ttl;
 
-/// Parse the common CLI convention: `--quick` shrinks the run.
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// Request budget scaling: (warmup, measured) for a full or quick run.
-pub fn request_budget(full_warmup: u64, full_measured: u64) -> (u64, u64) {
-    if quick_mode() {
-        (full_warmup / 10, full_measured / 10)
-    } else {
-        (full_warmup, full_measured)
-    }
+/// A deterministic, test-sized KV experiment (2K keys, small request
+/// budget, `test_small` deployment): the cell the ablation builders and
+/// the sequential-vs-parallel determinism suite start from.
+pub fn small_kv(arch: ArchKind, read_ratio: f64, value_bytes: u64) -> KvExperimentConfig {
+    let workload = KvWorkloadConfig {
+        keys: 2_000,
+        alpha: 1.2,
+        read_ratio,
+        sizes: SizeDist::Fixed(value_bytes),
+        seed: 42,
+        churn_period: None,
+    };
+    let mut cfg = KvExperimentConfig::paper(arch, workload);
+    cfg.deployment = DeploymentConfig::test_small(arch);
+    cfg.qps = 50_000.0;
+    cfg.warmup_requests = 2_000;
+    cfg.requests = 4_000;
+    cfg.prewarm = false;
+    cfg
 }
 
 /// The workspace root: the nearest directory at or above the working
@@ -139,12 +149,6 @@ mod tests {
         assert_eq!(shown_path(&results.join("telemetry")), "results/telemetry");
         let outside = Path::new("/elsewhere/results/x.json");
         assert_eq!(shown_path(outside), "/elsewhere/results/x.json");
-    }
-
-    #[test]
-    fn budget_scales_in_quick_mode() {
-        // Not in quick mode during tests (no --quick arg).
-        assert_eq!(request_budget(100, 200), (100, 200));
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! Shared builder for the observability report (`obs_report`).
 //!
-//! One scenario definition, three consumers: the `obs_report` bin (full
-//! budget, artifacts under `results/obs/`), the golden suite (small
-//! fixed-seed snapshot), and the determinism tests (double-run and
-//! jobs=1-vs-N byte-equality). Keeping the config construction here
-//! guarantees they all measure the same thing.
+//! One scenario definition, two consumers: the `obs_report` bin
+//! ([`BUDGET`], artifacts under `results/obs/`) and the determinism tests
+//! (double-run and jobs=1-vs-N byte-equality at a smaller budget). Keeping
+//! the config construction here guarantees they measure the same thing.
 //!
-//! The scenario is the project's "everything at once" day: the golden
-//! small-KV workload on the compressed diurnal cycle with the elastic
-//! controller live, durable storage (group-commit WAL + snapshots),
+//! The scenario is the project's "everything at once" day: the
+//! [`crate::small_kv`] workload on the compressed diurnal cycle with the
+//! elastic controller live, durable storage (group-commit WAL + snapshots),
 //! single-flight coalescing, trace sampling — plus two scheduled
 //! incidents inside the measured window:
 //!
-//! 1. a full cache-tier outage (every shard crashes, restarts ~1 virtual
-//!    second later) — reads degrade to storage and the p99-budget SLO
+//! 1. a full cache-tier outage (every shard crashes, restarts an eighth
+//!    of the measured window later) — reads degrade to storage and the p99-budget SLO
 //!    burns through its threshold, and
 //! 2. a durable storage-pod crash — requests trip over the dead leader,
 //!    pay failover + recovery, and the tail gets charged to WAL/recovery.
@@ -93,8 +92,7 @@ pub fn experiment(arch: ArchKind, warmup: u64, measured: u64) -> KvExperimentCon
     cfg.observability = Some(obs_config());
 
     // Incident 1: the whole cache tier goes down a quarter into the
-    // measured window, for an eighth of it (~1 virtual second at the
-    // golden budget).
+    // measured window, for an eighth of it.
     let cache_down_at = warmup + measured / 4;
     let cache_down_for = (measured / 8).max(2);
     // Incident 2: region 0's durable storage pod crashes at five eighths,
@@ -131,10 +129,10 @@ pub fn run_sweep(
     })
 }
 
-/// The golden/CI budget: one full diurnal day measured after a warmup
-/// spanning several elastic decision intervals.
-pub const GOLDEN_WARMUP: u64 = 8_000;
-pub const GOLDEN_MEASURED: u64 = 16_000;
+/// The report's (warmup, measured) request budget: about six compressed
+/// diurnal days measured after a warmup spanning a dozen elastic decision
+/// intervals.
+pub const BUDGET: (u64, u64) = (32_000, 64_000);
 
 #[cfg(test)]
 mod tests {
@@ -142,13 +140,14 @@ mod tests {
 
     #[test]
     fn scenario_schedules_both_incidents_inside_the_measured_window() {
-        let cfg = experiment(ArchKind::Remote, GOLDEN_WARMUP, GOLDEN_MEASURED);
+        let (warmup, measured) = BUDGET;
+        let cfg = experiment(ArchKind::Remote, warmup, measured);
         assert!(cfg.deployment.elastic.enabled());
         assert!(cfg.deployment.cluster.durability.enabled);
         assert!(cfg.observability.is_some());
         let schedule = cfg.cache_fault_schedule.as_ref().unwrap();
-        let measure_start = arrival_time(&cfg, GOLDEN_WARMUP);
-        let measure_end = arrival_time(&cfg, GOLDEN_WARMUP + GOLDEN_MEASURED);
+        let measure_start = arrival_time(&cfg, warmup);
+        let measure_end = arrival_time(&cfg, warmup + measured);
         let events = schedule.events();
         // 2 cache shards + 1 storage pod, each crash+restart.
         assert_eq!(events.len(), 6);

@@ -1,10 +1,9 @@
 //! Shared builder for the crash-recovery ablation.
 //!
-//! One sweep definition, three consumers: the `ablation_recovery` bin
-//! (full budget, table + JSON + the headline durability-tax comparison),
-//! the golden suite (small fixed-seed snapshot), and the determinism tests
-//! (jobs=1 vs jobs=N byte-equality). Keeping the config construction here
-//! guarantees they all measure the same thing.
+//! One sweep definition, two consumers: the `ablation_recovery` bin (full
+//! budget, table + JSON + the headline durability-tax comparison) and the
+//! determinism tests (jobs=1 vs jobs=N byte-equality). Keeping the config
+//! construction here guarantees they measure the same thing.
 //!
 //! Every cell runs the same write-heavy day under the same periodic
 //! crash schedule — a storage pod goes down `crashes` times during the
@@ -18,7 +17,7 @@
 //! rates. The figure is what crash-consistency actually costs, in dollars
 //! and in recovery seconds, as fsync policy and snapshot cadence move.
 
-use crate::golden::small_kv;
+use crate::small_kv;
 use crate::sweep::SweepRunner;
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig, STORAGE_FAULT_NODE_BASE};
 use dcache::{ArchKind, ExperimentReport};
@@ -99,7 +98,7 @@ pub fn sweep_specs() -> Vec<RecoverySpec> {
     specs
 }
 
-/// The experiment for one sweep cell: the golden small-KV base at a
+/// The experiment for one sweep cell: the [`small_kv`] base at a
 /// write-heavy mix, with region 0's hosting pod crashed periodically
 /// through the measured window. Crash period = `measured / crashes`
 /// requests, downtime a quarter period, first outage half a period into

@@ -1,11 +1,10 @@
 //! Shared builder for the TTL-control-plane ablation.
 //!
-//! One sweep definition, three consumers: the `ablation_ttl` bin (full
-//! budget, tables + JSON + the TTL-vs-MRC-vs-static headline), the golden
-//! suite (small fixed-seed snapshot), and the determinism/acceptance tests
-//! (jobs=1 vs jobs=N byte-equality, the ISSUE's non-vacuity bounds).
-//! Keeping the config construction here guarantees they all measure the
-//! same thing.
+//! One sweep definition, two consumers: the `ablation_ttl` bin (full
+//! budget, tables + JSON + the TTL-vs-MRC-vs-static headline) and the
+//! determinism/acceptance tests (jobs=1 vs jobs=N byte-equality, the
+//! non-vacuity bounds). Keeping the config construction here guarantees
+//! they measure the same thing.
 //!
 //! The grid is {Remote, Linked} × {diurnal, churn, storm} × three control
 //! planes:
@@ -25,7 +24,7 @@
 //! tenants — a quiet victim and a storm-prone aggressor — with per-tenant
 //! TTL controllers, toggling only the aggressor's storm.
 
-use crate::golden::small_kv;
+use crate::small_kv;
 use crate::sweep::SweepRunner;
 use dcache::experiment::{run_kv_experiment, KvExperimentConfig};
 use dcache::{ArchKind, ExperimentReport};
@@ -186,7 +185,7 @@ fn mrc_plane_config(cfg: &KvExperimentConfig) -> elastic::ElasticConfig {
     }
 }
 
-/// The experiment for one sweep cell: the golden small-KV base routed
+/// The experiment for one sweep cell: the [`small_kv`] base routed
 /// through a single-tenant mix carrying the cell's stress schedule, with
 /// the cell's control plane armed. Warmup should span several decision
 /// intervals so the first adopted plan (and its churn) lands before the

@@ -242,8 +242,8 @@ impl RetryPolicy {
 /// time share one MGET/MSET frame, so the fixed per-RPC CPU cost
 /// (`rpc_fixed_us`, both message sides, both endpoints) is paid once per
 /// frame instead of once per key. **Off by default** — the paper's
-/// healthy-path figures assume one RPC per lookup, and the fig2–fig8
-/// goldens are byte-identical only while this stays disabled.
+/// healthy-path figures assume one RPC per lookup, and the committed
+/// `results/` files reproduce byte for byte only while this stays disabled.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchingConfig {
     /// Coalescing window in microseconds: a frame opened at `t` departs at
@@ -299,8 +299,8 @@ pub enum L0Consistency {
 /// for one in-process hash probe instead of an RPC (Remote) or a sharded
 /// local op (Linked) — the third point on the paper's CPU-tax vs
 /// DRAM-duplication curve. **Off by default** (`None` on
-/// [`DeploymentConfig::l0`]); the fig2–fig8 goldens are byte-identical
-/// only while it stays disabled.
+/// [`DeploymentConfig::l0`]); the committed `results/` files reproduce
+/// byte for byte only while it stays disabled.
 #[derive(Debug, Clone, Copy)]
 pub struct L0Config {
     /// Hard byte cap per app server (entry overhead included).
@@ -599,7 +599,7 @@ mod tests {
     #[test]
     fn batching_defaults_off_and_amortizes_when_on() {
         let b = BatchingConfig::default();
-        assert!(!b.enabled(), "batching must be opt-in: goldens assume one RPC per lookup");
+        assert!(!b.enabled(), "batching must be opt-in: the figures assume one RPC per lookup");
         assert!(!b.windowed());
         let on = BatchingConfig {
             batch_window_us: 200.0,
@@ -621,8 +621,8 @@ mod tests {
 
     #[test]
     fn l0_defaults_off_and_maps_to_cachekit_params() {
-        // Off by default everywhere: goldens are byte-identical only while
-        // the L0 tier stays disabled.
+        // Off by default everywhere: the committed results/ files reproduce
+        // only while the L0 tier stays disabled.
         assert!(DeploymentConfig::paper(ArchKind::Remote).l0.is_none());
         assert!(DeploymentConfig::test_small(ArchKind::Linked).l0.is_none());
 
@@ -652,7 +652,7 @@ mod tests {
 
     #[test]
     fn elastic_defaults_off() {
-        // The fig2–fig8 goldens are byte-identical only while the elastic
+        // The committed results/ files reproduce only while the elastic
         // control plane stays disabled by default.
         let d = DeploymentConfig::paper(ArchKind::Linked);
         assert!(!d.elastic.enabled());
@@ -662,8 +662,8 @@ mod tests {
 
     #[test]
     fn ttl_defaults_off() {
-        // Same contract as elastic/L0: every pre-existing golden is
-        // byte-identical only while the TTL control plane stays disabled.
+        // Same contract as elastic/L0: the committed results/ files
+        // reproduce only while the TTL control plane stays disabled.
         let d = DeploymentConfig::paper(ArchKind::Remote);
         assert!(!d.ttl.enabled());
         let t = DeploymentConfig::test_small(ArchKind::Linked);

@@ -26,6 +26,9 @@
 //! reused buffers. The regions' Raft logs grow by doubling, which the
 //! averaged budget absorbs with a quarter allocation per write to spare.
 //!
+//! A batched Remote hit joins a coalescing frame and bumps the batch
+//! counters; its budget is zero too.
+//!
 //! The gate counts *allocations* (not frees) made on the test's own thread,
 //! only around the measured window, so the test harness's threads cannot
 //! move the counter; the deployment spawns none.
@@ -36,14 +39,15 @@ mod alloc_gate;
 
 use alloc_gate::allocations;
 use dcache::deployment::{kv_catalog, Deployment};
-use dcache::{ArchKind, DeploymentConfig};
+use dcache::{ArchKind, BatchingConfig, DeploymentConfig};
 use simnet::{SimDuration, SimTime};
 use storekit::value::Datum;
 
 const KEYS: i64 = 32;
 
-fn warmed_deployment(arch: ArchKind) -> Deployment {
-    let mut d = Deployment::new(DeploymentConfig::test_small(arch), kv_catalog("kv"));
+fn warmed(config: DeploymentConfig) -> Deployment {
+    let arch = config.arch;
+    let mut d = Deployment::new(config, kv_catalog("kv"));
     d.cluster
         .bulk_load(
             "kv",
@@ -81,6 +85,9 @@ fn count_hit_path_allocs(d: &mut Deployment, rounds: usize) -> u64 {
 
 /// Version-checked hits may allocate this many times each.
 const VERSION_CHECK_ALLOCS: u64 = 0;
+
+/// Batched Remote hits may allocate this many times each.
+const BATCHED_HIT_ALLOCS: u64 = 0;
 
 /// Remote fills may allocate this many times each.
 const FILL_ALLOCS: u64 = 0;
@@ -138,7 +145,7 @@ fn steady_state_serve_paths_stay_within_allocation_budget() {
     // Linked: the paper's cheapest path (in-process cache hit). Remote: hit
     // served by a cache-tier node.
     for arch in [ArchKind::Linked, ArchKind::Remote] {
-        let mut d = warmed_deployment(arch);
+        let mut d = warmed(DeploymentConfig::test_small(arch));
         let requests = 50 * KEYS as u64;
         let allocs = count_hit_path_allocs(&mut d, 50);
         assert_eq!(
@@ -164,8 +171,23 @@ fn steady_state_serve_paths_stay_within_allocation_budget() {
             );
         }
     }
+    // Remote with windowed batching: every hit rides a coalescing frame.
+    let mut config = DeploymentConfig::test_small(ArchKind::Remote);
+    config.batching = BatchingConfig {
+        batch_window_us: 20.0,
+        max_batch: 8,
+    };
+    let mut d = warmed(config);
+    let hits = 10 * KEYS as u64;
+    let allocs = count_hit_path_allocs(&mut d, 10);
+    println!("alloc_regression: Remote made {allocs} allocations over {hits} batched hits");
+    assert!(
+        allocs <= BATCHED_HIT_ALLOCS * hits,
+        "batched Remote hit path allocated {allocs} times over {hits} hits \
+         (budget {BATCHED_HIT_ALLOCS} per hit)"
+    );
     // LinkedVersion: every hit pays a version-check statement.
-    let mut d = warmed_deployment(ArchKind::LinkedVersion);
+    let mut d = warmed(DeploymentConfig::test_small(ArchKind::LinkedVersion));
     let requests = 50 * KEYS as u64;
     let allocs = count_hit_path_allocs(&mut d, 50);
     println!(

@@ -316,12 +316,22 @@ impl MetricSet {
         Self::default()
     }
 
+    // Both accessors look the name up before inserting, so a name already
+    // present costs no `String`. Returning the `get_mut` borrow early does
+    // not pass the borrow checker, hence check first, then insert.
     pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_string()).or_default()
+        if !self.counters.contains_key(name) {
+            self.counters.insert(name.to_string(), Counter::default());
+        }
+        self.counters.get_mut(name).expect("inserted above")
     }
 
     pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_string()).or_default()
+        if !self.histograms.contains_key(name) {
+            self.histograms
+                .insert(name.to_string(), Histogram::default());
+        }
+        self.histograms.get_mut(name).expect("inserted above")
     }
 
     pub fn counter_value(&self, name: &str) -> u64 {

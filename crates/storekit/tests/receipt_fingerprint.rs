@@ -1,13 +1,13 @@
 //! Exact-charge test: every receipt, meter and block-cache count of a
 //! statement stream, folded into one pinned `u64` per cost configuration.
 //!
-//! `golden_figures` compares figures within tolerances (costs ±3%), so a
-//! change that moves one charge by a nanosecond passes it. This test does
-//! not: a splitmix64 stream of statements runs against a loaded cluster
-//! (point and version SELECTs, point SELECTs with a join by primary key,
-//! with an ORDER BY and with a residual, index lookups, a primary-key
-//! range, REPLACE, INSERT, UPDATE and DELETE, on present, missing and
-//! deleted keys). Most statements run through `execute_cached_into` with
+//! The figures in `results/` pin every charge only through the full
+//! `repro_all` run, which takes a release build and half a minute. This
+//! test pins them in a moment: a splitmix64 stream of statements runs
+//! against a loaded cluster (point and version SELECTs, point SELECTs with
+//! a join by primary key, with an ORDER BY and with a residual, index
+//! lookups, a primary-key range, REPLACE, INSERT, UPDATE and DELETE, on
+//! present, missing and deleted keys). Most statements run through `execute_cached_into` with
 //! one reused receipt; every fourth runs from its SQL text through
 //! `execute`, and some UPDATEs run as delayed writes. Every `QueryReceipt`
 //! field is folded after each statement, and every pod meter per

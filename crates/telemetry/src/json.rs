@@ -3,7 +3,7 @@
 //! * Flat exporter lines (trace/timeseries JSONL, metrics JSONL, alerts)
 //!   are built with [`push_json_str`] and [`fmt_f64`], which keeps the
 //!   Prometheus spellings of non-finite values.
-//! * Documents (`results/*.json`, the golden figures) go through
+//! * Documents (`results/*.json`) go through
 //!   [`ToJson`] and [`to_json_pretty`]: 2-space indent, `"key": value`,
 //!   `[]`/`{}` when empty, `null` for `None` and for non-finite floats,
 //!   and a trailing newline. Floats print their shortest round-trip form,
@@ -210,12 +210,6 @@ impl Value {
     pub fn as_object(&self) -> Option<&[(String, Value)]> {
         match self {
             Value::Object(o) => Some(o),
-            _ => None,
-        }
-    }
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(a) => Some(a),
             _ => None,
         }
     }

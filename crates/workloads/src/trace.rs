@@ -85,10 +85,9 @@ pub fn capture(workload: &mut KvWorkload, n: usize) -> Vec<TraceRecord> {
 
 /// Write records as JSON lines.
 ///
-/// The record is flat enough that the codec is hand-rolled (like
-/// `bench::golden`'s canonical JSON): trace capture and replay then work —
-/// and round-trip byte-for-byte — in every build of this repo, with no
-/// serializer behind them to drift.
+/// The record is flat enough that the codec is hand-rolled: trace capture
+/// and replay then work — and round-trip byte-for-byte — in every build of
+/// this repo, with no serializer behind them to drift.
 pub fn write_jsonl<W: Write>(records: &[TraceRecord], mut w: W) -> Result<(), TraceError> {
     for r in records {
         writeln!(w, "{{\"op\":\"{}\",\"k\":{},\"b\":{}}}", r.op, r.k, r.b)?;

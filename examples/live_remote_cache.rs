@@ -32,11 +32,7 @@ fn process_cpu_nanos() -> u64 {
 
 #[tokio::main(flavor = "multi_thread", worker_threads = 4)]
 async fn main() -> std::io::Result<()> {
-    let ops: u64 = if std::env::args().any(|a| a == "--quick") {
-        20_000
-    } else {
-        100_000
-    };
+    let ops: u64 = 100_000;
 
     let server = CacheServer::bind("127.0.0.1:0", 256 << 20).await?;
     let addr = server.local_addr();

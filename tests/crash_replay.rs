@@ -9,12 +9,12 @@
 //! discarded), deletes stay deleted, and the shadow model matches byte for
 //! byte. A second pass re-runs the same schedule and must land on
 //! identical durability counters and identical state — and the recovery
-//! ablation figure must be byte-identical whether the sweep runs on one
+//! ablation's reports must be byte-identical whether its sweep runs on one
 //! worker or four.
 
 use std::collections::BTreeMap;
 
-use bench::golden::ablation_recovery;
+use bench::recovery::{run_sweep, sweep_specs};
 use bench::sweep::SweepRunner;
 use simnet::{SimDuration, SimTime};
 use storekit::schema::ColumnType;
@@ -200,11 +200,25 @@ fn crash_replay_lands_on_identical_counters_and_state_across_runs() {
 
 #[test]
 fn recovery_figure_is_byte_identical_across_worker_counts() {
-    let seq = ablation_recovery(&SweepRunner::sequential());
-    let par = ablation_recovery(&SweepRunner::new(4));
-    assert_eq!(
-        seq.to_json(),
-        par.to_json(),
-        "post-recovery report counters must not depend on worker count"
-    );
+    let specs = sweep_specs();
+    let seq = run_sweep(&SweepRunner::sequential(), &specs, 1_000, 2_000);
+    let par = run_sweep(&SweepRunner::new(4), &specs, 1_000, 2_000);
+    assert_eq!(seq.len(), specs.len());
+    for ((spec, s), p) in specs.iter().zip(&seq).zip(&par) {
+        if spec.durability.is_some() {
+            assert_eq!(
+                s.recoveries,
+                u64::from(spec.crashes),
+                "{}: one recovery per crash",
+                spec.label()
+            );
+        }
+        // `Debug` covers every report field, post-recovery counters included.
+        assert_eq!(
+            format!("{s:?}"),
+            format!("{p:?}"),
+            "{}: the report must not depend on worker count",
+            spec.label()
+        );
+    }
 }

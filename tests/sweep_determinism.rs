@@ -10,7 +10,7 @@
 
 use std::time::{Duration, Instant};
 
-use bench::golden::small_kv;
+use bench::small_kv;
 use bench::sweep::SweepRunner;
 use dcache::experiment::{
     run_kv_experiment, run_kv_experiment_with_telemetry, KvExperimentConfig,

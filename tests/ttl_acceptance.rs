@@ -6,8 +6,8 @@
 //! dollars outright on at least one of the regimes MRC is blind to
 //! (working-set churn, invalidation storms), and per-tenant controllers
 //! must actually isolate a quiet tenant from a neighbor's storm. These
-//! tests run the same cells as the bin and the golden suite, at golden
-//! budget, through the parallel sweep runner.
+//! tests run the same cells as the bin, at its head-to-head budget,
+//! through the parallel sweep runner.
 
 use bench::sweep::SweepRunner;
 use bench::ttl::{
